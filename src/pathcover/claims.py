@@ -249,28 +249,6 @@ def _classify(kind: str, claimed: int, computed: int) -> str:
     return STATUS_BOUND_HOLDS if computed <= claimed else STATUS_BOUND_VIOLATED
 
 
-def _skip_reason(record: ClaimRecord, params: tuple[int, ...], n: int,
-                 limits: SolverLimits) -> str | None:
-    limit = limits.weak if record.variant == WEAK else limits.strong
-    if n > limit:
-        return STATUS_SKIPPED
-    if record.variant == STRONG:
-        # strong exact search explodes on these well before the raw vertex
-        # limit; solve the weak variant where possible, never guess
-        p = params[0]
-        big = (
-            (record.family in ("butterfly", "augmented_butterfly",
-                               "enhanced_butterfly") and p >= 3)
-            or (record.family == "benes" and p >= 3)
-            or (record.family == "silicate" and p >= 2)
-            or (record.family == "sierpinski" and p >= 3)
-            or (record.family == "hypercube" and p >= 5)
-        )
-        if big:
-            return STATUS_SKIPPED
-    return None
-
-
 def verify_claims(
     families: Iterable[str] | None = None,
     max_n: int = 12,
@@ -280,9 +258,11 @@ def verify_claims(
     """Solve claim instances exactly and classify each against its claim.
 
     ``families`` filters by family name (None means all); ``instances``
-    restricts to an explicit (family, params) list instead. Instances beyond
-    the exact-solver limits are reported as skipped, never guessed. Reports
-    are ordered by (family, params, variant) regardless of solve order.
+    restricts to an explicit (family, params) list instead. Instances that
+    ``solve_exact`` refuses for size (``SizeLimitError``, from the vertex
+    limits alone) are reported as skipped, never guessed; every other
+    instance is solved, however long that takes. Reports are ordered by
+    (family, params, variant) regardless of solve order.
     """
     wanted = set(families) if families is not None else None
     explicit = set(instances) if instances is not None else None
@@ -297,11 +277,6 @@ def verify_claims(
                 continue
             n, m = expected_size(record.family, params)
             claimed = record.value(params)
-            reason = _skip_reason(record, params, n, limits)
-            if reason is not None:
-                reports.append(DiscrepancyReport(
-                    record, params, n, m, claimed, None, reason))
-                continue
             key = (record.family, params, record.variant)
             if key not in solve_cache:
                 gkey = (record.family, params)

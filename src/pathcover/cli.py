@@ -15,7 +15,6 @@ from .claims import EXCLUDED_CLAIMS, verify_claims
 from .cover import (
     format_witness,
     parse_witness,
-    strong_feasible,
     verify_strong_witness,
     verify_weak_cover,
 )

@@ -18,11 +18,9 @@ from .cover import (
     feasible_from_pairs,
     path_edge_mask,
     source_pairs,
-    strong_feasible,
     weak_cover_set,
 )
 from .graph import (
-    DEFAULT_GEODESIC_CAP,
     UNREACHABLE,
     DisconnectedGraphError,
     Graph,
@@ -87,6 +85,26 @@ def _bits(x: int):
 # distance-k domination number, and minimum vertex cover.
 # ---------------------------------------------------------------------------
 
+def _greedy_cover(
+    masks: Sequence[int], candidates: Sequence[int], universe: int,
+    cover: int = 0,
+) -> list[int]:
+    """Indices picked by taking, until ``universe`` is covered, the first
+    candidate with the largest new coverage; the candidates must jointly
+    cover what ``cover`` leaves."""
+    chosen: list[int] = []
+    while cover & universe != universe:
+        rem = universe & ~cover
+        best_i, best_gain = -1, 0
+        for i in candidates:
+            gain = (masks[i] & rem).bit_count()
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        chosen.append(best_i)
+        cover |= masks[best_i]
+    return chosen
+
+
 def _min_cover(
     masks: Sequence[int],
     allowed: Iterable[int],
@@ -110,17 +128,7 @@ def _min_cover(
     coverers = {e: [i for i in active if masks[i] >> e & 1]
                 for e in _bits(rem0)}
 
-    # greedy upper bound
-    sel: list[int] = []
-    cov = pre
-    while cov & universe != universe:
-        best_i, best_gain = -1, 0
-        for i in active:
-            gain = (masks[i] & ~cov & universe).bit_count()
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        sel.append(best_i)
-        cov |= masks[best_i]
+    sel = _greedy_cover(masks, active, universe, pre)
     best_size = len(sel)
     best_sel: tuple[int, ...] | None = tuple(sorted(sel))
     if cap is not None and cap <= best_size:
@@ -162,18 +170,6 @@ def _min_cover(
     return best_size, best_sel
 
 
-def _cover_within(
-    masks: Sequence[int],
-    allowed: Iterable[int],
-    universe: int,
-    pre: int,
-    budget: int,
-    nodes: list[int] | None = None,
-) -> bool:
-    return _min_cover(masks, allowed, universe, pre, cap=budget + 1,
-                      nodes=nodes) is not None
-
-
 def _lex_least_cover(
     masks: Sequence[int],
     universe: int,
@@ -188,9 +184,9 @@ def _lex_least_cover(
     for v in range(n):
         if len(chosen) == size:
             break
-        budget = size - len(chosen) - 1
-        if _cover_within(masks, range(v + 1, n), universe,
-                         cover | masks[v], budget, nodes):
+        # v is kept when the later masks finish the cover in the size left
+        if _min_cover(masks, range(v + 1, n), universe, cover | masks[v],
+                      cap=size - len(chosen), nodes=nodes) is not None:
             chosen.append(v)
             cover |= masks[v]
     if cover & universe != universe or len(chosen) != size:
@@ -254,6 +250,16 @@ def _degree_lower_bound(G: Graph, k: int) -> int | None:
 
 
 def _solve_strong_exact(G: Graph, k: int, limits: SolverLimits) -> SolveResult:
+    """Ascending-size lexicographic subset search from the weak optimum.
+
+    A strong cover is a weak cover, so no smaller size can succeed. The
+    other lower bounds of ``compute_bounds`` never start higher: a weak cover
+    reaches an edge at every vertex within distance k, so it dominates at
+    distance k; an edge joining two simplicial vertices of one clique lies
+    only on geodesics that start at its endpoints, so a weak cover holds all
+    but one simplicial vertex of each such clique; and the degree bound
+    counts the edges one source covers weakly.
+    """
     if G.n > limits.strong:
         raise SizeLimitError(
             f"n={G.n} exceeds the strong exact-solver limit {limits.strong}")
@@ -265,29 +271,22 @@ def _solve_strong_exact(G: Graph, k: int, limits: SolverLimits) -> SolveResult:
         return SolveResult(STRONG, k, 0, (), None, "exact",
                            SolveStats(0, time.perf_counter() - start))
     n = G.n
+    all_v = (1 << n) - 1
     weak_masks = [weak_cover_set(G, v, k) for v in range(n)]
-
     weak_opt = _min_cover(weak_masks, range(n), universe, nodes=nodes)[0]
-    lb = max(weak_opt,
-             domination_number(G, k, limits),
-             _clique_lower_bound(G),
-             _degree_lower_bound(G, k) or 0)
-
     pairs_by_source = [source_pairs(G, v, k) for v in range(n)]
     # which vertices can weakly cover each edge (necessary for strong)
     vcover = [0] * G.m
     for v in range(n):
         for e in _bits(weak_masks[v]):
             vcover[e] |= 1 << v
-    suffix_or = [0] * (n + 1)
-    suffix_vmask = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        suffix_or[v] = suffix_or[v + 1] | weak_masks[v]
-        suffix_vmask[v] = suffix_vmask[v + 1] | (1 << v)
 
     def needs_more_than(cov: int, pool_vmask: int, budget: int) -> bool:
-        """Greedy count of uncovered edges with pairwise-disjoint candidate
-        vertex sets; each needs a distinct new pick."""
+        """True when the picks left cannot finish the cover. Sound because
+        a strong cover weakly covers every edge: an uncovered edge with no
+        weak coverer in the pool is never covered, and uncovered edges with
+        pairwise-disjoint coverer sets, counted greedily, each need a
+        distinct pick."""
         used = 0
         count = 0
         for e in _bits(universe & ~cov):
@@ -318,9 +317,7 @@ def _solve_strong_exact(G: Graph, k: int, limits: SolverLimits) -> SolveResult:
                 if witness is not None:
                     found = (tuple(chosen), witness)
             return
-        if cov | suffix_or[start_v] != universe:
-            return
-        if needs_more_than(cov, suffix_vmask[start_v], need):
+        if needs_more_than(cov, all_v >> start_v << start_v, need):
             return
         for v in range(start_v, n - need + 1):
             chosen.append(v)
@@ -329,7 +326,7 @@ def _solve_strong_exact(G: Graph, k: int, limits: SolverLimits) -> SolveResult:
             if found is not None:
                 return
 
-    for size in range(max(lb, 1), n + 1):
+    for size in range(weak_opt, n + 1):
         search(size, 0, [], 0)
         if found is not None:
             chosen, witness = found
@@ -346,7 +343,7 @@ def solve_exact(
 
     Weak: branch-and-bound set cover over per-vertex coverage masks, then a
     lexicographic minimization pass. Strong: candidate sizes ascend from the
-    largest applicable lower bound; size-s subsets are enumerated in
+    weak optimum; size-s subsets are enumerated in
     lexicographic order, pruned by the necessary condition that every edge be
     weakly coverable by some chosen vertex, and checked with the exact
     fixed-geodesic search.
@@ -364,71 +361,58 @@ def solve_exact(
 # ---------------------------------------------------------------------------
 
 def _greedy_weak(G: Graph, k: int, start: float) -> SolveResult:
-    universe = G.full_edge_mask()
     masks = [weak_cover_set(G, v, k) for v in range(G.n)]
-    chosen: list[int] = []
-    cover = 0
-    steps = 0
-    while cover != universe:
-        best_v, best_gain = -1, 0
-        for v in range(G.n):
-            gain = (masks[v] & ~cover).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        steps += 1
-        chosen.append(best_v)
-        cover |= masks[best_v]
+    chosen = _greedy_cover(masks, range(G.n), G.full_edge_mask())
     return SolveResult(WEAK, k, len(chosen), tuple(sorted(chosen)), None,
                        "heuristic",
-                       SolveStats(steps, time.perf_counter() - start))
+                       SolveStats(len(chosen), time.perf_counter() - start))
 
 
-def _greedy_pair_gain(pairs: tuple[PairChoices, ...], cover: int) -> int:
-    """Coverage gained by greedily assigning one path per pair."""
+def _greedy_pair_gain(
+    pairs: tuple[PairChoices, ...], cover: int
+) -> tuple[int, list]:
+    """Coverage gained by greedily assigning one path per pair, and the
+    assignments that gain it; pairs that would add nothing get no path."""
     gained = 0
+    picks = []
     for p in pairs:
-        best_mask, best_gain = 0, 0
-        for m in p.masks:
+        best_i, best_gain = -1, 0
+        for i, m in enumerate(p.masks):
             gain = (m & ~(cover | gained)).bit_count()
             if gain > best_gain:
-                best_mask, best_gain = m, gain
-        gained |= best_mask
-    return gained
+                best_i, best_gain = i, gain
+        if best_i >= 0:
+            gained |= p.masks[best_i]
+            picks.append(((p.source, p.target), p.paths[best_i]))
+    return gained, picks
 
 
 def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
+    """Greedy over sources, each assigning one path per pair greedily. The
+    assignments cover every edge, so they are the witness. The loop ends:
+    a chosen vertex's length-1 pairs cover all its edges, so an uncovered
+    edge has two unchosen endpoints, each with a positive gain."""
     universe = G.full_edge_mask()
     pairs_by_source = [source_pairs(G, v, k) for v in range(G.n)]
-    chosen: list[int] = []
-    in_set = [False] * G.n
+    chosen: set[int] = set()
+    assignments = []
     cover = 0
-    steps = 0
-    while cover != universe and len(chosen) < G.n:
-        best_v, best_gain = -1, -1
+    while cover != universe:
+        best_gain, best = -1, None
         for v in range(G.n):
-            if in_set[v]:
+            if v in chosen:
                 continue
-            gain = (_greedy_pair_gain(pairs_by_source[v], cover)
-                    & ~cover).bit_count()
+            gained, picks = _greedy_pair_gain(pairs_by_source[v], cover)
+            gain = (gained & ~cover).bit_count()
             if gain > best_gain:
-                best_v, best_gain = v, gain
-        steps += 1
-        chosen.append(best_v)
-        in_set[best_v] = True
-        cover |= _greedy_pair_gain(pairs_by_source[best_v], cover)
-    witness = strong_feasible(G, chosen, k)
-    while witness is None:
-        # defensive fallback; the greedy union already covered every edge,
-        # so this loop is not expected to run
-        for v in range(G.n):
-            if not in_set[v]:
-                chosen.append(v)
-                in_set[v] = True
-                break
-        witness = strong_feasible(G, chosen, k)
+                best_gain, best = gain, (v, gained, picks)
+        chosen.add(best[0])
+        cover |= best[1]
+        assignments.extend(best[2])
+    witness = StrongWitness(tuple(sorted(assignments)), cover)
     return SolveResult(STRONG, k, len(chosen), tuple(sorted(chosen)), witness,
                        "heuristic",
-                       SolveStats(steps, time.perf_counter() - start))
+                       SolveStats(len(chosen), time.perf_counter() - start))
 
 
 def solve_greedy(G: Graph, k: int, variant: str) -> SolveResult:
@@ -572,8 +556,8 @@ def domination_number(
 class Bounds:
     """General bounds at distance k; None marks an inapplicable bound.
 
-    Lower bounds pair as: domination_lb and clique_lb bound the strong
-    optimum, degree_lb bounds the weak optimum (hence the strong one too).
+    All three lower bounds (domination_lb, clique_lb, degree_lb) bound the
+    weak optimum, hence the strong one too; see ``_solve_strong_exact``.
     Upper bounds trivial_ub and order_diameter_ub hold for the strong
     optimum. diameter_ub and half_ub are monitored claims: they are reported
     and compared but violations are findings, not errors.

@@ -229,6 +229,11 @@ def test_criterion_3_bound_sandwich(solved_instances):
             hard_violations.append(f"{label}: domination_lb")
         if not bounds.clique_lb <= strong_opt:
             hard_violations.append(f"{label}: clique_lb")
+        # the strong search starts at the weak optimum because these hold
+        if not bounds.domination_lb <= weak_opt:
+            hard_violations.append(f"{label}: domination_lb vs weak")
+        if not bounds.clique_lb <= weak_opt:
+            hard_violations.append(f"{label}: clique_lb vs weak")
         if bounds.degree_lb is not None and not bounds.degree_lb <= weak_opt:
             hard_violations.append(f"{label}: degree_lb vs weak")
         if not weak_opt <= strong_opt:

@@ -14,6 +14,7 @@ from pathcover.claims import (
     STATUS_BOUND_HOLDS,
     STATUS_MATCH,
     STATUS_SKIPPED,
+    STATUS_TOO_HIGH,
     STATUS_TOO_LOW,
     TOPIC_FAMILY,
     TOPIC_NETWORK,
@@ -74,16 +75,27 @@ def test_k23_match_and_q3_tight():
     assert q3.status == STATUS_BOUND_HOLDS and q3.tight
 
 
-def test_skip_policy_marks_large_strong_instances():
+def test_strong_instances_within_limit_are_solved():
+    # only the vertex limits skip; strong instances under them are solved
     reports = verify_claims(families=["sierpinski"], max_n=27)
     by_params = {r.params: r for r in reports}
     assert by_params[(2,)].status in (STATUS_BOUND_HOLDS, "bound_violated")
-    assert by_params[(3,)].status == STATUS_SKIPPED
-    assert by_params[(3,)].computed is None
+    assert (by_params[(3,)].computed, by_params[(3,)].status) == \
+        (9, STATUS_BOUND_HOLDS)
+    reports = verify_claims(families=["augmented_butterfly"], max_n=32)
+    r3 = {r.claim.claim_id: r for r in reports if r.params == (3,)}
+    assert (r3["augmented_butterfly_dim3"].claimed,
+            r3["augmented_butterfly_dim3"].computed,
+            r3["augmented_butterfly_dim3"].status) == (12, 8, STATUS_TOO_HIGH)
+    assert (r3["augmented_butterfly_bound"].claimed,
+            r3["augmented_butterfly_bound"].computed,
+            r3["augmented_butterfly_bound"].status) == \
+        (12, 8, STATUS_BOUND_HOLDS)
 
 
 def test_never_classifies_with_heuristics():
-    # skipped instances carry no computed value at all
+    # silicate(2) has 66 vertices, over the strong limit: skipped by size,
+    # with no computed value at all
     reports = verify_claims(families=["silicate"], max_n=70)
     big = [r for r in reports if r.params == (2,)]
     assert big and big[0].status == STATUS_SKIPPED

@@ -9,6 +9,7 @@ from pathcover import (
     solve_exact,
     solve_greedy,
     strong_feasible,
+    verify_strong_witness,
     verify_weak_cover,
 )
 from conftest import family, random_connected_graph
@@ -93,6 +94,7 @@ def test_greedy_never_beats_exact(rng):
                 assert verify_weak_cover(G, greedy.set, 2)
             else:
                 assert greedy.witness is not None
+                assert verify_strong_witness(G, greedy.set, 2, greedy.witness)
 
 
 def test_domination_examples():
