@@ -113,6 +113,14 @@ def feasible_from_pairs(
     deterministic. Failed states are memoized on the (covered-edge mask,
     assigned-pair mask) pair; the covered mask alone would be an unsound key
     because a state's remaining freedom depends on which pairs are spent.
+
+    Capacity bound: every state's mask contains ``base``, so an unassigned
+    pair adds at most its gain, the most edges one of its paths has outside
+    ``base``. A state whose uncovered edges outnumber the summed gains of
+    its unassigned pairs fails, and is cut before the memo lookup. Only
+    failing subtrees are cut, so the search reaches the same first success.
+    The search keeps its own stack, one frame per assigned pair, so deep
+    searches need no recursion.
     """
     full = G.full_edge_mask()
     forced = tuple(p for p in pairs if len(p.paths) == 1)
@@ -126,6 +134,7 @@ def feasible_from_pairs(
             potential |= m
     if potential != full:
         return None
+    gain = [max((m & ~base).bit_count() for m in p.masks) for p in choice]
 
     # candidates per edge: (choice index, path index), lexicographic
     cands: list[list[tuple[int, int]]] = [[] for _ in range(G.m)]
@@ -137,31 +146,36 @@ def feasible_from_pairs(
                 cands[low.bit_length() - 1].append((ci, pi))
                 rest ^= low
 
-    picks: dict[int, int] = {}
     failed: set[tuple[int, int]] = set()
-
-    def dfs(mask: int, abits: int) -> bool:
-        if mask == full:
-            return True
-        if (mask, abits) in failed:
-            return False
+    # frame: [mask, assigned-pair bits, room, candidates, next candidate]
+    frames: list[list] = []
+    mask, abits, room = base, 0, sum(gain)
+    while mask != full:
         rem = full & ~mask
-        e = (rem & -rem).bit_length() - 1
-        for ci, pi in cands[e]:
-            if abits >> ci & 1:
-                continue
-            picks[ci] = pi
-            if dfs(mask | choice[ci].masks[pi], abits | (1 << ci)):
-                return True
-            del picks[ci]
-        failed.add((mask, abits))
-        return False
-
-    if not dfs(base, 0):
-        return None
+        if rem.bit_count() <= room and (mask, abits) not in failed:
+            frames.append([mask, abits, room,
+                           cands[(rem & -rem).bit_length() - 1], 0])
+        # descend into the next untried candidate of the deepest frame
+        while frames:
+            frame = frames[-1]
+            fmask, fbits, froom, options, i = frame
+            while i < len(options) and fbits >> options[i][0] & 1:
+                i += 1
+            if i < len(options):
+                frame[4] = i + 1
+                ci, pi = options[i]
+                mask = fmask | choice[ci].masks[pi]
+                abits = fbits | 1 << ci
+                room = froom - gain[ci]
+                break
+            failed.add((fmask, fbits))
+            frames.pop()
+        else:
+            return None
     assignments = [((p.source, p.target), p.paths[0]) for p in forced]
     covered = base
-    for ci, pi in picks.items():
+    for frame in frames:
+        ci, pi = frame[3][frame[4] - 1]
         p = choice[ci]
         assignments.append(((p.source, p.target), p.paths[pi]))
         covered |= p.masks[pi]

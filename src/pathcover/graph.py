@@ -243,22 +243,26 @@ def enumerate_geodesics(
     dv = bfs_distances(G, v).dist
     out: list[tuple[int, ...]] = []
     path = [u]
-
-    def extend(x: int) -> None:
-        if x == v:
-            if len(out) >= cap:
-                raise EnumerationCapError(
-                    f"more than {cap} geodesics between {u} and {v}", cap
-                )
-            out.append(tuple(path))
-            return
-        for y in G.adj[x]:
-            if du[y] == du[x] + 1 and dv[y] == dv[x] - 1:
-                path.append(y)
-                extend(y)
-                path.pop()
-
-    extend(u)
+    # depth-first over ascending neighbours, one iterator per path vertex
+    stack = [iter(G.adj[u])]
+    while stack:
+        x = path[-1]
+        for y in stack[-1]:
+            if du[y] != du[x] + 1 or dv[y] != dv[x] - 1:
+                continue
+            if y == v:
+                if len(out) >= cap:
+                    raise EnumerationCapError(
+                        f"more than {cap} geodesics between {u} and {v}", cap
+                    )
+                out.append((*path, v))
+                continue
+            path.append(y)
+            stack.append(iter(G.adj[y]))
+            break
+        else:
+            stack.pop()
+            path.pop()
     return tuple(out)
 
 

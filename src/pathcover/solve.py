@@ -259,6 +259,16 @@ def _solve_strong_exact(G: Graph, k: int, limits: SolverLimits) -> SolveResult:
     only on geodesics that start at its endpoints, so a weak cover holds all
     but one simplicial vertex of each such clique; and the degree bound
     counts the edges one source covers weakly.
+
+    Twin prefixes: u < v are twins when N(u) - {v} == N(v) - {u}, an
+    equivalence covering true and false twins. Swapping two twins is an
+    automorphism, and automorphisms map geodesics to geodesics, so a cover
+    holding v but not its twin u becomes, by the swap, a cover of the same
+    size that is lexicographically smaller. The lexicographically least
+    optimum therefore takes a prefix of every twin class, and the search
+    takes v only when v's nearest lower twin is already chosen; the same
+    lexicographic order over these subsets reaches that optimum first.
+    Source pairs are built the first time a vertex reaches a covering leaf.
     """
     if G.n > limits.strong:
         raise SizeLimitError(
@@ -274,7 +284,12 @@ def _solve_strong_exact(G: Graph, k: int, limits: SolverLimits) -> SolveResult:
     all_v = (1 << n) - 1
     weak_masks = [weak_cover_set(G, v, k) for v in range(n)]
     weak_opt = _min_cover(weak_masks, range(n), universe, nodes=nodes)[0]
-    pairs_by_source = [source_pairs(G, v, k) for v in range(n)]
+    pairs_by_source: dict[int, tuple[PairChoices, ...]] = {}
+    nbrs = [sum(1 << w for w in G.adj[v]) for v in range(n)]
+    # bit of the nearest lower twin u < v, N(u) - {v} == N(v) - {u}, else 0
+    twin_bit = [max((1 << u for u in range(v) if nbrs[u] & ~(1 << v)
+                     == nbrs[v] & ~(1 << u)), default=0)
+                for v in range(n)]
     # which vertices can weakly cover each edge (necessary for strong)
     vcover = [0] * G.m
     for v in range(n):
@@ -302,32 +317,35 @@ def _solve_strong_exact(G: Graph, k: int, limits: SolverLimits) -> SolveResult:
 
     found: tuple[tuple[int, ...], StrongWitness] | None = None
 
-    def search(size: int, start_v: int, chosen: list[int], cov: int) -> None:
+    def search(size: int, start_v: int, vmask: int, cov: int) -> None:
         nonlocal found
         if found is not None:
             return
         nodes[0] += 1
-        need = size - len(chosen)
+        need = size - vmask.bit_count()
         if need == 0:
             if cov == universe:
+                chosen = tuple(_bits(vmask))
                 pair_list: list[PairChoices] = []
                 for v in chosen:
+                    if v not in pairs_by_source:
+                        pairs_by_source[v] = source_pairs(G, v, k)
                     pair_list.extend(pairs_by_source[v])
                 witness = feasible_from_pairs(G, tuple(pair_list))
                 if witness is not None:
-                    found = (tuple(chosen), witness)
+                    found = (chosen, witness)
             return
         if needs_more_than(cov, all_v >> start_v << start_v, need):
             return
         for v in range(start_v, n - need + 1):
-            chosen.append(v)
-            search(size, v + 1, chosen, cov | weak_masks[v])
-            chosen.pop()
+            if twin_bit[v] & ~vmask:
+                continue
+            search(size, v + 1, vmask | 1 << v, cov | weak_masks[v])
             if found is not None:
                 return
 
     for size in range(weak_opt, n + 1):
-        search(size, 0, [], 0)
+        search(size, 0, 0, 0)
         if found is not None:
             chosen, witness = found
             return SolveResult(
@@ -343,9 +361,10 @@ def solve_exact(
 
     Weak: branch-and-bound set cover over per-vertex coverage masks, then a
     lexicographic minimization pass. Strong: candidate sizes ascend from the
-    weak optimum; size-s subsets are enumerated in
-    lexicographic order, pruned by the necessary condition that every edge be
-    weakly coverable by some chosen vertex, and checked with the exact
+    weak optimum; size-s subsets are enumerated in lexicographic order,
+    taking a prefix of every twin class (vertices whose neighbourhoods agree
+    apart from each other), pruned by the necessary condition that every edge
+    be weakly coverable by some chosen vertex, and checked with the exact
     fixed-geodesic search.
     """
     _check_variant(variant)

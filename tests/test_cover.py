@@ -10,6 +10,7 @@ from pathcover import (
     verify_weak_cover,
     weak_cover_set,
 )
+from pathcover.cover import PairChoices, feasible_from_pairs, path_edge_mask
 from conftest import family
 
 
@@ -135,3 +136,34 @@ def test_empty_graph_trivially_covered():
     G = build_graph(1, [])
     witness = strong_feasible(G, [], 2)
     assert witness is not None and witness.assignments == ()
+
+
+def test_feasible_from_pairs_long_ladder_needs_no_recursion():
+    """Rail a of a 1,100-rung ladder strongly covers it at k = 2. Rung and
+    rail pairs are forced; each rail-b edge needs its own diagonal pair, so
+    the search assigns 1,099 pairs in a row. The pairs are built directly,
+    since building them through ``source_pairs`` costs one BFS per target."""
+    rungs = 1100
+    # rail a is 0..rungs-1, rail b is rungs..2*rungs-1, rung i joins i, rungs+i
+    edges = [(i, rungs + i) for i in range(rungs)]
+    edges += [(i, i + 1) for i in range(rungs - 1)]
+    edges += [(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
+    G = build_graph(2 * rungs, edges)
+
+    def pair(u, v, *paths):
+        return PairChoices(u, v, paths,
+                           tuple(path_edge_mask(G, p) for p in paths))
+
+    pairs = []
+    for i in range(rungs):
+        pairs.append(pair(i, rungs + i, (i, rungs + i)))
+        if i + 1 < rungs:
+            pairs.append(pair(i, i + 1, (i, i + 1)))
+            pairs.append(pair(i, rungs + i + 1, (i, i + 1, rungs + i + 1),
+                              (i, rungs + i, rungs + i + 1)))
+        if i > 0:
+            pairs.append(pair(i, rungs + i - 1, (i, i - 1, rungs + i - 1),
+                              (i, rungs + i, rungs + i - 1)))
+    witness = feasible_from_pairs(G, tuple(pairs))
+    assert witness is not None
+    assert witness.covered == G.full_edge_mask()

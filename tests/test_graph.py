@@ -113,6 +113,12 @@ def test_enumerate_geodesics_cap_overflow():
     assert exc.value.cap == 3
 
 
+def test_enumerate_geodesics_long_path_needs_no_recursion():
+    # 1,100 path vertices exceed the interpreter's default recursion limit
+    assert enumerate_geodesics(family("path", 1100), 0, 1099) == (
+        tuple(range(1100)),)
+
+
 def test_enumerate_geodesics_counts_match_dag_dp(rng):
     from conftest import random_connected_graph
     for _ in range(25):

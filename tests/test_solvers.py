@@ -66,6 +66,62 @@ def test_exact_and_oracle_sets_agree(rng):
                 assert a.set == b.set  # both lexicographically least
 
 
+def twin_classes(G):
+    """Classes of vertices u, v with N(u) - {v} == N(v) - {u}, ascending."""
+    classes = []
+    for v in range(G.n):
+        for cls in classes:
+            u = cls[0]
+            if set(G.adj[u]) - {v} == set(G.adj[v]) - {u}:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+@pytest.mark.parametrize(
+    "name,params,ks,has_twins",
+    [
+        ("complete_bipartite", (3, 4), (1, 2, 3), True),
+        ("complete_bipartite", (4, 4), (1, 2, 3), True),
+        ("complete_bipartite", (3, 5), (1, 2, 3), True),
+        ("complete_bipartite", (2, 6), (1, 2, 3), True),
+        ("friendship", (3, 3), (1, 2, 3), True),
+        ("double_fan", (4,), (1, 2, 3), True),
+        ("double_wheel", (4,), (1, 2, 3), True),
+        # twin-free controls: the rule must leave these searches alone
+        ("crown", (4,), (1, 2, 3), False),
+        ("fan", (5,), (1, 2, 3), False),
+        ("wheel", (6,), (1, 2, 3), False),
+        ("crown", (5,), (1, 2), False),  # the oracle takes seconds at k = 3
+    ],
+)
+def test_strong_exact_matches_oracle_on_twin_rich_graphs(
+        name, params, ks, has_twins):
+    G = family(name, *params)
+    classes = twin_classes(G)
+    assert any(len(cls) > 1 for cls in classes) == has_twins
+    for k in ks:
+        result = solve_exact(G, k, "strong")
+        assert result.set == naive_oracle(G, k, "strong").set
+        # the lexicographically least optimum takes a prefix of each class
+        for cls in classes:
+            taken = [v in result.set for v in cls]
+            assert taken == sorted(taken, reverse=True)
+
+
+def test_strong_exact_bipartite_frontier():
+    # twin-prefix enumeration and the capacity bound make these take
+    # milliseconds; without them K_{4,14} takes over a minute
+    result = solve_exact(family("complete_bipartite", 6, 7), 2, "strong")
+    assert (result.optimum, result.set) == (5, (0, 1, 2, 3, 6))
+    G = family("complete_bipartite", 4, 14)
+    result = solve_exact(G, 2, "strong")
+    assert (result.optimum, result.set) == (4, (0, 1, 2, 3))
+    assert verify_strong_witness(G, result.set, 2, result.witness)
+
+
 def test_k1_equals_vertex_cover():
     from pathcover import vertex_cover_exact
     for G in (family("cycle", 5), family("wheel", 4), family("crown", 3)):
