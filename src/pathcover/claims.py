@@ -257,19 +257,26 @@ def verify_claims(
 ) -> tuple[DiscrepancyReport, ...]:
     """Solve claim instances exactly and classify each against its claim.
 
-    ``families`` filters by family name (None means all); ``instances``
-    restricts to an explicit (family, params) list instead. Instances that
-    ``solve_exact`` refuses for size (``SizeLimitError``, from the vertex
-    limits alone) are reported as skipped, never guessed; every other
-    instance is solved, however long that takes. Reports are ordered by
-    (family, params, variant) regardless of solve order.
+    ``families`` filters by family name (None means all) and raises
+    ``UnknownFamilyError`` for a name no registry record carries;
+    ``instances`` restricts to an explicit (family, params) list instead.
+    Instances that ``solve_exact`` refuses for size (``SizeLimitError``,
+    from the vertex limits alone) are reported as skipped, never guessed;
+    every other instance is solved, however long that takes. Reports are
+    ordered by (family, params, variant) regardless of solve order.
     """
+    registry = claims_registry()
     wanted = set(families) if families is not None else None
+    if wanted is not None:
+        unknown = wanted - {record.family for record in registry}
+        if unknown:
+            raise UnknownFamilyError(
+                f"no registered claim for {', '.join(sorted(unknown))}")
     explicit = set(instances) if instances is not None else None
     graph_cache: dict[tuple[str, tuple[int, ...]], object] = {}
     solve_cache: dict[tuple[str, tuple[int, ...], str], int] = {}
     reports: list[DiscrepancyReport] = []
-    for record in claims_registry():
+    for record in registry:
         if wanted is not None and record.family not in wanted:
             continue
         for params in record.instances(max_n):

@@ -21,8 +21,7 @@ from .solve import (
     DEFAULT_LIMITS,
     SizeLimitError,
     SolverLimits,
-    _lex_least_cover,
-    _min_cover,
+    _least_cover,
     solve_exact,
 )
 
@@ -134,8 +133,8 @@ def vertex_cover_exact(
     if universe == 0:
         return 0, ()
     masks = [G.edge_mask((v, w) for w in G.adj[v]) for v in range(G.n)]
-    size = _min_cover(masks, range(G.n), universe)[0]
-    return size, _lex_least_cover(masks, universe, size)
+    chosen = _least_cover(G, masks, universe)
+    return len(chosen), chosen
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cover import (
     PairChoices,
@@ -53,6 +53,15 @@ DEFAULT_LIMITS = SolverLimits()
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Work and time of one solve.
+
+    ``nodes`` counts, for the exact solvers, the nodes of the
+    ``_least_cover`` subset search plus every node of the ``_min_cover``
+    calls it makes (the optimum it starts from and the test of each added
+    vertex); for greedy, the vertices picked; for the oracle, the subsets
+    tried.
+    """
+
     nodes: int
     elapsed_s: float
 
@@ -81,8 +90,9 @@ def _bits(x: int):
 
 
 # ---------------------------------------------------------------------------
-# Branch-and-bound set cover over bitmasks. Used for the weak variant, the
-# distance-k domination number, and minimum vertex cover.
+# Branch-and-bound set cover over bitmasks, and the lexicographically least
+# cover search built on it. Used for both exact variants, the distance-k
+# domination number, and minimum vertex cover.
 # ---------------------------------------------------------------------------
 
 def _greedy_cover(
@@ -119,6 +129,8 @@ def _min_cover(
     rem0 = universe & ~pre
     if rem0 == 0:
         return 0, ()
+    if cap is not None and cap <= 1:  # an uncovered edge needs a pick
+        return None
     active = [i for i in allowed if masks[i] & rem0]
     total = pre
     for i in active:
@@ -170,54 +182,74 @@ def _min_cover(
     return best_size, best_sel
 
 
-def _lex_least_cover(
+def _least_cover(
+    G: Graph,
     masks: Sequence[int],
     universe: int,
-    size: int,
+    accept: Callable[[tuple[int, ...]], bool] | None = None,
     nodes: list[int] | None = None,
 ) -> tuple[int, ...]:
-    """Lexicographically least index set of ``size`` masks covering
-    ``universe``; assumes such a cover exists."""
-    chosen: list[int] = []
-    cover = 0
+    """Lexicographically least vertex set of least size whose masks cover
+    ``universe`` and that ``accept`` takes (every covering set when
+    ``accept`` is None). Sizes ascend from the optimum of ``_min_cover``;
+    each size walks its sets in lexicographic order.
+
+    Twin prefixes: u < v are twins when N(u) - {v} == N(v) - {u}, which
+    covers true and false twins, and swapping them is an automorphism of G.
+    ``masks[v]`` follows v under automorphisms, as weak coverage, the
+    incident edges of v and strong covers do (automorphisms map geodesics
+    to geodesics). So a set holding v but not its twin u maps to a set of
+    the same size, covering and accepted alike, that is lexicographically
+    smaller: the least accepted set takes a prefix of every twin class, and
+    the search takes v only when v's nearest lower twin is already chosen.
+
+    Prune: v is added only when the masks after v can finish the cover in
+    the picks left, so only subtrees that hold no covering set are cut.
+    Every strong cover is a weak cover, so this is sound for strong too.
+    """
     n = len(masks)
+    # bit of the nearest lower twin u < v, else 0; twins have equal open
+    # (u, v apart) or closed (u, v adjacent) neighbourhoods
+    last_open: dict[int, int] = {}
+    last_closed: dict[int, int] = {}
+    twin_bit = []
     for v in range(n):
-        if len(chosen) == size:
-            break
-        # v is kept when the later masks finish the cover in the size left
-        if _min_cover(masks, range(v + 1, n), universe, cover | masks[v],
-                      cap=size - len(chosen), nodes=nodes) is not None:
-            chosen.append(v)
-            cover |= masks[v]
-    if cover & universe != universe or len(chosen) != size:
-        raise AssertionError("lexicographic completion failed")
-    return tuple(chosen)
+        nb = sum(1 << w for w in G.adj[v])
+        u = max(last_open.get(nb, -1), last_closed.get(nb | 1 << v, -1))
+        twin_bit.append(1 << u if u >= 0 else 0)
+        last_open[nb] = last_closed[nb | 1 << v] = v
+    found: tuple[int, ...] | None = None
+
+    def search(start_v: int, vmask: int, cov: int, need: int) -> None:
+        nonlocal found
+        if nodes is not None:
+            nodes[0] += 1
+        if need == 0:
+            chosen = tuple(_bits(vmask))
+            if accept is None or accept(chosen):
+                found = chosen
+            return
+        for v in range(start_v, n - need + 1):
+            if twin_bit[v] & ~vmask:
+                continue
+            if _min_cover(masks, range(v + 1, n), universe, cov | masks[v],
+                          cap=need, nodes=nodes) is None:
+                continue
+            search(v + 1, vmask | 1 << v, cov | masks[v], need - 1)
+            if found is not None:
+                return
+
+    for size in range(_min_cover(masks, range(n), universe,
+                                 nodes=nodes)[0], n + 1):
+        search(0, 0, 0, size)
+        if found is not None:
+            return found
+    raise AssertionError("the full vertex set is always accepted")
 
 
 # ---------------------------------------------------------------------------
 # Exact solvers
 # ---------------------------------------------------------------------------
-
-def _solve_weak_exact(G: Graph, k: int, limits: SolverLimits) -> SolveResult:
-    if G.n > limits.weak:
-        raise SizeLimitError(
-            f"n={G.n} exceeds the weak exact-solver limit {limits.weak}")
-    require_connected(G)
-    start = time.perf_counter()
-    nodes = [0]
-    universe = G.full_edge_mask()
-    if universe == 0:
-        return SolveResult(WEAK, k, 0, (), None, "exact",
-                           SolveStats(0, time.perf_counter() - start))
-    masks = [weak_cover_set(G, v, k) for v in range(G.n)]
-    found = _min_cover(masks, range(G.n), universe, nodes=nodes)
-    if found is None:
-        raise AssertionError("a connected graph is always weakly coverable")
-    size = found[0]
-    chosen = _lex_least_cover(masks, universe, size, nodes)
-    return SolveResult(WEAK, k, size, chosen, None, "exact",
-                       SolveStats(nodes[0], time.perf_counter() - start))
-
 
 def _clique_lower_bound(G: Graph) -> int:
     """Sum of (s - 1) over maximal cliques containing s >= 2 simplicial
@@ -249,130 +281,57 @@ def _degree_lower_bound(G: Graph, k: int) -> int | None:
     return -(-num // den)
 
 
-def _solve_strong_exact(G: Graph, k: int, limits: SolverLimits) -> SolveResult:
-    """Ascending-size lexicographic subset search from the weak optimum.
+def solve_exact(
+    G: Graph, k: int, variant: str, limits: SolverLimits = DEFAULT_LIMITS
+) -> SolveResult:
+    """Provably optimal cover of the requested variant: ``_least_cover``
+    over the per-vertex weak coverage masks. Weak takes the first covering
+    set; strong takes the first one the exact fixed-geodesic search proves
+    feasible, with its witness, building a vertex's source pairs the first
+    time it is in such a set. Either way the set is the lexicographically
+    least optimum.
 
-    A strong cover is a weak cover, so no smaller size can succeed. The
-    other lower bounds of ``compute_bounds`` never start higher: a weak cover
-    reaches an edge at every vertex within distance k, so it dominates at
-    distance k; an edge joining two simplicial vertices of one clique lies
-    only on geodesics that start at its endpoints, so a weak cover holds all
-    but one simplicial vertex of each such clique; and the degree bound
-    counts the edges one source covers weakly.
-
-    Twin prefixes: u < v are twins when N(u) - {v} == N(v) - {u}, an
-    equivalence covering true and false twins. Swapping two twins is an
-    automorphism, and automorphisms map geodesics to geodesics, so a cover
-    holding v but not its twin u becomes, by the swap, a cover of the same
-    size that is lexicographically smaller. The lexicographically least
-    optimum therefore takes a prefix of every twin class, and the search
-    takes v only when v's nearest lower twin is already chosen; the same
-    lexicographic order over these subsets reaches that optimum first.
-    Source pairs are built the first time a vertex reaches a covering leaf.
+    Strong sizes ascend from the weak optimum: a strong cover is a weak
+    cover, so no smaller size can succeed. The other lower bounds of
+    ``compute_bounds`` never start higher: a weak cover reaches an edge at
+    every vertex within distance k, so it dominates at distance k; an edge
+    joining two simplicial vertices of one clique lies only on geodesics
+    that start at its endpoints, so a weak cover holds all but one
+    simplicial vertex of each such clique; and the degree bound counts the
+    edges one source covers weakly.
     """
-    if G.n > limits.strong:
+    _check_variant(variant)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    limit = limits.weak if variant == WEAK else limits.strong
+    if G.n > limit:
         raise SizeLimitError(
-            f"n={G.n} exceeds the strong exact-solver limit {limits.strong}")
+            f"n={G.n} exceeds the {variant} exact-solver limit {limit}")
     require_connected(G)
     start = time.perf_counter()
     nodes = [0]
     universe = G.full_edge_mask()
     if universe == 0:
-        return SolveResult(STRONG, k, 0, (), None, "exact",
+        return SolveResult(variant, k, 0, (), None, "exact",
                            SolveStats(0, time.perf_counter() - start))
-    n = G.n
-    all_v = (1 << n) - 1
-    weak_masks = [weak_cover_set(G, v, k) for v in range(n)]
-    weak_opt = _min_cover(weak_masks, range(n), universe, nodes=nodes)[0]
+    masks = [weak_cover_set(G, v, k) for v in range(G.n)]
     pairs_by_source: dict[int, tuple[PairChoices, ...]] = {}
-    nbrs = [sum(1 << w for w in G.adj[v]) for v in range(n)]
-    # bit of the nearest lower twin u < v, N(u) - {v} == N(v) - {u}, else 0
-    twin_bit = [max((1 << u for u in range(v) if nbrs[u] & ~(1 << v)
-                     == nbrs[v] & ~(1 << u)), default=0)
-                for v in range(n)]
-    # which vertices can weakly cover each edge (necessary for strong)
-    vcover = [0] * G.m
-    for v in range(n):
-        for e in _bits(weak_masks[v]):
-            vcover[e] |= 1 << v
+    witness: StrongWitness | None = None
 
-    def needs_more_than(cov: int, pool_vmask: int, budget: int) -> bool:
-        """True when the picks left cannot finish the cover. Sound because
-        a strong cover weakly covers every edge: an uncovered edge with no
-        weak coverer in the pool is never covered, and uncovered edges with
-        pairwise-disjoint coverer sets, counted greedily, each need a
-        distinct pick."""
-        used = 0
-        count = 0
-        for e in _bits(universe & ~cov):
-            avail = vcover[e] & pool_vmask
-            if avail == 0:
-                return True
-            if avail & used == 0:
-                count += 1
-                if count > budget:
-                    return True
-                used |= avail
-        return False
+    def feasible(chosen: tuple[int, ...]) -> bool:
+        nonlocal witness
+        pair_list: list[PairChoices] = []
+        for v in chosen:
+            if v not in pairs_by_source:
+                pairs_by_source[v] = source_pairs(G, v, k)
+            pair_list.extend(pairs_by_source[v])
+        witness = feasible_from_pairs(G, tuple(pair_list))
+        return witness is not None
 
-    found: tuple[tuple[int, ...], StrongWitness] | None = None
-
-    def search(size: int, start_v: int, vmask: int, cov: int) -> None:
-        nonlocal found
-        if found is not None:
-            return
-        nodes[0] += 1
-        need = size - vmask.bit_count()
-        if need == 0:
-            if cov == universe:
-                chosen = tuple(_bits(vmask))
-                pair_list: list[PairChoices] = []
-                for v in chosen:
-                    if v not in pairs_by_source:
-                        pairs_by_source[v] = source_pairs(G, v, k)
-                    pair_list.extend(pairs_by_source[v])
-                witness = feasible_from_pairs(G, tuple(pair_list))
-                if witness is not None:
-                    found = (chosen, witness)
-            return
-        if needs_more_than(cov, all_v >> start_v << start_v, need):
-            return
-        for v in range(start_v, n - need + 1):
-            if twin_bit[v] & ~vmask:
-                continue
-            search(size, v + 1, vmask | 1 << v, cov | weak_masks[v])
-            if found is not None:
-                return
-
-    for size in range(weak_opt, n + 1):
-        search(size, 0, 0, 0)
-        if found is not None:
-            chosen, witness = found
-            return SolveResult(
-                STRONG, k, size, chosen, witness, "exact",
-                SolveStats(nodes[0], time.perf_counter() - start))
-    raise AssertionError("the full vertex set is always a strong cover")
-
-
-def solve_exact(
-    G: Graph, k: int, variant: str, limits: SolverLimits = DEFAULT_LIMITS
-) -> SolveResult:
-    """Provably optimal cover of the requested variant.
-
-    Weak: branch-and-bound set cover over per-vertex coverage masks, then a
-    lexicographic minimization pass. Strong: candidate sizes ascend from the
-    weak optimum; size-s subsets are enumerated in lexicographic order,
-    taking a prefix of every twin class (vertices whose neighbourhoods agree
-    apart from each other), pruned by the necessary condition that every edge
-    be weakly coverable by some chosen vertex, and checked with the exact
-    fixed-geodesic search.
-    """
-    _check_variant(variant)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if variant == WEAK:
-        return _solve_weak_exact(G, k, limits)
-    return _solve_strong_exact(G, k, limits)
+    chosen = _least_cover(G, masks, universe,
+                          feasible if variant == STRONG else None, nodes)
+    return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
+                       SolveStats(nodes[0], time.perf_counter() - start))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +535,7 @@ class Bounds:
     """General bounds at distance k; None marks an inapplicable bound.
 
     All three lower bounds (domination_lb, clique_lb, degree_lb) bound the
-    weak optimum, hence the strong one too; see ``_solve_strong_exact``.
+    weak optimum, hence the strong one too; see ``solve_exact``.
     Upper bounds trivial_ub and order_diameter_ub hold for the strong
     optimum. diameter_ub and half_ub are monitored claims: they are reported
     and compared but violations are findings, not errors.

@@ -1,6 +1,7 @@
 import pytest
 
 from pathcover import (
+    FAMILY_NAMES,
     UnknownFamilyError,
     claim_value,
     claims_registry,
@@ -55,6 +56,19 @@ def test_lookup_examples():
     with pytest.raises(UnknownFamilyError):
         claim_value("actinia", (2, 1), "strong")
     assert EXCLUDED_CLAIMS[0][0] == "actinia"
+
+
+@pytest.mark.parametrize(
+    "families", [["nosuch"], ["Wheel"], ["wheel", "actinia"]])
+def test_unknown_family_is_refused(families):
+    # a misspelt or unregistered family must not sweep nothing in silence
+    with pytest.raises(UnknownFamilyError):
+        verify_claims(families=families)
+
+
+def test_every_family_has_a_claim():
+    registered = {record.family for record in claims_registry()}
+    assert registered == set(FAMILY_NAMES)
 
 
 def test_cycle5_reported_too_low():

@@ -94,6 +94,14 @@ def test_claims_csv_export(tmp_path):
     assert len(lines) == 5  # header + n in 5..8
 
 
+@pytest.mark.parametrize("name", ["nosuch", "Wheel"])
+def test_claims_unknown_family_exits_1(name, capsys):
+    assert main(["claims", "--family", name]) == 1
+    captured = capsys.readouterr()
+    assert name in captured.err
+    assert "instances" not in captured.out
+
+
 def test_empty_csv_has_header():
     text = to_csv([])
     assert text.splitlines() == [

@@ -80,35 +80,47 @@ def twin_classes(G):
     return classes
 
 
-@pytest.mark.parametrize(
-    "name,params,ks,has_twins",
-    [
-        ("complete_bipartite", (3, 4), (1, 2, 3), True),
-        ("complete_bipartite", (4, 4), (1, 2, 3), True),
-        ("complete_bipartite", (3, 5), (1, 2, 3), True),
-        ("complete_bipartite", (2, 6), (1, 2, 3), True),
-        ("friendship", (3, 3), (1, 2, 3), True),
-        ("double_fan", (4,), (1, 2, 3), True),
-        ("double_wheel", (4,), (1, 2, 3), True),
-        # twin-free controls: the rule must leave these searches alone
-        ("crown", (4,), (1, 2, 3), False),
-        ("fan", (5,), (1, 2, 3), False),
-        ("wheel", (6,), (1, 2, 3), False),
-        ("crown", (5,), (1, 2), False),  # the oracle takes seconds at k = 3
-    ],
-)
-def test_strong_exact_matches_oracle_on_twin_rich_graphs(
-        name, params, ks, has_twins):
+TWIN_RICH_CASES = [
+    ("complete_bipartite", (3, 4), (1, 2, 3), True),
+    ("complete_bipartite", (4, 4), (1, 2, 3), True),
+    ("complete_bipartite", (3, 5), (1, 2, 3), True),
+    ("complete_bipartite", (2, 6), (1, 2, 3), True),
+    ("friendship", (3, 3), (1, 2, 3), True),
+    ("double_fan", (4,), (1, 2, 3), True),
+    ("double_wheel", (4,), (1, 2, 3), True),
+    # twin-free controls: the rule must leave these searches alone
+    ("crown", (4,), (1, 2, 3), False),
+    ("fan", (5,), (1, 2, 3), False),
+    ("wheel", (6,), (1, 2, 3), False),
+    ("crown", (5,), (1, 2), False),  # the oracle takes seconds at k = 3
+]
+
+
+def check_twin_rich(name, params, ks, has_twins, variant):
     G = family(name, *params)
     classes = twin_classes(G)
     assert any(len(cls) > 1 for cls in classes) == has_twins
     for k in ks:
-        result = solve_exact(G, k, "strong")
-        assert result.set == naive_oracle(G, k, "strong").set
+        result = solve_exact(G, k, variant)
+        assert result.set == naive_oracle(G, k, variant).set
         # the lexicographically least optimum takes a prefix of each class
         for cls in classes:
             taken = [v in result.set for v in cls]
             assert taken == sorted(taken, reverse=True)
+
+
+# weak and strong share one twin-skipping search, so each is checked
+# against the oracle on its own
+@pytest.mark.parametrize("name,params,ks,has_twins", TWIN_RICH_CASES)
+def test_strong_exact_matches_oracle_on_twin_rich_graphs(
+        name, params, ks, has_twins):
+    check_twin_rich(name, params, ks, has_twins, "strong")
+
+
+@pytest.mark.parametrize("name,params,ks,has_twins", TWIN_RICH_CASES)
+def test_weak_exact_matches_oracle_on_twin_rich_graphs(
+        name, params, ks, has_twins):
+    check_twin_rich(name, params, ks, has_twins, "weak")
 
 
 def test_strong_exact_bipartite_frontier():
@@ -124,8 +136,13 @@ def test_strong_exact_bipartite_frontier():
 
 def test_k1_equals_vertex_cover():
     from pathcover import vertex_cover_exact
-    for G in (family("cycle", 5), family("wheel", 4), family("crown", 3)):
+    for G in (family("cycle", 5), family("wheel", 4), family("crown", 3),
+              family("complete_bipartite", 3, 4), family("double_fan", 4),
+              family("friendship", 3, 3)):
         vc_size, vc_set = vertex_cover_exact(G)
+        # weak exact and vertex cover share one search, so a fault in it
+        # would show in both: compare with the oracle too
+        assert vc_set == naive_oracle(G, 1, "weak").set
         for variant in ("weak", "strong"):
             result = solve_exact(G, 1, variant)
             assert result.optimum == vc_size
