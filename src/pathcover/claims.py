@@ -257,9 +257,11 @@ def verify_claims(
 ) -> tuple[DiscrepancyReport, ...]:
     """Solve claim instances exactly and classify each against its claim.
 
-    ``families`` filters by family name (None means all) and raises
-    ``UnknownFamilyError`` for a name no registry record carries;
-    ``instances`` restricts to an explicit (family, params) list instead.
+    ``families`` filters by family name (None means all); ``instances``
+    restricts to an explicit (family, params) list. A family that no
+    registry record carries raises ``UnknownFamilyError``, and a requested
+    instance that no (filtered) record lists at ``max_n`` raises
+    ``ValueError``, so nothing asked for is dropped without a word.
     Instances that ``solve_exact`` refuses for size (``SizeLimitError``,
     from the vertex limits alone) are reported as skipped, never guessed;
     every other instance is solved, however long that takes. Reports are
@@ -267,41 +269,49 @@ def verify_claims(
     """
     registry = claims_registry()
     wanted = set(families) if families is not None else None
-    if wanted is not None:
-        unknown = wanted - {record.family for record in registry}
-        if unknown:
-            raise UnknownFamilyError(
-                f"no registered claim for {', '.join(sorted(unknown))}")
     explicit = set(instances) if instances is not None else None
+    unknown = ({*(wanted or ()), *(family for family, _ in explicit or ())}
+               - {record.family for record in registry})
+    if unknown:
+        raise UnknownFamilyError(
+            f"no registered claim for {', '.join(sorted(unknown))}")
+    todo = [(record, params) for record in registry
+            if wanted is None or record.family in wanted
+            for params in record.instances(max_n)]
+    if explicit is not None:
+        missing = explicit - {(record.family, params)
+                              for record, params in todo}
+        if missing:
+            raise ValueError(
+                "no claim lists " + ", ".join(
+                    f"{family}{params}" for family, params in sorted(missing))
+                + f" at max_n={max_n}")
+        todo = [(record, params) for record, params in todo
+                if (record.family, params) in explicit]
     graph_cache: dict[tuple[str, tuple[int, ...]], object] = {}
     solve_cache: dict[tuple[str, tuple[int, ...], str], int] = {}
     reports: list[DiscrepancyReport] = []
-    for record in registry:
-        if wanted is not None and record.family not in wanted:
-            continue
-        for params in record.instances(max_n):
-            if explicit is not None and (record.family, params) not in explicit:
+    for record, params in todo:
+        n, m = expected_size(record.family, params)
+        claimed = record.value(params)
+        key = (record.family, params, record.variant)
+        if key not in solve_cache:
+            gkey = (record.family, params)
+            if gkey not in graph_cache:
+                graph_cache[gkey] = generate(
+                    FamilySpec(record.family, params))
+            try:
+                result = solve_exact(graph_cache[gkey], record.k,
+                                     record.variant, limits)
+            except SizeLimitError:
+                reports.append(DiscrepancyReport(
+                    record, params, n, m, claimed, None, STATUS_SKIPPED))
                 continue
-            n, m = expected_size(record.family, params)
-            claimed = record.value(params)
-            key = (record.family, params, record.variant)
-            if key not in solve_cache:
-                gkey = (record.family, params)
-                if gkey not in graph_cache:
-                    graph_cache[gkey] = generate(
-                        FamilySpec(record.family, params))
-                try:
-                    result = solve_exact(graph_cache[gkey], record.k,
-                                         record.variant, limits)
-                except SizeLimitError:
-                    reports.append(DiscrepancyReport(
-                        record, params, n, m, claimed, None, STATUS_SKIPPED))
-                    continue
-                solve_cache[key] = result.optimum
-            computed = solve_cache[key]
-            reports.append(DiscrepancyReport(
-                record, params, n, m, claimed, computed,
-                _classify(record.kind, claimed, computed)))
+            solve_cache[key] = result.optimum
+        computed = solve_cache[key]
+        reports.append(DiscrepancyReport(
+            record, params, n, m, claimed, computed,
+            _classify(record.kind, claimed, computed)))
     reports.sort(key=lambda r: (r.claim.family, r.params, r.claim.variant,
                                 r.claim.kind))
     return tuple(reports)

@@ -18,10 +18,10 @@ from .graph import (
     DEFAULT_GEODESIC_CAP,
     UNREACHABLE,
     DisconnectedGraphError,
+    EnumerationCapError,
     Graph,
     VertexRangeError,
     bfs_distances,
-    enumerate_geodesics,
     geodesic_dag,
 )
 
@@ -85,19 +85,47 @@ class StrongWitness:
 def source_pairs(
     G: Graph, u: int, k: int, cap: int = DEFAULT_GEODESIC_CAP
 ) -> tuple[PairChoices, ...]:
-    """Geodesic choice sets for every pair (u, v) with 1 <= d(u, v) <= k."""
-    field = bfs_distances(G, u)
-    if UNREACHABLE in field.dist:
+    """Geodesic choice sets for every pair (u, v) with 1 <= d(u, v) <= k,
+    in ascending target order, from one BFS and one walk.
+
+    The walk goes depth-first over ascending neighbours, from u, stepping
+    only to a y with d(u, y) equal to the length of the path so far, and
+    stops at depth k. Each step raises the distance by one, so every walk
+    is a geodesic to its last vertex; and every geodesic of length at most
+    k from u is such a walk, since each of its prefixes is a geodesic. The
+    walk visits the paths in pre-order over ascending neighbours, so each
+    target's paths come in lexicographic order, as ``enumerate_geodesics``
+    gives them. A path's mask is its prefix's mask plus one edge bit.
+    """
+    dist = bfs_distances(G, u).dist
+    if UNREACHABLE in dist:
         raise DisconnectedGraphError(
             "strong coverage requires a connected graph")
-    out = []
-    for v in range(G.n):
-        if v == u or not 1 <= field.dist[v] <= k:
-            continue
-        paths = enumerate_geodesics(G, u, v, cap)
-        masks = tuple(path_edge_mask(G, p) for p in paths)
-        out.append(PairChoices(u, v, paths, masks))
-    return tuple(out)
+    found: dict[int, tuple[list, list]] = {}
+    path, masks = [u], [0]
+    stack = [iter(G.adj[u])]
+    while stack:
+        for y in stack[-1]:
+            if dist[y] != len(path):
+                continue
+            mask = masks[-1] | 1 << G.edge_id(path[-1], y)
+            paths_y, masks_y = found.setdefault(y, ([], []))
+            if len(paths_y) >= cap:
+                raise EnumerationCapError(
+                    f"more than {cap} geodesics between {u} and {y}", cap)
+            paths_y.append((*path, y))
+            masks_y.append(mask)
+            if len(path) < k:
+                path.append(y)
+                masks.append(mask)
+                stack.append(iter(G.adj[y]))
+                break
+        else:
+            stack.pop()
+            path.pop()
+            masks.pop()
+    return tuple(PairChoices(u, v, tuple(found[v][0]), tuple(found[v][1]))
+                 for v in sorted(found))
 
 
 def feasible_from_pairs(

@@ -369,24 +369,45 @@ def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
     """Greedy over sources, each assigning one path per pair greedily. The
     assignments cover every edge, so they are the witness. The loop ends:
     a chosen vertex's length-1 pairs cover all its edges, so an uncovered
-    edge has two unchosen endpoints, each with a positive gain."""
+    edge has two unchosen endpoints, each with a positive gain.
+
+    A vertex keeps its score until the edges a pick newly covers meet its
+    kept ``gained``. ``_greedy_pair_gain`` reads ``cover`` only through
+    ``m & ~(cover | gained)``. Take the pairs in order, with ``gained`` so
+    far as before: the path a pair took lies in the kept ``gained``, so it
+    misses the new edges and keeps its gain, and every other path's gain
+    can only fall; so the pair takes the same first path of largest gain,
+    or none when all were 0. Hence ``gained``, the picks and the gain
+    outside ``cover`` come out as before, and so do the argmax and its
+    first-vertex tie-break. Scores can rise when the new edges meet
+    ``gained`` (a pair whose best path was spent may switch to one that
+    adds more), so they are not treated as upper bounds.
+    """
     universe = G.full_edge_mask()
     pairs_by_source = [source_pairs(G, v, k) for v in range(G.n)]
+    # (gain, gained, picks) per vertex, None when it must be re-scored
+    scores: list[tuple[int, int, list] | None] = [None] * G.n
     chosen: set[int] = set()
     assignments = []
     cover = 0
     while cover != universe:
-        best_gain, best = -1, None
+        best = -1
         for v in range(G.n):
             if v in chosen:
                 continue
-            gained, picks = _greedy_pair_gain(pairs_by_source[v], cover)
-            gain = (gained & ~cover).bit_count()
-            if gain > best_gain:
-                best_gain, best = gain, (v, gained, picks)
-        chosen.add(best[0])
-        cover |= best[1]
-        assignments.extend(best[2])
+            if scores[v] is None:
+                gained, picks = _greedy_pair_gain(pairs_by_source[v], cover)
+                scores[v] = ((gained & ~cover).bit_count(), gained, picks)
+            if best < 0 or scores[v][0] > scores[best][0]:
+                best = v
+        _, gained, picks = scores[best]
+        new = gained & ~cover
+        chosen.add(best)
+        cover |= gained
+        assignments.extend(picks)
+        for v in range(G.n):
+            if scores[v] is not None and scores[v][1] & new:
+                scores[v] = None
     witness = StrongWitness(tuple(sorted(assignments)), cover)
     return SolveResult(STRONG, k, len(chosen), tuple(sorted(chosen)), witness,
                        "heuristic",

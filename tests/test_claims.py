@@ -66,6 +66,23 @@ def test_unknown_family_is_refused(families):
         verify_claims(families=families)
 
 
+@pytest.mark.parametrize("family", ["nosuch", "Cycle"])
+def test_unknown_instance_family_is_refused(family):
+    # an explicit instance list must not drop an unregistered family
+    with pytest.raises(UnknownFamilyError):
+        verify_claims(instances=[(family, (5,))])
+
+
+def test_unlisted_instance_is_refused():
+    # cycle(50) is a registered family but over the default max_n of 12
+    with pytest.raises(ValueError, match=r"cycle\(50,\).*max_n=12"):
+        verify_claims(instances=[("cycle", (50,))])
+    # one unlisted instance refuses the whole request
+    with pytest.raises(ValueError, match=r"cycle\(13,\)"):
+        verify_claims(instances=[("cycle", (5,)), ("cycle", (13,))])
+    assert len(verify_claims(instances=[("cycle", (50,))], max_n=50)) == 1
+
+
 def test_every_family_has_a_claim():
     registered = {record.family for record in claims_registry()}
     assert registered == set(FAMILY_NAMES)

@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
+import pathcover.cover
 from pathcover import (
+    EnumerationCapError,
     StrongWitness,
+    bfs_distances,
     build_graph,
+    enumerate_geodesics,
     format_witness,
     parse_witness,
     strong_feasible,
@@ -10,8 +16,13 @@ from pathcover import (
     verify_weak_cover,
     weak_cover_set,
 )
-from pathcover.cover import PairChoices, feasible_from_pairs, path_edge_mask
-from conftest import family
+from pathcover.cover import (
+    PairChoices,
+    feasible_from_pairs,
+    path_edge_mask,
+    source_pairs,
+)
+from conftest import family, family_graphs, random_connected_graph
 
 
 def edges_of(G, mask):
@@ -142,7 +153,7 @@ def test_feasible_from_pairs_long_ladder_needs_no_recursion():
     """Rail a of a 1,100-rung ladder strongly covers it at k = 2. Rung and
     rail pairs are forced; each rail-b edge needs its own diagonal pair, so
     the search assigns 1,099 pairs in a row. The pairs are built directly,
-    since building them through ``source_pairs`` costs one BFS per target."""
+    so the test exercises the search alone."""
     rungs = 1100
     # rail a is 0..rungs-1, rail b is rungs..2*rungs-1, rung i joins i, rungs+i
     edges = [(i, rungs + i) for i in range(rungs)]
@@ -167,3 +178,58 @@ def test_feasible_from_pairs_long_ladder_needs_no_recursion():
     witness = feasible_from_pairs(G, tuple(pairs))
     assert witness is not None
     assert witness.covered == G.full_edge_mask()
+
+
+def _source_pairs_cases():
+    for name, G in family_graphs(14):
+        yield pytest.param(G, id=name)
+    for seed in range(30):
+        G = random_connected_graph(random.Random(seed), max_n=14)
+        yield pytest.param(G, id=f"random{seed}")
+
+
+@pytest.mark.parametrize("G", _source_pairs_cases())
+def test_source_pairs_match_per_pair_enumeration(G):
+    """``source_pairs`` walks all of a source's geodesics at once; this
+    checks it against one ``enumerate_geodesics`` call per pair."""
+    for u in range(G.n):
+        dist = bfs_distances(G, u).dist
+        for k in range(1, 5):
+            pairs = source_pairs(G, u, k)
+            assert [p.target for p in pairs] == [
+                v for v in range(G.n) if 1 <= dist[v] <= k]
+            for p in pairs:
+                assert p.source == u
+                assert p.paths == enumerate_geodesics(G, u, p.target)
+                assert p.masks == tuple(path_edge_mask(G, path)
+                                        for path in p.paths)
+
+
+def test_source_pairs_cap():
+    # K_{2,5}: vertices 0 and 1 share the five vertices 2..6
+    G = family("complete_bipartite", 2, 5)
+    with pytest.raises(EnumerationCapError) as err:
+        source_pairs(G, 0, 2, cap=4)
+    assert err.value.cap == 4
+    pairs = {p.target: p for p in source_pairs(G, 0, 2, cap=5)}
+    assert len(pairs[1].paths) == 5
+
+
+def test_source_pairs_runs_one_bfs(monkeypatch):
+    calls = {"bfs": 0, "geodesics": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pathcover.cover, "bfs_distances",
+                        counted("bfs", bfs_distances))
+    # raising=False: the module need not import it, but must not call it
+    monkeypatch.setattr(pathcover.cover, "enumerate_geodesics",
+                        counted("geodesics", enumerate_geodesics),
+                        raising=False)
+    G = family("sierpinski", 3)
+    assert source_pairs(G, 0, 3)
+    assert calls == {"bfs": 1, "geodesics": 0}
