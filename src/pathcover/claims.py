@@ -15,6 +15,7 @@ covers 11 family-claim groups and 13 network-claim groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from .families import FamilySpec, UnknownFamilyError, expected_size, generate
@@ -105,8 +106,7 @@ def _friendship_instances(max_n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def claims_registry() -> tuple[ClaimRecord, ...]:
-    """The full registry; one group per stated result."""
+def _build_registry() -> tuple[ClaimRecord, ...]:
     records: list[ClaimRecord] = []
 
     def add(claim_id, topic, family, variant, kind, formula, citation,
@@ -214,12 +214,24 @@ def claims_registry() -> tuple[ClaimRecord, ...]:
     return tuple(records)
 
 
+_REGISTRY = _build_registry()
+# each family's records, in registry order
+_BY_FAMILY = {family: tuple(r for r in _REGISTRY if r.family == family)
+              for family in {r.family for r in _REGISTRY}}
+
+
+def claims_registry() -> tuple[ClaimRecord, ...]:
+    """The full registry, built once at import; one group per stated
+    result."""
+    return _REGISTRY
+
+
 def claim_value(family: str, params: Sequence[int], variant: str) -> int:
     """Claimed value for a family instance; UnknownFamilyError when the
     registry has no claim for the family/variant combination."""
     params = tuple(params)
-    for record in claims_registry():
-        if record.family == family and record.variant == variant:
+    for record in _BY_FAMILY.get(family, ()):
+        if record.variant == variant:
             if params in record.instances(expected_size(family, params)[0]):
                 return record.value(params)
     raise UnknownFamilyError(
@@ -241,7 +253,9 @@ class DiscrepancyReport:
         return self.computed is not None and self.computed == self.claimed
 
 
-def _classify(kind: str, claimed: int, computed: int) -> str:
+def _classify(kind: str, claimed: int, computed: int | None) -> str:
+    if computed is None:
+        return STATUS_SKIPPED
     if kind == KIND_EXACT:
         if claimed == computed:
             return STATUS_MATCH
@@ -258,25 +272,30 @@ def verify_claims(
     """Solve claim instances exactly and classify each against its claim.
 
     ``families`` filters by family name (None means all); ``instances``
-    restricts to an explicit (family, params) list. A family that no
-    registry record carries raises ``UnknownFamilyError``, and a requested
-    instance that no (filtered) record lists at ``max_n`` raises
-    ``ValueError``, so nothing asked for is dropped without a word.
+    restricts to an explicit (family, params) list. Only the records of
+    the families asked for, by either argument, list their instances. A
+    family that no registry record carries raises ``UnknownFamilyError``,
+    and a requested instance that no (filtered) record lists at ``max_n``
+    raises ``ValueError``, so nothing asked for is dropped without a word.
+    Each instance's graph is generated once and solved once per variant.
     Instances that ``solve_exact`` refuses for size (``SizeLimitError``,
     from the vertex limits alone) are reported as skipped, never guessed;
     every other instance is solved, however long that takes. Reports are
-    ordered by (family, params, variant) regardless of solve order.
+    ordered by (family, params, variant, kind), and records of one such
+    key by registry order.
     """
-    registry = claims_registry()
     wanted = set(families) if families is not None else None
     explicit = set(instances) if instances is not None else None
     unknown = ({*(wanted or ()), *(family for family, _ in explicit or ())}
-               - {record.family for record in registry})
+               - _BY_FAMILY.keys())
     if unknown:
         raise UnknownFamilyError(
             f"no registered claim for {', '.join(sorted(unknown))}")
-    todo = [(record, params) for record in registry
-            if wanted is None or record.family in wanted
+    scope = _BY_FAMILY.keys() if wanted is None else wanted
+    if explicit is not None:
+        scope = {family for family, _ in explicit} & scope
+    todo = [(record, params) for family in scope
+            for record in _BY_FAMILY[family]
             for params in record.instances(max_n)]
     if explicit is not None:
         missing = explicit - {(record.family, params)
@@ -288,30 +307,24 @@ def verify_claims(
                 + f" at max_n={max_n}")
         todo = [(record, params) for record, params in todo
                 if (record.family, params) in explicit]
-    graph_cache: dict[tuple[str, tuple[int, ...]], object] = {}
-    solve_cache: dict[tuple[str, tuple[int, ...], str], int] = {}
+    todo.sort(key=lambda item: (item[0].family, item[1], item[0].variant,
+                                item[0].kind))
+    # optimum per (family, params, variant); None when refused for size
+    optima: dict[tuple[str, tuple[int, ...], str], int | None] = {}
     reports: list[DiscrepancyReport] = []
-    for record, params in todo:
-        n, m = expected_size(record.family, params)
-        claimed = record.value(params)
-        key = (record.family, params, record.variant)
-        if key not in solve_cache:
-            gkey = (record.family, params)
-            if gkey not in graph_cache:
-                graph_cache[gkey] = generate(
-                    FamilySpec(record.family, params))
-            try:
-                result = solve_exact(graph_cache[gkey], record.k,
-                                     record.variant, limits)
-            except SizeLimitError:
-                reports.append(DiscrepancyReport(
-                    record, params, n, m, claimed, None, STATUS_SKIPPED))
-                continue
-            solve_cache[key] = result.optimum
-        computed = solve_cache[key]
-        reports.append(DiscrepancyReport(
-            record, params, n, m, claimed, computed,
-            _classify(record.kind, claimed, computed)))
-    reports.sort(key=lambda r: (r.claim.family, r.params, r.claim.variant,
-                                r.claim.kind))
+    for (family, params), group in groupby(
+            todo, key=lambda item: (item[0].family, item[1])):
+        G = generate(FamilySpec(family, params))
+        for record, _ in group:
+            key = (family, params, record.variant)
+            if key not in optima:
+                try:
+                    optima[key] = solve_exact(G, record.k, record.variant,
+                                              limits).optimum
+                except SizeLimitError:
+                    optima[key] = None
+            claimed = record.value(params)
+            reports.append(DiscrepancyReport(
+                record, params, G.n, G.m, claimed, optima[key],
+                _classify(record.kind, claimed, optima[key])))
     return tuple(reports)

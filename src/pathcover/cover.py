@@ -75,12 +75,6 @@ class StrongWitness:
     assignments: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
     covered: int
 
-    def path_for(self, u: int, v: int) -> tuple[int, ...] | None:
-        for (a, b), path in self.assignments:
-            if (a, b) == (u, v):
-                return path
-        return None
-
 
 def source_pairs(
     G: Graph, u: int, k: int, cap: int = DEFAULT_GEODESIC_CAP
@@ -212,7 +206,7 @@ def feasible_from_pairs(
 
 
 def strong_feasible(
-    G: Graph, S: Iterable[int], k: int, cap: int = DEFAULT_GEODESIC_CAP
+    G: Graph, S: Iterable[int], k: int
 ) -> StrongWitness | None:
     """Witness that S is a k-strong cover, or None when no choice works."""
     sources = sorted(set(S))
@@ -223,7 +217,7 @@ def strong_feasible(
         return StrongWitness((), 0)
     pairs = []
     for u in sources:
-        pairs.extend(source_pairs(G, u, k, cap))
+        pairs.extend(source_pairs(G, u, k))
     return feasible_from_pairs(G, tuple(pairs))
 
 

@@ -382,27 +382,33 @@ SIZE_FORMULAS: dict[str, Callable[..., tuple[int, int]]] = {
 }
 
 
-def expected_size(family: str, params: tuple[int, ...]) -> tuple[int, int]:
-    """Closed-form (vertex count, edge count) for a family instance."""
-    if family not in SIZE_FORMULAS:
+def _builder(family: str, params: tuple[int, ...]) -> Callable[..., tuple]:
+    """The family's builder, once ``params`` fit its arity and domain."""
+    entry = _FAMILIES.get(family)
+    if entry is None:
         raise UnknownFamilyError(f"unknown family {family!r}")
+    arity, check, builder, domain = entry
+    if len(params) != arity:
+        raise FamilyParamError(
+            f"{family} takes {arity} parameter(s), got {len(params)}"
+        )
+    if not check(*params):
+        raise FamilyParamError(
+            f"{family}{params} outside valid domain ({domain})"
+        )
+    return builder
+
+
+def expected_size(family: str, params: tuple[int, ...]) -> tuple[int, int]:
+    """Closed-form (vertex count, edge count) for a family instance; refuses
+    the parameters ``generate`` refuses, with the same errors."""
+    params = tuple(params)
+    _builder(family, params)
     return SIZE_FORMULAS[family](*params)
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph described by ``spec``; deterministic per spec."""
-    entry = _FAMILIES.get(spec.family)
-    if entry is None:
-        raise UnknownFamilyError(f"unknown family {spec.family!r}")
-    arity, check, builder, domain = entry
     params = tuple(spec.params)
-    if len(params) != arity:
-        raise FamilyParamError(
-            f"{spec.family} takes {arity} parameter(s), got {len(params)}"
-        )
-    if not check(*params):
-        raise FamilyParamError(
-            f"{spec.family}{params} outside valid domain ({domain})"
-        )
-    n, edges, labels = builder(*params)
+    n, edges, labels = _builder(spec.family, params)(*params)
     return build_graph(n, edges, labels)

@@ -179,13 +179,6 @@ def require_connected(G: Graph) -> None:
         raise DisconnectedGraphError("operation requires a connected graph")
 
 
-def eccentricity(G: Graph, u: int) -> int:
-    field = bfs_distances(G, u)
-    if UNREACHABLE in field.dist:
-        raise DisconnectedGraphError("eccentricity requires a connected graph")
-    return max(field.dist)
-
-
 def diameter(G: Graph) -> int:
     """Greatest distance between any pair of vertices."""
     if G.n < 1:

@@ -32,6 +32,9 @@ ROLE_APEX_C = "apex_c"
 ROLE_TRIANGLE = "triangle"
 ROLE_TAIL = "tail"
 
+# largest gadget check_reduction also solves exactly
+_EXACT_VERTEX_LIMIT = 17
+
 
 def gadget_size_formulas(n: int, m: int, k: int) -> tuple[int, int]:
     """Expected (vertices, edges) of the gadget for an (n, m) input."""
@@ -166,7 +169,6 @@ def check_reduction(
     G: Graph,
     k: int,
     limits: SolverLimits = DEFAULT_LIMITS,
-    exact_vertex_limit: int = 17,
 ) -> ReductionCheck:
     """Build the gadget, validate the designated forward cover set, and when
     the gadget is small enough solve it exactly and record whether the
@@ -179,7 +181,7 @@ def check_reduction(
     forward_ok = strong_feasible(red.gadget, witness_set, k) is not None
     exact_optimum = None
     equality = None
-    if red.gadget.n <= min(exact_vertex_limit, limits.strong):
+    if red.gadget.n <= min(_EXACT_VERTEX_LIMIT, limits.strong):
         exact_optimum = solve_exact(red.gadget, k, "strong", limits).optimum
         equality = exact_optimum == vc_size + red.offset
     return ReductionCheck(

@@ -13,19 +13,9 @@ from typing import Iterable
 
 from .claims import DiscrepancyReport
 from .graph import Graph
-from .solve import Bounds, SolveResult
+from .solve import SolveResult
 
 SCHEMA_VERSION = 1
-
-_EMPTY_BOUNDS = {
-    "domination_lb": None,
-    "degree_lb": None,
-    "clique_lb": None,
-    "trivial_ub": None,
-    "order_diameter_ub": None,
-    "diameter_ub": None,
-    "half_ub": None,
-}
 
 CSV_COLUMNS = (
     "schema_version", "family", "params", "n", "m", "variant", "k",
@@ -36,53 +26,39 @@ CSV_COLUMNS = (
 )
 
 
-def result_record(
-    graph: Graph,
-    result: SolveResult | None,
-    family: str | None = None,
-    params: tuple[int, ...] | None = None,
-    bounds: Bounds | None = None,
-    claim_status: str | None = None,
-) -> dict:
+def _record(n: int, m: int, variant: str, k: int, optimum: int | None,
+            *, family: str | None = None, params: list[int] | None = None,
+            vset: list[int] | None = None, claim_status: str | None = None,
+            stats: dict | None = None) -> dict:
+    """A record of the schema; no record carries bounds."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "graph": {
-            "family": family,
-            "params": list(params) if params is not None else None,
-            "n": graph.n,
-            "m": graph.m,
-        },
-        "variant": result.variant if result else None,
-        "k": result.k if result else None,
-        "optimum": result.optimum if result else None,
-        "set": list(result.set) if result else None,
-        "bounds": bounds.as_dict() if bounds else None,
+        "graph": {"family": family, "params": params, "n": n, "m": m},
+        "variant": variant,
+        "k": k,
+        "optimum": optimum,
+        "set": vset,
+        "bounds": None,
         "claim_status": claim_status,
-        "stats": {
-            "nodes": result.stats.nodes,
-            "elapsed_s": result.stats.elapsed_s,
-        } if result else None,
+        "stats": stats,
     }
+
+
+def result_record(graph: Graph, result: SolveResult) -> dict:
+    """Result record for one solve; the graph's family and parameters, the
+    bounds and the claim status are null."""
+    return _record(graph.n, graph.m, result.variant, result.k,
+                   result.optimum, vset=list(result.set),
+                   stats={"nodes": result.stats.nodes,
+                          "elapsed_s": result.stats.elapsed_s})
 
 
 def claim_record(report: DiscrepancyReport) -> dict:
-    """Result record for one claim-sweep instance."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "graph": {
-            "family": report.claim.family,
-            "params": list(report.params),
-            "n": report.n,
-            "m": report.m,
-        },
-        "variant": report.claim.variant,
-        "k": report.claim.k,
-        "optimum": report.computed,
-        "set": None,
-        "bounds": None,
-        "claim_status": report.status,
-        "stats": None,
-    }
+    """Result record for one claim-sweep instance; the set, the bounds and
+    the stats are null."""
+    return _record(report.n, report.m, report.claim.variant, report.claim.k,
+                   report.computed, family=report.claim.family,
+                   params=list(report.params), claim_status=report.status)
 
 
 def to_json(payload) -> str:
@@ -90,32 +66,13 @@ def to_json(payload) -> str:
 
 
 def _flat_row(record: dict) -> dict:
-    graph = record.get("graph") or {}
-    bounds = record.get("bounds") or _EMPTY_BOUNDS
-    stats = record.get("stats") or {}
-    params = graph.get("params")
-    vset = record.get("set")
-    return {
-        "schema_version": record.get("schema_version"),
-        "family": graph.get("family"),
-        "params": " ".join(str(p) for p in params) if params else "",
-        "n": graph.get("n"),
-        "m": graph.get("m"),
-        "variant": record.get("variant"),
-        "k": record.get("k"),
-        "optimum": record.get("optimum"),
-        "set": " ".join(str(v) for v in vset) if vset else "",
-        "domination_lb": bounds.get("domination_lb"),
-        "degree_lb": bounds.get("degree_lb"),
-        "clique_lb": bounds.get("clique_lb"),
-        "trivial_ub": bounds.get("trivial_ub"),
-        "order_diameter_ub": bounds.get("order_diameter_ub"),
-        "diameter_ub": bounds.get("diameter_ub"),
-        "half_ub": bounds.get("half_ub"),
-        "claim_status": record.get("claim_status"),
-        "nodes": stats.get("nodes"),
-        "elapsed_s": stats.get("elapsed_s"),
-    }
+    """The record's fields, the graph's, the bounds' and the stats' read
+    by CSV column; params and set become space-separated."""
+    flat = {**record, **record["graph"], **(record["bounds"] or {}),
+            **(record["stats"] or {})}
+    for key in ("params", "set"):
+        flat[key] = " ".join(str(x) for x in flat[key] or ())
+    return {column: flat.get(column) for column in CSV_COLUMNS}
 
 
 def to_csv(records: Iterable[dict]) -> str:

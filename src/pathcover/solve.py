@@ -122,13 +122,13 @@ def _min_cover(
     pre: int = 0,
     cap: int | None = None,
     nodes: list[int] | None = None,
-) -> tuple[int, tuple[int, ...]] | None:
+) -> int | None:
     """Minimum number of masks from ``allowed`` whose union with ``pre``
     covers ``universe``. Returns None when impossible, or when ``cap`` is
     given and no cover strictly smaller than ``cap`` exists."""
     rem0 = universe & ~pre
     if rem0 == 0:
-        return 0, ()
+        return 0
     if cap is not None and cap <= 1:  # an uncovered edge needs a pick
         return None
     active = [i for i in allowed if masks[i] & rem0]
@@ -140,21 +140,16 @@ def _min_cover(
     coverers = {e: [i for i in active if masks[i] >> e & 1]
                 for e in _bits(rem0)}
 
-    sel = _greedy_cover(masks, active, universe, pre)
-    best_size = len(sel)
-    best_sel: tuple[int, ...] | None = tuple(sorted(sel))
-    if cap is not None and cap <= best_size:
-        best_size = cap
-        best_sel = None
+    greedy_size = len(_greedy_cover(masks, active, universe, pre))
+    best_size = greedy_size if cap is None else min(greedy_size, cap)
 
-    def dfs(cover: int, chosen: list[int]) -> None:
-        nonlocal best_size, best_sel
+    def dfs(cover: int, depth: int) -> None:
+        nonlocal best_size
         if nodes is not None:
             nodes[0] += 1
         rem = universe & ~cover
         if not rem:
-            best_size = len(chosen)
-            best_sel = tuple(sorted(chosen))
+            best_size = depth
             return
         max_gain = 0
         for i in active:
@@ -164,22 +159,20 @@ def _min_cover(
         if max_gain == 0:
             return
         lower = -(-rem.bit_count() // max_gain)
-        if len(chosen) + lower >= best_size:
+        if depth + lower >= best_size:
             return
         e = min(_bits(rem), key=lambda b: len(coverers[b]))
         options = sorted(coverers[e],
                          key=lambda i: -(masks[i] & rem).bit_count())
         for i in options:
-            if len(chosen) + 1 >= best_size:
+            if depth + 1 >= best_size:
                 break
-            chosen.append(i)
-            dfs(cover | masks[i], chosen)
-            chosen.pop()
+            dfs(cover | masks[i], depth + 1)
 
-    dfs(pre, [])
-    if best_sel is None:
+    dfs(pre, 0)
+    if cap is not None and best_size == cap:
         return None
-    return best_size, best_sel
+    return best_size
 
 
 def _least_cover(
@@ -239,8 +232,8 @@ def _least_cover(
             if found is not None:
                 return
 
-    for size in range(_min_cover(masks, range(n), universe,
-                                 nodes=nodes)[0], n + 1):
+    for size in range(_min_cover(masks, range(n), universe, nodes=nodes),
+                      n + 1):
         search(0, 0, 0, size)
         if found is not None:
             return found
@@ -548,7 +541,7 @@ def domination_number(
                 mask |= 1 << x
         balls.append(mask)
     universe = (1 << G.n) - 1
-    return _min_cover(balls, range(G.n), universe)[0]
+    return _min_cover(balls, range(G.n), universe)
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,11 @@ def family_graphs(max_n):
             for params in product(range(1, max_n + 1), repeat=arity):
                 try:
                     n = expected_size(name, params)[0]
-                except TypeError:  # the family takes another arity
-                    break
-                if not 2 <= n <= max_n:
+                except FamilyParamError:  # another arity, or off the domain
                     continue
-                try:
-                    G = generate(FamilySpec(name, params))
-                except FamilyParamError:
-                    continue
-                yield f"{name}({','.join(map(str, params))})", G
+                if 2 <= n <= max_n:
+                    yield (f"{name}({','.join(map(str, params))})",
+                           generate(FamilySpec(name, params)))
 
 
 def random_connected_graph(rng, max_n=8, edge_prob=0.4):

@@ -1,7 +1,20 @@
+"""Tests of the claims registry and sweep.
+
+``tests/data/claims_max12.csv`` holds the CSV of the whole sweep at
+max_n 12, the instances of the benchmark's claims workload. Re-record it
+only in a change that says why the sweep's output moves, by running this
+module as a script from the repository root:
+
+    PYTHONPATH=src python tests/test_claims.py
+"""
+
+from pathlib import Path
+
 import pytest
 
 from pathcover import (
     FAMILY_NAMES,
+    FamilyParamError,
     UnknownFamilyError,
     claim_value,
     claims_registry,
@@ -20,6 +33,13 @@ from pathcover.claims import (
     TOPIC_FAMILY,
     TOPIC_NETWORK,
 )
+from pathcover.report import claim_record, to_csv
+
+CLAIMS_CSV = Path(__file__).parent / "data" / "claims_max12.csv"
+
+
+def _sweep_csv() -> str:
+    return to_csv(claim_record(r) for r in verify_claims(max_n=12))
 
 
 def test_registry_covers_every_result_once():
@@ -55,6 +75,8 @@ def test_lookup_examples():
     assert claim_value("silicate", (1,), "strong") == 6
     with pytest.raises(UnknownFamilyError):
         claim_value("actinia", (2, 1), "strong")
+    with pytest.raises(FamilyParamError):
+        claim_value("path", (1, 2), "strong")
     assert EXCLUDED_CLAIMS[0][0] == "actinia"
 
 
@@ -144,3 +166,28 @@ def test_sweep_deterministic():
     b = verify_claims(families=["crown"], max_n=10)
     assert [(r.params, r.claim.variant, r.computed, r.status) for r in a] == \
         [(r.params, r.claim.variant, r.computed, r.status) for r in b]
+
+
+def test_sweep_csv_unchanged():
+    assert _sweep_csv().encode() == CLAIMS_CSV.read_bytes()
+
+
+def _fields(r):
+    return (r.claim.claim_id, r.claim.variant, r.claim.kind, r.claim.citation,
+            r.params, r.n, r.m, r.claimed, r.computed, r.status)
+
+
+def test_single_instance_matches_sweep():
+    # asking for one instance gives exactly its reports from the full sweep
+    by_instance: dict = {}
+    for r in verify_claims(max_n=12):
+        by_instance.setdefault((r.claim.family, r.params), []).append(
+            _fields(r))
+    assert len(by_instance) == 80
+    for (family, params), expect in by_instance.items():
+        got = verify_claims(max_n=12, instances=[(family, params)])
+        assert [_fields(r) for r in got] == expect, (family, params)
+
+
+if __name__ == "__main__":
+    CLAIMS_CSV.write_text(_sweep_csv())

@@ -111,13 +111,19 @@ def test_unknown_family():
 @pytest.mark.parametrize(
     "name,params",
     [("cycle", (2,)), ("crown", (2,)), ("generalized_petersen", (4, 2)),
-     ("friendship", (2, 1)), ("butterfly", (0,)), ("path", (0,))],
+     ("friendship", (2, 1)), ("butterfly", (0,)), ("path", (0,)),
+     ("hypercube", (0,))],
 )
 def test_param_out_of_range(name, params):
     with pytest.raises(FamilyParamError):
         generate(FamilySpec(name, params))
+    with pytest.raises(FamilyParamError):
+        expected_size(name, params)
 
 
 def test_param_arity_checked():
     with pytest.raises(FamilyParamError):
         generate(FamilySpec("cycle", (3, 4)))
+    for name, params in (("cycle", (3, 4)), ("path", (1, 2)), ("path", ())):
+        with pytest.raises(FamilyParamError):
+            expected_size(name, params)
