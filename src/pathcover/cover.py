@@ -221,13 +221,38 @@ def strong_feasible(
     return feasible_from_pairs(G, tuple(pairs))
 
 
+def _distances_within(G: Graph, u: int, k: int) -> dict[int, int]:
+    """d(u, x) for every x within distance k of ``u``, from a BFS that stops
+    at depth k."""
+    if not 0 <= u < G.n:
+        raise VertexRangeError(f"source {u} out of range for n={G.n}")
+    dist = {u: 0}
+    layer = [u]
+    d = 0
+    while layer and d < k:
+        d += 1
+        nxt = []
+        for x in layer:
+            for y in G.adj[x]:
+                if y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+        layer = nxt
+    return dist
+
+
 def verify_strong_witness(
     G: Graph, S: Iterable[int], k: int, witness: StrongWitness
 ) -> bool:
     """Check a witness: sources in S, one geodesic of length <= k per pair,
-    consistent covered mask, and a path union equal to the edge set."""
+    consistent covered mask, and a path union equal to the edge set.
+
+    A path is a geodesic of length <= k when it has d(u, v) + 1 vertices
+    and d(u, v) <= k, so each source's BFS stops at depth k: a target
+    beyond it is rejected whatever its distance.
+    """
     sset = set(S)
-    dist_cache: dict[int, tuple[int, ...]] = {}
+    dist_cache: dict[int, dict[int, int]] = {}
     seen: set[tuple[int, int]] = set()
     union = 0
     for (u, v), path in witness.assignments:
@@ -237,9 +262,9 @@ def verify_strong_witness(
         if len(path) < 2 or path[0] != u or path[-1] != v:
             return False
         if u not in dist_cache:
-            dist_cache[u] = bfs_distances(G, u).dist
-        d = dist_cache[u][v]
-        if d == UNREACHABLE or d > k or len(path) != d + 1:
+            dist_cache[u] = _distances_within(G, u, k)
+        d = dist_cache[u].get(v)
+        if d is None or len(path) != d + 1:
             return False
         for x, y in zip(path, path[1:]):
             if not G.has_edge(x, y):

@@ -21,11 +21,9 @@ from .cover import (
     weak_cover_set,
 )
 from .graph import (
-    UNREACHABLE,
     DisconnectedGraphError,
     Graph,
     bfs_distances,
-    diameter,
     enumerate_geodesics,
     maximal_cliques,
     require_connected,
@@ -56,10 +54,12 @@ class SolveStats:
     """Work and time of one solve.
 
     ``nodes`` counts, for the exact solvers, the nodes of the
-    ``_least_cover`` subset search plus every node of the ``_min_cover``
-    calls it makes (the optimum it starts from and the test of each added
-    vertex); for greedy, the vertices picked; for the oracle, the subsets
-    tried.
+    ``_least_cover`` subset search plus every search node of the
+    ``_min_cover`` calls it makes (the optimum it starts from and the test
+    of each added vertex); for greedy, the vertices picked; for the oracle,
+    the subsets tried. A ``_min_cover`` call that its root bound or its
+    greedy cover answers adds no node, and a test stops at its first cover
+    under the cap, so these counts are lower than before those rules.
     """
 
     nodes: int
@@ -95,19 +95,17 @@ def _bits(x: int):
 # domination number, and minimum vertex cover.
 # ---------------------------------------------------------------------------
 
-def _greedy_cover(
-    masks: Sequence[int], candidates: Sequence[int], universe: int,
-    cover: int = 0,
-) -> list[int]:
+def _greedy_cover(masks: Sequence[int], universe: int) -> list[int]:
     """Indices picked by taking, until ``universe`` is covered, the first
-    candidate with the largest new coverage; the candidates must jointly
-    cover what ``cover`` leaves."""
+    mask with the largest new coverage; the masks must jointly cover
+    ``universe``."""
     chosen: list[int] = []
+    cover = 0
     while cover & universe != universe:
         rem = universe & ~cover
         best_i, best_gain = -1, 0
-        for i in candidates:
-            gain = (masks[i] & rem).bit_count()
+        for i, m in enumerate(masks):
+            gain = (m & rem).bit_count()
             if gain > best_gain:
                 best_i, best_gain = i, gain
         chosen.append(best_i)
@@ -123,56 +121,103 @@ def _min_cover(
     cap: int | None = None,
     nodes: list[int] | None = None,
 ) -> int | None:
-    """Minimum number of masks from ``allowed`` whose union with ``pre``
-    covers ``universe``. Returns None when impossible, or when ``cap`` is
-    given and no cover strictly smaller than ``cap`` exists."""
+    """Size of a cover of ``universe`` by ``pre`` and masks from
+    ``allowed``, or None when there is none. Without ``cap`` the size is
+    the minimum. With a positive ``cap`` the call only decides whether a
+    cover of fewer than ``cap`` masks exists: it returns the size of some
+    such cover, not necessarily the least, or None when every cover has
+    ``cap`` masks or more.
+
+    The search works on ``mk``, the masks cut down to what ``pre`` leaves,
+    largest first, and branches on the element with the fewest coverers,
+    the lowest such element on ties. Each rule below keeps the answer:
+
+    - Greedy early return: under ``cap``, a greedy cover smaller than
+      ``cap`` already answers the question, so no search is made.
+    - First leaf under ``cap``: the search bound starts at ``cap``, so any
+      leaf it reaches is a cover smaller than ``cap`` and ends the call.
+    - Top-t bound: a node at ``depth`` may take t = best - 1 - depth more
+      picks to beat the best size known. t picks cover at most the sum of
+      their gains on ``rem``, so when the t largest gains sum to less than
+      ``|rem|`` no completion beats it and the node is cut. This is never
+      weaker than ceil(|rem| / max gain) > t, since t * max gain is at
+      least the top-t sum. It runs at the root before any set-up: against
+      ``cap``, and, without one, against the greedy size, which it proves
+      least when it cuts.
+    - Dominated masks: a cover that takes a mask lying inside another
+      stays a cover, of no greater size, with the larger mask instead. So
+      the search keeps only masks inside no kept one, of equal masks the
+      first.
+    - Option order: the coverers of the branching element are tried by
+      falling gain, ties in ``mk`` order (the sort is stable). Order
+      changes only which cover is met first, never which sizes exist.
+    """
     rem0 = universe & ~pre
     if rem0 == 0:
         return 0
-    if cap is not None and cap <= 1:  # an uncovered edge needs a pick
+    if cap is not None and cap <= 1:  # an uncovered element needs a pick
         return None
-    active = [i for i in allowed if masks[i] & rem0]
-    total = pre
-    for i in active:
-        total |= masks[i]
-    if total & universe != universe:
+    mk = sorted(filter(None, map(rem0.__and__, map(masks.__getitem__,
+                                                      allowed))),
+                key=int.bit_count, reverse=True)
+    gains = list(map(int.bit_count, mk))
+    need = rem0.bit_count()
+    if cap is not None and sum(gains[:cap - 1]) < need:
         return None
-    coverers = {e: [i for i in active if masks[i] >> e & 1]
-                for e in _bits(rem0)}
+    total = 0
+    for m in mk:
+        total |= m
+    if total != rem0:
+        return None
+    best = len(_greedy_cover(mk, rem0))
+    if cap is not None:
+        if best < cap:
+            return best
+        best = cap
+    elif sum(gains[:best - 1]) < need:
+        return best
+    kept: list[int] = []
+    for m in mk:
+        if m not in map(m.__and__, kept):  # m lies inside no kept mask
+            kept.append(m)
+    mk = kept
+    coverers: dict[int, list[int]] = {e: [] for e in _bits(rem0)}
+    for i, m in enumerate(mk):
+        for e in _bits(m):
+            coverers[e].append(i)
+    # the elements by coverer count, one bitmask per count, fewest first
+    by_count: dict[int, int] = {}
+    for e, cs in coverers.items():
+        by_count[len(cs)] = by_count.get(len(cs), 0) | 1 << e
+    levels = [by_count[c] for c in sorted(by_count)]
 
-    greedy_size = len(_greedy_cover(masks, active, universe, pre))
-    best_size = greedy_size if cap is None else min(greedy_size, cap)
-
-    def dfs(cover: int, depth: int) -> None:
-        nonlocal best_size
+    def dfs(cover: int, depth: int) -> bool:
+        """Search below ``cover``; True ends the call under ``cap``."""
+        nonlocal best
         if nodes is not None:
             nodes[0] += 1
-        rem = universe & ~cover
+        rem = rem0 & ~cover
         if not rem:
-            best_size = depth
-            return
-        max_gain = 0
-        for i in active:
-            gain = (masks[i] & rem).bit_count()
-            if gain > max_gain:
-                max_gain = gain
-        if max_gain == 0:
-            return
-        lower = -(-rem.bit_count() // max_gain)
-        if depth + lower >= best_size:
-            return
-        e = min(_bits(rem), key=lambda b: len(coverers[b]))
-        options = sorted(coverers[e],
-                         key=lambda i: -(masks[i] & rem).bit_count())
-        for i in options:
-            if depth + 1 >= best_size:
+            best = depth
+            return cap is not None
+        g = list(map(int.bit_count, map(rem.__and__, mk)))
+        if sum(sorted(g, reverse=True)[:best - 1 - depth]) < rem.bit_count():
+            return False
+        for level in levels:  # the lowest element with fewest coverers
+            if rem & level:
                 break
-            dfs(cover | masks[i], depth + 1)
+        e = (rem & level & -(rem & level)).bit_length() - 1
+        for i in sorted(coverers[e], key=g.__getitem__, reverse=True):
+            if depth + 1 >= best:
+                break
+            if dfs(cover | mk[i], depth + 1):
+                return True
+        return False
 
-    dfs(pre, 0)
-    if cap is not None and best_size == cap:
+    dfs(0, 0)
+    if cap is not None and best == cap:
         return None
-    return best_size
+    return best
 
 
 def _least_cover(
@@ -333,7 +378,7 @@ def solve_exact(
 
 def _greedy_weak(G: Graph, k: int, start: float) -> SolveResult:
     masks = [weak_cover_set(G, v, k) for v in range(G.n)]
-    chosen = _greedy_cover(masks, range(G.n), G.full_edge_mask())
+    chosen = _greedy_cover(masks, G.full_edge_mask())
     return SolveResult(WEAK, k, len(chosen), tuple(sorted(chosen)), None,
                        "heuristic",
                        SolveStats(len(chosen), time.perf_counter() - start))
@@ -522,26 +567,28 @@ def naive_oracle(
 # Distance-k domination and the bound battery
 # ---------------------------------------------------------------------------
 
-def domination_number(
-    G: Graph, k: int, limits: SolverLimits = DEFAULT_LIMITS
-) -> int:
-    """Minimum size of a set D with every vertex within distance k of D."""
+def _distance_rows(G: Graph, limits: SolverLimits) -> list[tuple[int, ...]]:
+    """BFS distances from every vertex of a connected graph; an instance
+    beyond the domination solver limit is refused before any BFS."""
     if G.n > limits.weak:
         raise SizeLimitError(
             f"n={G.n} exceeds the domination solver limit {limits.weak}")
     require_connected(G)
-    if G.n == 0:
-        return 0
-    balls = []
-    for v in range(G.n):
-        dist = bfs_distances(G, v).dist
-        mask = 0
-        for x in range(G.n):
-            if dist[x] != UNREACHABLE and dist[x] <= k:
-                mask |= 1 << x
-        balls.append(mask)
-    universe = (1 << G.n) - 1
-    return _min_cover(balls, range(G.n), universe)
+    return [bfs_distances(G, v).dist for v in range(G.n)]
+
+
+def _domination(rows: Sequence[Sequence[int]], k: int) -> int:
+    """Distance-k domination number from the distance rows of a connected
+    graph: a least cover of the vertices by the radius-k balls."""
+    balls = [sum(1 << x for x, d in enumerate(row) if d <= k) for row in rows]
+    return _min_cover(balls, range(len(rows)), (1 << len(rows)) - 1)
+
+
+def domination_number(
+    G: Graph, k: int, limits: SolverLimits = DEFAULT_LIMITS
+) -> int:
+    """Minimum size of a set D with every vertex within distance k of D."""
+    return _domination(_distance_rows(G, limits), k)
 
 
 @dataclass(frozen=True)
@@ -579,15 +626,17 @@ class Bounds:
 def compute_bounds(
     G: Graph, k: int, limits: SolverLimits = DEFAULT_LIMITS
 ) -> Bounds:
-    """Evaluate every general bound with its applicability predicate."""
+    """Evaluate every general bound with its applicability predicate. One
+    BFS per vertex gives both the diameter and the domination balls."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     require_connected(G)
     if G.n < 1:
         raise DisconnectedGraphError("bounds require at least one vertex")
-    d = diameter(G)
+    rows = _distance_rows(G, limits)
+    d = max(map(max, rows))
     min_deg = min((G.degree(v) for v in range(G.n)), default=0)
-    dom = domination_number(G, k, limits)
+    dom = _domination(rows, k)
     order_diameter_ub = G.n - k + 1 if k <= d else None
     diameter_ub = None
     if d >= 2:

@@ -112,6 +112,48 @@ def test_witness_source_outside_set_rejected():
     assert not verify_strong_witness(G, [0], 2, witness)
 
 
+def _witness(G, assignments):
+    covered = 0
+    for _, path in assignments:
+        covered |= path_edge_mask(G, path)
+    return StrongWitness(tuple(sorted(assignments)), covered)
+
+
+def test_witness_path_beyond_k_rejected():
+    # P4 from its end: the pair (0, 3) is at distance 3, so only k >= 3 has it
+    G = family("path", 4)
+    w = _witness(G, [((0, 1), (0, 1)), ((0, 2), (0, 1, 2)),
+                     ((0, 3), (0, 1, 2, 3))])
+    assert not verify_strong_witness(G, [0], 2, w)
+    assert verify_strong_witness(G, [0], 3, w)
+
+
+def test_witness_short_non_geodesic_rejected():
+    # a triangle: (0, 2, 1) has length 2 <= k but d(0, 1) = 1
+    G = build_graph(3, [(0, 1), (0, 2), (1, 2)])
+    good = [((0, 2), (0, 2)), ((1, 0), (1, 0))]
+    assert not verify_strong_witness(
+        G, [0, 1], 2, _witness(G, good + [((0, 1), (0, 2, 1))]))
+    assert verify_strong_witness(
+        G, [0, 1], 2, _witness(G, good + [((0, 1), (0, 1)),
+                                          ((1, 2), (1, 2))]))
+
+
+def test_witness_wrong_endpoint_rejected():
+    # 2 and 3 both hang off 1, so each geodesic from 0 to one of them has
+    # the right length for the other
+    G = build_graph(4, [(0, 1), (1, 2), (1, 3)])
+    swapped = _witness(G, [((0, 1), (0, 1)), ((0, 2), (0, 1, 3)),
+                           ((0, 3), (0, 1, 2))])
+    assert swapped.covered == G.full_edge_mask()
+    assert not verify_strong_witness(G, [0], 2, swapped)
+    assert verify_strong_witness(G, [0], 2, _witness(
+        G, [((0, 1), (0, 1)), ((0, 2), (0, 1, 2)), ((0, 3), (0, 1, 3))]))
+    wrong_start = _witness(G, [((0, 1), (1, 0)), ((0, 2), (0, 1, 2)),
+                               ((0, 3), (0, 1, 3))])
+    assert not verify_strong_witness(G, [0], 2, wrong_start)
+
+
 def test_weak_monotone_in_k():
     G = family("generalized_petersen", 5, 2)
     for u in range(G.n):

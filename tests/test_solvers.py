@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from pathcover import (
@@ -12,6 +15,7 @@ from pathcover import (
     verify_strong_witness,
     verify_weak_cover,
 )
+from pathcover.solve import _min_cover
 from conftest import family, random_connected_graph
 
 
@@ -245,3 +249,45 @@ def test_single_vertex_graph():
     for variant in ("weak", "strong"):
         result = solve_exact(G, 2, variant)
         assert result.optimum == 0 and result.set == ()
+
+
+def _brute_min_cover(masks, allowed, universe, pre):
+    """Least number of masks from ``allowed`` covering ``universe`` with
+    ``pre``, by trying every subset in ascending size; None when none does."""
+    for size in range(len(allowed) + 1):
+        for combo in combinations(allowed, size):
+            cover = pre
+            for i in combo:
+                cover |= masks[i]
+            if cover & universe == universe:
+                return size
+    return None
+
+
+def _random_set_systems(count):
+    for seed in range(count):
+        rng = random.Random(seed)
+        width = rng.randint(1, 14)
+        universe = (1 << width) - 1
+        density = rng.choice((0.15, 0.3, 0.5))
+        masks = [sum(1 << e for e in range(width) if rng.random() < density)
+                 for _ in range(rng.randint(1, 11))]
+        allowed = [i for i in range(len(masks)) if rng.random() < 0.8]
+        pre = rng.getrandbits(width) & rng.getrandbits(width)
+        yield pytest.param(masks, allowed, universe, pre, id=f"sets{seed}")
+
+
+@pytest.mark.parametrize("masks,allowed,universe,pre",
+                         _random_set_systems(300))
+def test_min_cover_matches_brute_force(masks, allowed, universe, pre):
+    """Uncapped, ``_min_cover`` is the minimum; under a positive cap, it is
+    None exactly when the minimum is at least the cap, and otherwise the
+    size of some cover below the cap."""
+    least = _brute_min_cover(masks, allowed, universe, pre)
+    assert _min_cover(masks, allowed, universe, pre) == least
+    for cap in range(1, len(allowed) + 2):
+        got = _min_cover(masks, allowed, universe, pre, cap=cap)
+        if least is None or least >= cap:
+            assert got is None, cap
+        else:
+            assert got is not None and least <= got < cap, cap
