@@ -19,14 +19,7 @@ from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from .families import FamilySpec, UnknownFamilyError, expected_size, generate
-from .solve import (
-    DEFAULT_LIMITS,
-    STRONG,
-    WEAK,
-    SizeLimitError,
-    SolverLimits,
-    solve_exact,
-)
+from .solve import STRONG, WEAK, SizeLimitError, solve_exact
 
 KIND_EXACT = "exact"
 KIND_UPPER_BOUND = "upper_bound"
@@ -267,7 +260,6 @@ def verify_claims(
     families: Iterable[str] | None = None,
     max_n: int = 12,
     instances: Iterable[tuple[str, tuple[int, ...]]] | None = None,
-    limits: SolverLimits = DEFAULT_LIMITS,
 ) -> tuple[DiscrepancyReport, ...]:
     """Solve claim instances exactly and classify each against its claim.
 
@@ -278,9 +270,10 @@ def verify_claims(
     and a requested instance that no (filtered) record lists at ``max_n``
     raises ``ValueError``, so nothing asked for is dropped without a word.
     Each instance's graph is generated once and solved once per variant.
-    Instances that ``solve_exact`` refuses for size (``SizeLimitError``,
-    from the vertex limits alone) are reported as skipped, never guessed;
-    every other instance is solved, however long that takes. Reports are
+    Instances over ``solve_exact``'s fixed vertex limits (40 weak, 34
+    strong), which it refuses with ``SizeLimitError``, are reported as
+    skipped, never guessed; that is the only skip rule, and every other
+    instance is solved, however long that takes. Reports are
     ordered by (family, params, variant, kind), and records of one such
     key by registry order.
     """
@@ -319,8 +312,8 @@ def verify_claims(
             key = (family, params, record.variant)
             if key not in optima:
                 try:
-                    optima[key] = solve_exact(G, record.k, record.variant,
-                                              limits).optimum
+                    optima[key] = solve_exact(G, record.k,
+                                              record.variant).optimum
                 except SizeLimitError:
                     optima[key] = None
             claimed = record.value(params)

@@ -261,6 +261,8 @@ def enumerate_geodesics(
 
 def count_geodesics(G: Graph, u: int, v: int) -> int:
     """Number of geodesics between ``u`` and ``v`` via layer-by-layer DP."""
+    if not 0 <= v < G.n:
+        raise VertexRangeError(f"target {v} out of range for n={G.n}")
     du = bfs_distances(G, u).dist
     if du[v] == UNREACHABLE:
         raise DisconnectedGraphError(f"{u} and {v} are in different components")

@@ -18,9 +18,8 @@ from typing import Mapping
 from .cover import strong_feasible
 from .graph import Graph, build_graph
 from .solve import (
-    DEFAULT_LIMITS,
+    WEAK_VERTEX_LIMIT,
     SizeLimitError,
-    SolverLimits,
     _least_cover,
     solve_exact,
 )
@@ -32,7 +31,7 @@ ROLE_APEX_C = "apex_c"
 ROLE_TRIANGLE = "triangle"
 ROLE_TAIL = "tail"
 
-# largest gadget check_reduction also solves exactly
+# largest gadget check_reduction also solves exactly (under the strong limit)
 _EXACT_VERTEX_LIMIT = 17
 
 
@@ -125,18 +124,13 @@ def forward_witness_set(red: ReductionOutput,
     return tuple(sorted(set(vc) | set(extra)))
 
 
-def vertex_cover_exact(
-    G: Graph, limits: SolverLimits = DEFAULT_LIMITS
-) -> tuple[int, tuple[int, ...]]:
+def vertex_cover_exact(G: Graph) -> tuple[int, tuple[int, ...]]:
     """Minimum vertex cover, lexicographically least among optima."""
-    if G.n > limits.weak:
+    if G.n > WEAK_VERTEX_LIMIT:
         raise SizeLimitError(
-            f"n={G.n} exceeds the vertex cover solver limit {limits.weak}")
-    universe = G.full_edge_mask()
-    if universe == 0:
-        return 0, ()
+            f"n={G.n} exceeds the {WEAK_VERTEX_LIMIT}-vertex limit")
     masks = [G.edge_mask((v, w) for w in G.adj[v]) for v in range(G.n)]
-    chosen = _least_cover(G, masks, universe)
+    chosen = _least_cover(G, masks, G.full_edge_mask())
     return len(chosen), chosen
 
 
@@ -165,24 +159,20 @@ class ReductionCheck:
                                                   self.expected_m)
 
 
-def check_reduction(
-    G: Graph,
-    k: int,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> ReductionCheck:
+def check_reduction(G: Graph, k: int) -> ReductionCheck:
     """Build the gadget, validate the designated forward cover set, and when
     the gadget is small enough solve it exactly and record whether the
     optimum equals vertex cover + offset."""
     start = time.perf_counter()
     red = reduce_vc(G, k)
     exp_n, exp_m = gadget_size_formulas(G.n, G.m, k)
-    vc_size, vc_set = vertex_cover_exact(G, limits)
+    vc_size, vc_set = vertex_cover_exact(G)
     witness_set = forward_witness_set(red, vc_set)
     forward_ok = strong_feasible(red.gadget, witness_set, k) is not None
     exact_optimum = None
     equality = None
-    if red.gadget.n <= min(_EXACT_VERTEX_LIMIT, limits.strong):
-        exact_optimum = solve_exact(red.gadget, k, "strong", limits).optimum
+    if red.gadget.n <= _EXACT_VERTEX_LIMIT:
+        exact_optimum = solve_exact(red.gadget, k, "strong").optimum
         equality = exact_optimum == vc_size + red.offset
     return ReductionCheck(
         k=k,

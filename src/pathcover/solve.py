@@ -35,18 +35,15 @@ STRONG = "strong"
 VARIANTS = (WEAK, STRONG)
 
 
+# Vertex limits of the exponential searches. They are fixed: raising one is
+# a stated change, not a setting.
+WEAK_VERTEX_LIMIT = 40  # weak exact, domination and minimum vertex cover
+STRONG_VERTEX_LIMIT = 34  # strong exact
+ORACLE_VERTEX_LIMIT = 12  # naive_oracle
+
+
 class SizeLimitError(RuntimeError):
-    """Instance exceeds a configured exact-solver limit."""
-
-
-@dataclass(frozen=True)
-class SolverLimits:
-    weak: int = 40
-    strong: int = 34
-    oracle: int = 12
-
-
-DEFAULT_LIMITS = SolverLimits()
+    """Instance exceeds the vertex limit of an exponential-time solver."""
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,18 @@ class SolveResult:
     stats: SolveStats
 
 
-def _check_variant(variant: str) -> None:
+def _check_args(G: Graph, k: int, limit: int | None = None,
+                variant: str = WEAK) -> None:
+    """The argument check of every solve entry point. Refuses, in this
+    order: an unknown variant, k < 1, more than ``limit`` vertices (before
+    any graph work), a disconnected graph."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if limit is not None and G.n > limit:
+        raise SizeLimitError(f"n={G.n} exceeds the {limit}-vertex limit")
+    require_connected(G)
 
 
 def _bits(x: int):
@@ -319,9 +325,7 @@ def _degree_lower_bound(G: Graph, k: int) -> int | None:
     return -(-num // den)
 
 
-def solve_exact(
-    G: Graph, k: int, variant: str, limits: SolverLimits = DEFAULT_LIMITS
-) -> SolveResult:
+def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     """Provably optimal cover of the requested variant: ``_least_cover``
     over the per-vertex weak coverage masks. Weak takes the first covering
     set; strong takes the first one the exact fixed-geodesic search proves
@@ -338,20 +342,10 @@ def solve_exact(
     simplicial vertex of each such clique; and the degree bound counts the
     edges one source covers weakly.
     """
-    _check_variant(variant)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    limit = limits.weak if variant == WEAK else limits.strong
-    if G.n > limit:
-        raise SizeLimitError(
-            f"n={G.n} exceeds the {variant} exact-solver limit {limit}")
-    require_connected(G)
+    _check_args(G, k, STRONG_VERTEX_LIMIT if variant == STRONG
+                else WEAK_VERTEX_LIMIT, variant)
     start = time.perf_counter()
     nodes = [0]
-    universe = G.full_edge_mask()
-    if universe == 0:
-        return SolveResult(variant, k, 0, (), None, "exact",
-                           SolveStats(0, time.perf_counter() - start))
     masks = [weak_cover_set(G, v, k) for v in range(G.n)]
     pairs_by_source: dict[int, tuple[PairChoices, ...]] = {}
     witness: StrongWitness | None = None
@@ -366,7 +360,7 @@ def solve_exact(
         witness = feasible_from_pairs(G, tuple(pair_list))
         return witness is not None
 
-    chosen = _least_cover(G, masks, universe,
+    chosen = _least_cover(G, masks, G.full_edge_mask(),
                           feasible if variant == STRONG else None, nodes)
     return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
                        SolveStats(nodes[0], time.perf_counter() - start))
@@ -455,14 +449,8 @@ def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
 def solve_greedy(G: Graph, k: int, variant: str) -> SolveResult:
     """Valid cover by greedy max-new-coverage selection; never better than
     the exact optimum, often equal on the small instances here."""
-    _check_variant(variant)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    require_connected(G)
+    _check_args(G, k, variant=variant)
     start = time.perf_counter()
-    if G.m == 0:
-        return SolveResult(variant, k, 0, (), None, "heuristic",
-                           SolveStats(0, time.perf_counter() - start))
     if variant == WEAK:
         return _greedy_weak(G, k, start)
     return _greedy_strong(G, k, start)
@@ -521,17 +509,9 @@ def _oracle_strong_feasible(
     return StrongWitness(tuple(assignments), covered)
 
 
-def naive_oracle(
-    G: Graph, k: int, variant: str, limits: SolverLimits = DEFAULT_LIMITS
-) -> SolveResult:
+def naive_oracle(G: Graph, k: int, variant: str) -> SolveResult:
     """Reference optimum by exhaustive enumeration; hard-limited in size."""
-    _check_variant(variant)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if G.n > limits.oracle:
-        raise SizeLimitError(
-            f"n={G.n} exceeds the oracle limit {limits.oracle}")
-    require_connected(G)
+    _check_args(G, k, ORACLE_VERTEX_LIMIT, variant)
     start = time.perf_counter()
     universe = G.full_edge_mask()
     tried = 0
@@ -567,16 +547,6 @@ def naive_oracle(
 # Distance-k domination and the bound battery
 # ---------------------------------------------------------------------------
 
-def _distance_rows(G: Graph, limits: SolverLimits) -> list[tuple[int, ...]]:
-    """BFS distances from every vertex of a connected graph; an instance
-    beyond the domination solver limit is refused before any BFS."""
-    if G.n > limits.weak:
-        raise SizeLimitError(
-            f"n={G.n} exceeds the domination solver limit {limits.weak}")
-    require_connected(G)
-    return [bfs_distances(G, v).dist for v in range(G.n)]
-
-
 def _domination(rows: Sequence[Sequence[int]], k: int) -> int:
     """Distance-k domination number from the distance rows of a connected
     graph: a least cover of the vertices by the radius-k balls."""
@@ -584,11 +554,10 @@ def _domination(rows: Sequence[Sequence[int]], k: int) -> int:
     return _min_cover(balls, range(len(rows)), (1 << len(rows)) - 1)
 
 
-def domination_number(
-    G: Graph, k: int, limits: SolverLimits = DEFAULT_LIMITS
-) -> int:
+def domination_number(G: Graph, k: int) -> int:
     """Minimum size of a set D with every vertex within distance k of D."""
-    return _domination(_distance_rows(G, limits), k)
+    _check_args(G, k, WEAK_VERTEX_LIMIT)
+    return _domination([bfs_distances(G, v).dist for v in range(G.n)], k)
 
 
 @dataclass(frozen=True)
@@ -623,17 +592,13 @@ class Bounds:
         }
 
 
-def compute_bounds(
-    G: Graph, k: int, limits: SolverLimits = DEFAULT_LIMITS
-) -> Bounds:
+def compute_bounds(G: Graph, k: int) -> Bounds:
     """Evaluate every general bound with its applicability predicate. One
     BFS per vertex gives both the diameter and the domination balls."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    require_connected(G)
+    _check_args(G, k, WEAK_VERTEX_LIMIT)
     if G.n < 1:
         raise DisconnectedGraphError("bounds require at least one vertex")
-    rows = _distance_rows(G, limits)
+    rows = [bfs_distances(G, v).dist for v in range(G.n)]
     d = max(map(max, rows))
     min_deg = min((G.degree(v) for v in range(G.n)), default=0)
     dom = _domination(rows, k)

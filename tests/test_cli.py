@@ -151,6 +151,17 @@ def test_exit_code_size_limit(tmp_path, capsys):
                  "--variant", "weak", "--method", "exact"]) == 2
 
 
+@pytest.mark.parametrize("method", ["exact", "greedy", "oracle"])
+def test_strong_witness_of_single_vertex_is_empty(method, tmp_path, capsys):
+    graph_file = tmp_path / "k1.edges"
+    graph_file.write_text("1 0\n")
+    witness_file = tmp_path / "k1.witness"
+    assert main(["solve", "--in", str(graph_file), "--k", "2",
+                 "--variant", "strong", "--method", method,
+                 "--witness-out", str(witness_file)]) == 0
+    assert witness_file.read_text() == ""
+
+
 def test_solve_methods_agree(tmp_path, capsys):
     graph_file = tmp_path / "c5.edges"
     main(["gen", "--family", "cycle", "--params", "5",

@@ -113,6 +113,15 @@ def test_enumerate_geodesics_cap_overflow():
     assert exc.value.cap == 3
 
 
+@pytest.mark.parametrize("target", [-1, 6, 99])
+def test_geodesic_target_out_of_range(target):
+    G = family("cycle", 6)
+    with pytest.raises(VertexRangeError):
+        count_geodesics(G, 0, target)
+    with pytest.raises(VertexRangeError):
+        enumerate_geodesics(G, 0, target)
+
+
 def test_enumerate_geodesics_long_path_needs_no_recursion():
     # 1,100 path vertices exceed the interpreter's default recursion limit
     assert enumerate_geodesics(family("path", 1100), 0, 1099) == (

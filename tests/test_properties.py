@@ -5,7 +5,6 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from pathcover import (
-    UNREACHABLE,
     bfs_distances,
     build_graph,
     count_geodesics,

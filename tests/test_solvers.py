@@ -5,6 +5,8 @@ import pytest
 
 from pathcover import (
     SizeLimitError,
+    StrongWitness,
+    build_graph,
     compute_bounds,
     diameter,
     domination_number,
@@ -14,6 +16,7 @@ from pathcover import (
     strong_feasible,
     verify_strong_witness,
     verify_weak_cover,
+    vertex_cover_exact,
 )
 from pathcover.solve import _min_cover
 from conftest import family, random_connected_graph
@@ -207,13 +210,39 @@ def test_bounds_applicability_flags():
 
 
 def test_size_limits_enforced():
-    big = family("path", 41)
+    # every size-limited entry point accepts path(limit) and refuses one
+    # vertex more
+    for call, limit in (
+        (lambda G: solve_exact(G, 2, "weak"), 40),
+        (lambda G: solve_exact(G, 2, "strong"), 34),
+        (lambda G: naive_oracle(G, 2, "weak"), 12),
+        (lambda G: compute_bounds(G, 2), 40),
+        (lambda G: domination_number(G, 2), 40),
+        (vertex_cover_exact, 40),
+    ):
+        call(family("path", limit))
+        with pytest.raises(SizeLimitError):
+            call(family("path", limit + 1))
+
+
+def test_limit_checked_before_connectivity():
+    two_paths = build_graph(82, [(v, v + 1) for v in range(81) if v != 40])
     with pytest.raises(SizeLimitError):
-        solve_exact(big, 2, "weak")
-    with pytest.raises(SizeLimitError):
-        solve_exact(family("path", 35), 2, "strong")
-    with pytest.raises(SizeLimitError):
-        naive_oracle(family("path", 13), 2, "weak")
+        compute_bounds(two_paths, 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_domination_number_rejects_nonpositive_k(k):
+    with pytest.raises(ValueError):
+        domination_number(family("cycle", 6), k)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("solve", [solve_exact, solve_greedy, naive_oracle])
+def test_edgeless_strong_has_empty_witness(solve, n):
+    result = solve(build_graph(n, []), 2, "strong")
+    assert result.set == ()
+    assert result.witness == StrongWitness((), 0)
 
 
 def test_monotonicity_chain(rng):
