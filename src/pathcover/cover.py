@@ -16,13 +16,10 @@ from typing import Iterable
 
 from .graph import (
     DEFAULT_GEODESIC_CAP,
-    UNREACHABLE,
-    DisconnectedGraphError,
     EnumerationCapError,
     Graph,
     VertexRangeError,
-    bfs_distances,
-    geodesic_dag,
+    require_connected,
 )
 
 
@@ -30,24 +27,55 @@ def path_edge_mask(G: Graph, path: tuple[int, ...]) -> int:
     return G.edge_mask(zip(path, path[1:]))
 
 
+def _distances_within(G: Graph, u: int, k: int) -> dict[int, int]:
+    """d(u, x) for every x within distance k of ``u``, from a BFS that stops
+    at depth k."""
+    if not 0 <= u < G.n:
+        raise VertexRangeError(f"source {u} out of range for n={G.n}")
+    dist = {u: 0}
+    layer = [u]
+    d = 0
+    while layer and d < k:
+        d += 1
+        nxt = []
+        for x in layer:
+            for y in G.adj[x]:
+                if y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+        layer = nxt
+    return dist
+
+
 def weak_cover_set(G: Graph, u: int, k: int) -> int:
     """Bitmask of edges coverable from ``u`` at distance ``k`` (weak sense).
 
-    Exactly the undirected arcs of the depth-k geodesic DAG: the edges (x, y)
-    with |d(u,x) - d(u,y)| = 1 whose deeper endpoint is within distance k.
+    The edges x-y with d(u, y) = d(u, x) + 1 <= k, read from a BFS that
+    stops at depth k: the arcs of ``geodesic_dag(G, u, k)``, at the cost of
+    u's radius-k ball rather than of the whole graph. Answers on any graph,
+    with the coverage within u's component.
     """
+    dist = _distances_within(G, u, k)
     mask = 0
-    for x, y in geodesic_dag(G, u, k).arcs:
-        mask |= 1 << G.edge_id(x, y)
+    for x, dx in dist.items():
+        if dx < k:
+            for y in G.adj[x]:
+                if dist.get(y) == dx + 1:
+                    mask |= 1 << G.edge_id(x, y)
     return mask
 
 
 def verify_weak_cover(G: Graph, S: Iterable[int], k: int) -> bool:
-    """True iff the weak cover sets of S jointly cover every edge."""
-    mask = 0
-    for u in set(S):
+    """True iff the weak cover sets of S jointly cover every edge. A
+    disconnected graph is refused when S is not empty."""
+    sources = set(S)
+    for u in sources:
         if not 0 <= u < G.n:
             raise VertexRangeError(f"vertex {u} out of range for n={G.n}")
+    if sources:
+        require_connected(G)
+    mask = 0
+    for u in sources:
         mask |= weak_cover_set(G, u, k)
     return mask == G.full_edge_mask()
 
@@ -80,7 +108,9 @@ def source_pairs(
     G: Graph, u: int, k: int, cap: int = DEFAULT_GEODESIC_CAP
 ) -> tuple[PairChoices, ...]:
     """Geodesic choice sets for every pair (u, v) with 1 <= d(u, v) <= k,
-    in ascending target order, from one BFS and one walk.
+    in ascending target order, from one BFS that stops at depth k and one
+    walk, so a source costs as much as its radius-k ball. Answers on any
+    graph, with the pairs within u's component.
 
     The walk goes depth-first over ascending neighbours, from u, stepping
     only to a y with d(u, y) equal to the length of the path so far, and
@@ -91,16 +121,13 @@ def source_pairs(
     target's paths come in lexicographic order, as ``enumerate_geodesics``
     gives them. A path's mask is its prefix's mask plus one edge bit.
     """
-    dist = bfs_distances(G, u).dist
-    if UNREACHABLE in dist:
-        raise DisconnectedGraphError(
-            "strong coverage requires a connected graph")
+    dist = _distances_within(G, u, k)
     found: dict[int, tuple[list, list]] = {}
     path, masks = [u], [0]
     stack = [iter(G.adj[u])]
     while stack:
         for y in stack[-1]:
-            if dist[y] != len(path):
+            if dist.get(y) != len(path):
                 continue
             mask = masks[-1] | 1 << G.edge_id(path[-1], y)
             paths_y, masks_y = found.setdefault(y, ([], []))
@@ -208,37 +235,20 @@ def feasible_from_pairs(
 def strong_feasible(
     G: Graph, S: Iterable[int], k: int
 ) -> StrongWitness | None:
-    """Witness that S is a k-strong cover, or None when no choice works."""
+    """Witness that S is a k-strong cover, or None when no choice works.
+    A disconnected graph with edges is refused when S is not empty."""
     sources = sorted(set(S))
     for u in sources:
         if not 0 <= u < G.n:
             raise VertexRangeError(f"vertex {u} out of range for n={G.n}")
     if G.m == 0:
         return StrongWitness((), 0)
+    if sources:
+        require_connected(G)
     pairs = []
     for u in sources:
         pairs.extend(source_pairs(G, u, k))
     return feasible_from_pairs(G, tuple(pairs))
-
-
-def _distances_within(G: Graph, u: int, k: int) -> dict[int, int]:
-    """d(u, x) for every x within distance k of ``u``, from a BFS that stops
-    at depth k."""
-    if not 0 <= u < G.n:
-        raise VertexRangeError(f"source {u} out of range for n={G.n}")
-    dist = {u: 0}
-    layer = [u]
-    d = 0
-    while layer and d < k:
-        d += 1
-        nxt = []
-        for x in layer:
-            for y in G.adj[x]:
-                if y not in dist:
-                    dist[y] = d
-                    nxt.append(y)
-        layer = nxt
-    return dist
 
 
 def verify_strong_witness(

@@ -202,7 +202,9 @@ class GeodesicDag:
 
 
 def geodesic_dag(G: Graph, u: int, k: int) -> GeodesicDag:
-    """Depth-truncated shortest-path DAG from ``u``. ``k = 0`` gives no arcs."""
+    """Depth-truncated shortest-path DAG from ``u``. ``k = 0`` gives no arcs.
+    The whole-graph reference for ``weak_cover_set``: one full BFS and a
+    scan of every edge, and a disconnected graph is refused."""
     field = bfs_distances(G, u)
     if UNREACHABLE in field.dist:
         raise DisconnectedGraphError("geodesic DAG requires a connected graph")

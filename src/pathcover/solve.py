@@ -21,8 +21,8 @@ from .cover import (
     weak_cover_set,
 )
 from .graph import (
-    DisconnectedGraphError,
     Graph,
+    VertexRangeError,
     bfs_distances,
     enumerate_geodesics,
     maximal_cliques,
@@ -597,7 +597,7 @@ def compute_bounds(G: Graph, k: int) -> Bounds:
     BFS per vertex gives both the diameter and the domination balls."""
     _check_args(G, k, WEAK_VERTEX_LIMIT)
     if G.n < 1:
-        raise DisconnectedGraphError("bounds require at least one vertex")
+        raise VertexRangeError("bounds require at least one vertex")
     rows = [bfs_distances(G, v).dist for v in range(G.n)]
     d = max(map(max, rows))
     min_deg = min((G.degree(v) for v in range(G.n)), default=0)

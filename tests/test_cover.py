@@ -3,13 +3,18 @@ import random
 import pytest
 
 import pathcover.cover
+import pathcover.graph
 from pathcover import (
+    DisconnectedGraphError,
     EnumerationCapError,
+    Graph,
     StrongWitness,
+    VertexRangeError,
     bfs_distances,
     build_graph,
     enumerate_geodesics,
     format_witness,
+    geodesic_dag,
     parse_witness,
     strong_feasible,
     verify_strong_witness,
@@ -230,13 +235,12 @@ def _source_pairs_cases():
         yield pytest.param(G, id=f"random{seed}")
 
 
-@pytest.mark.parametrize("G", _source_pairs_cases())
-def test_source_pairs_match_per_pair_enumeration(G):
+def _assert_pairs_match_enumeration(G, ks):
     """``source_pairs`` walks all of a source's geodesics at once; this
     checks it against one ``enumerate_geodesics`` call per pair."""
     for u in range(G.n):
         dist = bfs_distances(G, u).dist
-        for k in range(1, 5):
+        for k in ks:
             pairs = source_pairs(G, u, k)
             assert [p.target for p in pairs] == [
                 v for v in range(G.n) if 1 <= dist[v] <= k]
@@ -245,6 +249,11 @@ def test_source_pairs_match_per_pair_enumeration(G):
                 assert p.paths == enumerate_geodesics(G, u, p.target)
                 assert p.masks == tuple(path_edge_mask(G, path)
                                         for path in p.paths)
+
+
+@pytest.mark.parametrize("G", _source_pairs_cases())
+def test_source_pairs_match_per_pair_enumeration(G):
+    _assert_pairs_match_enumeration(G, range(1, 5))
 
 
 def test_source_pairs_cap():
@@ -258,6 +267,8 @@ def test_source_pairs_cap():
 
 
 def test_source_pairs_runs_one_bfs(monkeypatch):
+    """The per-source functions take their distances from a BFS that stops
+    at depth k, not from ``bfs_distances`` or a geodesic enumeration."""
     calls = {"bfs": 0, "geodesics": 0}
 
     def counted(key, func):
@@ -266,12 +277,111 @@ def test_source_pairs_runs_one_bfs(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pathcover.cover, "bfs_distances",
-                        counted("bfs", bfs_distances))
-    # raising=False: the module need not import it, but must not call it
-    monkeypatch.setattr(pathcover.cover, "enumerate_geodesics",
-                        counted("geodesics", enumerate_geodesics),
-                        raising=False)
+    # raising=False: cover need not import them, but must not call them
+    for module in (pathcover.cover, pathcover.graph):
+        monkeypatch.setattr(module, "bfs_distances",
+                            counted("bfs", bfs_distances), raising=False)
+        monkeypatch.setattr(module, "enumerate_geodesics",
+                            counted("geodesics", enumerate_geodesics),
+                            raising=False)
     G = family("sierpinski", 3)
     assert source_pairs(G, 0, 3)
-    assert calls == {"bfs": 1, "geodesics": 0}
+    assert weak_cover_set(G, 0, 3)
+    assert calls == {"bfs": 0, "geodesics": 0}
+
+
+class _RecordingAdj(tuple):
+    """An adjacency tuple that records every index read."""
+
+    def __getitem__(self, i):
+        self.reads.add(i)
+        return super().__getitem__(i)
+
+
+def test_source_cost_bounded_by_radius_k_ball():
+    base = family("sierpinski", 5)
+    adj = _RecordingAdj(base.adj)
+    G = Graph(base.n, base.edges, adj, base.labels)
+    k = 2
+    dist = bfs_distances(base, 0).dist
+    inner = {v for v in range(base.n) if dist[v] <= k - 1}
+    assert len(inner) == 3 and base.n == 243
+    for per_source in (weak_cover_set, source_pairs):
+        adj.reads = set()
+        assert per_source(G, 0, k) == per_source(base, 0, k)
+        assert adj.reads == inner
+
+
+def test_disconnected_graph_refused():
+    G = build_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedGraphError):
+        verify_weak_cover(G, {0, 2}, 2)
+    with pytest.raises(DisconnectedGraphError):
+        strong_feasible(G, {0, 2}, 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_strong_feasible_edgeless(n):
+    assert strong_feasible(build_graph(n, []), range(n), 2) == \
+        StrongWitness((), 0)
+
+
+def test_source_out_of_range_refused():
+    G = family("cycle", 5)
+    for check in (verify_weak_cover, strong_feasible):
+        for S in ([5], [0, -1]):
+            with pytest.raises(VertexRangeError):
+                check(G, S, 2)
+
+
+def test_single_source_coverage_of_disconnected_graph():
+    # the coverage from 0 within its own component, edge (0, 1)
+    G = build_graph(4, [(0, 1), (2, 3)])
+    assert weak_cover_set(G, 0, 2) == 1 << G.edge_id(0, 1)
+    pairs = source_pairs(G, 0, 2)
+    assert [(p.source, p.target, p.paths) for p in pairs] == \
+        [(0, 1, ((0, 1),))]
+
+
+# The 15 topologies of the benchmark's greedy-scale and weak-exact workloads
+BENCHMARK_TOPOLOGIES = (
+    ("hypercube", (6,)),
+    ("butterfly", (4,)),
+    ("benes", (4,)),
+    ("silicate", (3,)),
+    ("sierpinski", (4,)),
+    ("sierpinski", (5,)),
+    ("sierpinski_gasket", (5,)),
+    ("enhanced_butterfly", (4,)),
+    ("generalized_petersen", (50, 7)),
+    ("crown", (20,)),
+    ("sierpinski", (3,)),
+    ("augmented_butterfly", (3,)),
+    ("generalized_petersen", (20, 3)),
+    ("hypercube", (5,)),
+    ("butterfly", (3,)),
+)
+
+
+@pytest.mark.parametrize(
+    "name, params", BENCHMARK_TOPOLOGIES,
+    ids=[f"{f}{p}" for f, p in BENCHMARK_TOPOLOGIES])
+def test_weak_cover_set_matches_geodesic_dag(name, params):
+    # most of these graphs are many times wider than k, so the depth limit
+    # of weak_cover_set's BFS leaves out most of the graph
+    G = family(name, *params)
+    for u in range(G.n):
+        for k in range(1, 5):
+            arcs = geodesic_dag(G, u, k).arcs
+            assert weak_cover_set(G, u, k) == G.edge_mask(arcs)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("sierpinski", (4,)), ("generalized_petersen", (20, 3)),
+     ("butterfly", (4,))],
+    ids=["sierpinski(4,)", "generalized_petersen(20, 3)", "butterfly(4,)"])
+def test_source_pairs_match_enumeration_on_wide_graphs(name, params):
+    G = family(name, *params)
+    assert G.n >= 40
+    _assert_pairs_match_enumeration(G, (2, 3))

@@ -6,6 +6,7 @@ import pytest
 from pathcover import (
     SizeLimitError,
     StrongWitness,
+    VertexRangeError,
     build_graph,
     compute_bounds,
     diameter,
@@ -229,6 +230,14 @@ def test_limit_checked_before_connectivity():
     two_paths = build_graph(82, [(v, v + 1) for v in range(81) if v != 40])
     with pytest.raises(SizeLimitError):
         compute_bounds(two_paths, 2)
+
+
+def test_bounds_of_empty_graph_refused_as_vertex_range():
+    # as diameter refuses the same graph; an empty graph is not disconnected
+    empty = build_graph(0, [])
+    for call in (diameter, lambda G: compute_bounds(G, 2)):
+        with pytest.raises(VertexRangeError):
+            call(empty)
 
 
 @pytest.mark.parametrize("k", [0, -1])
