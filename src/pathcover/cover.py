@@ -12,7 +12,7 @@ Edge sets are integer bitmasks over the graph's canonical edge indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import (
     DEFAULT_GEODESIC_CAP,
@@ -66,12 +66,15 @@ def weak_cover_set(G: Graph, u: int, k: int) -> int:
 
 
 def verify_weak_cover(G: Graph, S: Iterable[int], k: int) -> bool:
-    """True iff the weak cover sets of S jointly cover every edge. A
-    disconnected graph is refused when S is not empty."""
+    """True iff the weak cover sets of S jointly cover every edge. As in
+    ``strong_feasible``, an edgeless graph is covered by any S, and a
+    disconnected graph with edges is refused when S is not empty."""
     sources = set(S)
     for u in sources:
         if not 0 <= u < G.n:
             raise VertexRangeError(f"vertex {u} out of range for n={G.n}")
+    if G.m == 0:
+        return True
     if sources:
         require_connected(G)
     mask = 0
@@ -149,6 +152,44 @@ def source_pairs(
                  for v in sorted(found))
 
 
+def augment(p: int, tips: Sequence[Iterable[int]], owner: dict[int, int],
+            covered: int, dead: set[int]) -> int | None:
+    """Grow the matching ``owner`` (edge index -> pair) by one edge for the
+    unmatched pair ``p``, if an augmenting path allows it (Kuhn's method),
+    and return the edge that became matched; None when there is no path.
+
+    ``tips[q]`` lists the edges pair q can add; edges in ``covered`` are
+    skipped. A breadth-first search walks alternating paths from p: to an
+    edge its pair can add, then to the pair holding that edge. At an edge
+    no pair holds it hands each edge on the path to the pair before it, so
+    p gains an edge and every other matched pair keeps one. ``dead`` holds
+    pairs that a failed search reached: while the matching stays the same
+    no augmenting path runs through them, so they are skipped, and a
+    success clears them. The search keeps its own queue, not recursion.
+    """
+    prev: dict[int, tuple[int, int] | None] = {p: None}
+    queue = [p]
+    for q in queue:
+        for e in tips[q]:
+            if covered >> e & 1:
+                continue
+            holder = owner.get(e)
+            if holder is None:
+                gained = e
+                while True:
+                    owner[e] = q
+                    step = prev[q]
+                    if step is None:
+                        dead.clear()
+                        return gained
+                    q, e = step
+            if holder not in prev and holder not in dead:
+                prev[holder] = (q, e)
+                queue.append(holder)
+    dead.update(prev)
+    return None
+
+
 def feasible_from_pairs(
     G: Graph, pairs: tuple[PairChoices, ...]
 ) -> StrongWitness | None:
@@ -156,20 +197,34 @@ def feasible_from_pairs(
 
     Pairs with a unique geodesic (every length-1 pair, in particular) are
     assigned up front; assigning them is never harmful since path unions only
-    grow. The remaining search backtracks over uncovered edges in ascending
-    canonical index, trying candidate (pair, geodesic-through-edge)
-    assignments in lexicographic order, which makes the returned witness
-    deterministic. Failed states are memoized on the (covered-edge mask,
-    assigned-pair mask) pair; the covered mask alone would be an unsound key
-    because a state's remaining freedom depends on which pairs are spent.
+    grow. Their union is ``base``; the gain of a choice pair is the most
+    edges one of its paths has outside ``base``.
+
+    Matching leaf: when no gain exceeds 1, a choice covers ``base`` plus at
+    most one edge per choice pair, the edge its path adds. So the pairs are
+    feasible exactly when the uncovered edges can be matched to distinct
+    pairs, each edge to a pair with a path that adds it, and augmenting
+    paths decide that in polynomial time (``augment``; Kuhn's method, see
+    Hopcroft & Karp, 1973). At k = 2 this
+    always holds: a length-2 path u-x-t starts on an edge of u's forced
+    star. The witness takes the forced paths and, per matched edge, the
+    first path of its pair that adds it; unmatched pairs are omitted.
+
+    Otherwise (k >= 3, the reduction gadgets) the search backtracks over
+    uncovered edges in ascending canonical index, trying candidate (pair,
+    geodesic-through-edge) assignments in lexicographic order. Failed
+    states are memoized on the (covered-edge mask, assigned-pair mask)
+    pair; the covered mask alone would be an unsound key because a state's
+    remaining freedom depends on which pairs are spent.
 
     Capacity bound: every state's mask contains ``base``, so an unassigned
-    pair adds at most its gain, the most edges one of its paths has outside
-    ``base``. A state whose uncovered edges outnumber the summed gains of
-    its unassigned pairs fails, and is cut before the memo lookup. Only
-    failing subtrees are cut, so the search reaches the same first success.
-    The search keeps its own stack, one frame per assigned pair, so deep
-    searches need no recursion.
+    pair adds at most its gain. A state whose uncovered edges outnumber the
+    summed gains of its unassigned pairs fails, and is cut before the memo
+    lookup. Only failing subtrees are cut, so the search reaches the same
+    first success. The search keeps its own stack, one frame per assigned
+    pair, so deep searches need no recursion.
+
+    Both ways the witness is deterministic.
     """
     full = G.full_edge_mask()
     forced = tuple(p for p in pairs if len(p.paths) == 1)
@@ -185,6 +240,43 @@ def feasible_from_pairs(
         return None
     gain = [max((m & ~base).bit_count() for m in p.masks) for p in choice]
 
+    if max(gain, default=0) <= 1:
+        # per choice pair: the edge each path adds -> its first such path
+        tips: list[dict[int, int]] = [{} for _ in choice]
+        for tip, p in zip(tips, choice):
+            for pi, m in enumerate(p.masks):
+                if m & ~base:
+                    tip.setdefault((m & ~base).bit_length() - 1, pi)
+        owner: dict[int, int] = {}
+        dead: set[int] = set()
+        uncovered = (full & ~base).bit_count()
+        for ci in range(len(choice)):
+            if len(owner) == uncovered:
+                break
+            augment(ci, tips, owner, base, dead)
+        if len(owner) < uncovered:
+            return None
+        picks = [(ci, tips[ci][e]) for e, ci in owner.items()]
+    else:
+        picks = _backtrack(G, base, choice, gain)
+        if picks is None:
+            return None
+    assignments = [((p.source, p.target), p.paths[0]) for p in forced]
+    covered = base
+    for ci, pi in picks:
+        p = choice[ci]
+        assignments.append(((p.source, p.target), p.paths[pi]))
+        covered |= p.masks[pi]
+    assignments.sort()
+    return StrongWitness(tuple(assignments), covered)
+
+
+def _backtrack(
+    G: Graph, base: int, choice: tuple[PairChoices, ...], gain: list[int]
+) -> list[tuple[int, int]] | None:
+    """The (choice index, path index) picks of the first covering
+    assignment, or None; ``feasible_from_pairs`` states the search."""
+    full = G.full_edge_mask()
     # candidates per edge: (choice index, path index), lexicographic
     cands: list[list[tuple[int, int]]] = [[] for _ in range(G.m)]
     for ci, p in enumerate(choice):
@@ -221,22 +313,16 @@ def feasible_from_pairs(
             frames.pop()
         else:
             return None
-    assignments = [((p.source, p.target), p.paths[0]) for p in forced]
-    covered = base
-    for frame in frames:
-        ci, pi = frame[3][frame[4] - 1]
-        p = choice[ci]
-        assignments.append(((p.source, p.target), p.paths[pi]))
-        covered |= p.masks[pi]
-    assignments.sort()
-    return StrongWitness(tuple(assignments), covered)
+    return [frame[3][frame[4] - 1] for frame in frames]
 
 
 def strong_feasible(
     G: Graph, S: Iterable[int], k: int
 ) -> StrongWitness | None:
     """Witness that S is a k-strong cover, or None when no choice works.
-    A disconnected graph with edges is refused when S is not empty."""
+    As in ``verify_weak_cover``, an edgeless graph is covered by any S (the
+    empty witness), and a disconnected graph with edges is refused when S
+    is not empty."""
     sources = sorted(set(S))
     for u in sources:
         if not 0 <= u < G.n:

@@ -8,13 +8,15 @@ repeated runs are bit-identical apart from timing statistics.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Iterable, Sequence
 
 from .cover import (
     PairChoices,
     StrongWitness,
+    augment,
     feasible_from_pairs,
     path_edge_mask,
     source_pairs,
@@ -56,7 +58,9 @@ class SolveStats:
     of each added vertex); for greedy, the vertices picked; for the oracle,
     the subsets tried. A ``_min_cover`` call that its root bound or its
     greedy cover answers adds no node, and a test stops at its first cover
-    under the cap, so these counts are lower than before those rules.
+    under the cap, so these counts are lower than before those rules. At
+    k = 2 strong, a vertex that ``_MatchingBound`` cuts is neither entered
+    nor tested, and sizes below its counting start are not walked.
     """
 
     nodes: int
@@ -232,6 +236,7 @@ def _least_cover(
     universe: int,
     accept: Callable[[tuple[int, ...]], bool] | None = None,
     nodes: list[int] | None = None,
+    bound: _MatchingBound | None = None,
 ) -> tuple[int, ...]:
     """Lexicographically least vertex set of least size whose masks cover
     ``universe`` and that ``accept`` takes (every covering set when
@@ -250,6 +255,10 @@ def _least_cover(
     Prune: v is added only when the masks after v can finish the cover in
     the picks left, so only subtrees that hold no covering set are cut.
     Every strong cover is a weak cover, so this is sound for strong too.
+
+    ``bound`` (strong at k = 2) raises the first size to its ``start`` and
+    adds v only when its ``extend`` keeps the prefix; both cut only sizes
+    and subtrees that hold no accepted set (see ``_MatchingBound``).
     """
     n = len(masks)
     # bit of the nearest lower twin u < v, else 0; twins have equal open
@@ -264,7 +273,8 @@ def _least_cover(
         last_open[nb] = last_closed[nb | 1 << v] = v
     found: tuple[int, ...] | None = None
 
-    def search(start_v: int, vmask: int, cov: int, need: int) -> None:
+    def search(start_v: int, vmask: int, cov: int, need: int,
+               state) -> None:
         nonlocal found
         if nodes is not None:
             nodes[0] += 1
@@ -279,16 +289,127 @@ def _least_cover(
             if _min_cover(masks, range(v + 1, n), universe, cov | masks[v],
                           cap=need, nodes=nodes) is None:
                 continue
-            search(v + 1, vmask | 1 << v, cov | masks[v], need - 1)
+            child = (state if bound is None
+                     else bound.extend(state, v, need - 1))
+            if child is None:
+                continue
+            search(v + 1, vmask | 1 << v, cov | masks[v], need - 1, child)
             if found is not None:
                 return
 
-    for size in range(_min_cover(masks, range(n), universe, nodes=nodes),
-                      n + 1):
-        search(0, 0, 0, size)
+    least = _min_cover(masks, range(n), universe, nodes=nodes)
+    for size in range(max(least, bound.start if bound else 0), n + 1):
+        search(0, 0, 0, size, bound.root if bound else ())
         if found is not None:
             return found
     raise AssertionError("the full vertex set is always accepted")
+
+
+class _MatchingBound:
+    """Counting start and deficiency prune of the strong search at k = 2.
+
+    At k = 2 the pairs of a source u are read from adjacency bitmasks, as
+    ``source_pairs`` would give them: the length-1 pairs force u's star; a
+    vertex t at distance 2 with one common neighbour x forces the far edge
+    x-t; one with several is a choice pair whose paths u-x-t each add one
+    edge beyond the forced ones, x-t (a forced far edge ends at a target
+    with a single middle vertex, so it is never such an x-t). So, as in
+    ``feasible_from_pairs``, the most edges one choice of paths from a set
+    P covers is |base(P)| plus the maximum matching of the uncovered edges
+    to choice pairs; the deficiency of P is m minus that. cap(v), v's
+    forced edges plus one per choice pair, that is deg(v) + |N_2(v)|,
+    bounds what v covers alone. A choice for P + {w} splits into choices
+    for P and for w, so adding w lowers the deficiency by at most cap(w).
+
+    - Counting start: ``start`` is the least t whose t largest caps reach
+      m. A smaller set leaves a deficiency, so it is no strong cover.
+    - Deficiency prune: ``extend`` cuts the prefix P + {v} when its
+      deficiency exceeds the summed ``left`` largest caps of the vertices
+      after v. No completion of P + {v} is then a strong cover, so only
+      subtrees holding no accepted set are cut, and the lexicographically
+      least optimum stays the answer.
+
+    The matching grows along the search path. ``extend`` copies its
+    parent's matching and drops the edges v's forced paths cover. It then
+    augments only from the pairs this frees and from v's own choice pairs:
+    the parent's matching was maximum, so every augmenting path starts at
+    one of them, and a pair without one stays without one after later
+    augmentations (Kuhn's lemma). Each suffix of the vertices has its caps
+    sorted and prefix-summed once, the first time the prune reads it.
+    """
+
+    def __init__(self, G: Graph):
+        self.G = G
+        self.full = G.full_edge_mask()
+        # per vertex, built when first added: its forced mask and the ids
+        # of its choice pairs (_source); per choice pair, the edges its
+        # paths add
+        self.sources: dict[int, tuple[int, list[int]]] = {}
+        self.tips: list[list[int]] = []
+        self.nb = nb = [sum(map((1).__lshift__, a)) for a in G.adj]
+        self.far = []  # per vertex, the vertices at distance 2
+        self.caps = []  # cap(v) = deg(v) + |N_2(v)|
+        for v, a in enumerate(G.adj):
+            ball = nb[v] | 1 << v
+            for x in a:
+                ball |= nb[x]
+            self.far.append(ball & ~(nb[v] | 1 << v))
+            self.caps.append(ball.bit_count() - 1)
+        self.tops: dict[int, list[int]] = {}
+        self.start = bisect_left(self._top(0), G.m)
+        self.root: tuple[int, dict[int, int], int] = (0, {}, 0)
+
+    def _top(self, s: int) -> list[int]:
+        """Entry j: the sum of the j largest caps of the vertices from s on;
+        built when first read."""
+        if s not in self.tops:
+            caps = sorted(self.caps[s:], reverse=True)
+            self.tops[s] = list(accumulate(caps, initial=0))
+        return self.tops[s]
+
+    def _source(self, v: int) -> tuple[int, list[int]]:
+        """v's forced mask and the ids of its choice pairs."""
+        if v not in self.sources:
+            edge_id, nb = self.G.edge_id, self.nb
+            forced = 0
+            for x in self.G.adj[v]:
+                forced |= 1 << edge_id(v, x)
+            first = len(self.tips)
+            for t in _bits(self.far[v]):
+                tips = [edge_id(x, t) for x in _bits(nb[t] & nb[v])]
+                if len(tips) == 1:
+                    forced |= 1 << tips[0]
+                else:
+                    self.tips.append(tips)
+            self.sources[v] = forced, list(range(first, len(self.tips)))
+        return self.sources[v]
+
+    def extend(self, state: tuple[int, dict[int, int], int], v: int,
+               left: int | None = None):
+        """The state of the prefix extended by v, or None when it is cut,
+        that is when ``left`` is given and the deficiency exceeds the
+        summed ``left`` largest caps after v. A state is (base, matching
+        as edge -> pair, bitmask of the matched edges)."""
+        base, owner, held = state
+        forced, ids = self._source(v)
+        base |= forced
+        freed = held & forced  # their pairs are free again
+        held ^= freed
+        gap = (self.full & ~(base | held)).bit_count()
+        cut = None if left is None else self._top(v + 1)[left]
+        if cut is not None and gap - freed.bit_count() - len(ids) > cut:
+            return None  # even if every free pair gains an edge
+        owner = dict(owner)
+        free = [owner.pop(e) for e in _bits(freed)] + ids if freed else ids
+        dead: set[int] = set()
+        for q in free:
+            e = augment(q, self.tips, owner, base, dead)
+            if e is not None:
+                held |= 1 << e
+                gap -= 1
+        if cut is not None and gap > cut:
+            return None
+        return base, owner, held
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +455,9 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     least optimum.
 
     Strong sizes ascend from the weak optimum: a strong cover is a weak
-    cover, so no smaller size can succeed. The other lower bounds of
+    cover, so no smaller size can succeed. At k = 2 they ascend from the
+    counting start of ``_MatchingBound`` when it is higher, and its
+    deficiency prune cuts prefixes. The other lower bounds of
     ``compute_bounds`` never start higher: a weak cover reaches an edge at
     every vertex within distance k, so it dominates at distance k; an edge
     joining two simplicial vertices of one clique lies only on geodesics
@@ -360,8 +483,10 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
         witness = feasible_from_pairs(G, tuple(pair_list))
         return witness is not None
 
+    bound = _MatchingBound(G) if variant == STRONG and k == 2 else None
     chosen = _least_cover(G, masks, G.full_edge_mask(),
-                          feasible if variant == STRONG else None, nodes)
+                          feasible if variant == STRONG else None, nodes,
+                          bound)
     return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
                        SolveStats(nodes[0], time.perf_counter() - start))
 

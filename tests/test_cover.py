@@ -27,6 +27,7 @@ from pathcover.cover import (
     path_edge_mask,
     source_pairs,
 )
+from pathcover.solve import _oracle_strong_feasible
 from conftest import family, family_graphs, random_connected_graph
 
 
@@ -196,13 +197,10 @@ def test_empty_graph_trivially_covered():
     assert witness is not None and witness.assignments == ()
 
 
-def test_feasible_from_pairs_long_ladder_needs_no_recursion():
-    """Rail a of a 1,100-rung ladder strongly covers it at k = 2. Rung and
-    rail pairs are forced; each rail-b edge needs its own diagonal pair, so
-    the search assigns 1,099 pairs in a row. The pairs are built directly,
-    so the test exercises the search alone."""
-    rungs = 1100
-    # rail a is 0..rungs-1, rail b is rungs..2*rungs-1, rung i joins i, rungs+i
+def _ladder(rungs):
+    """A ladder with rails 0..rungs-1 (a) and rungs..2*rungs-1 (b), rung i
+    joining i and rungs+i: the graph, the k = 2 pairs from rail a built
+    directly, and the builder ``pair(u, v, *paths)`` of further pairs."""
     edges = [(i, rungs + i) for i in range(rungs)]
     edges += [(i, i + 1) for i in range(rungs - 1)]
     edges += [(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
@@ -222,9 +220,33 @@ def test_feasible_from_pairs_long_ladder_needs_no_recursion():
         if i > 0:
             pairs.append(pair(i, rungs + i - 1, (i, i - 1, rungs + i - 1),
                               (i, rungs + i, rungs + i - 1)))
+    return G, pairs, pair
+
+
+def test_feasible_from_pairs_long_ladder_needs_no_recursion():
+    """Rail a of a 1,100-rung ladder strongly covers it at k = 2. Rung and
+    rail pairs are forced; each rail-b edge needs its own diagonal pair, so
+    the matching gives 1,099 pairs an edge each. The pairs are built
+    directly, so the test exercises the search alone."""
+    G, pairs, _ = _ladder(1100)
     witness = feasible_from_pairs(G, tuple(pairs))
     assert witness is not None
     assert witness.covered == G.full_edge_mask()
+
+
+def test_backtracking_long_ladder_needs_no_recursion():
+    """The ladder above plus one length-3 pair whose path adds two rail-b
+    edges, which turns off the matching leaf: the backtracking search then
+    assigns about 1,100 pairs in a row on its own stack."""
+    rungs = 1100
+    G, pairs, pair = _ladder(rungs)
+    pairs.append(pair(0, rungs + 2, (0, 1, 2, rungs + 2),
+                      (0, rungs, rungs + 1, rungs + 2)))
+    witness = feasible_from_pairs(G, tuple(pairs))
+    assert witness is not None
+    assert witness.covered == G.full_edge_mask()
+    # rail b has rungs - 1 edges; the extra pair adds at most two of them
+    assert sum(len(path) > 2 for _, path in witness.assignments) >= rungs - 2
 
 
 def _source_pairs_cases():
@@ -326,6 +348,14 @@ def test_strong_feasible_edgeless(n):
         StrongWitness((), 0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_verify_weak_cover_edgeless(n):
+    # the same rule as strong_feasible: an edgeless graph is covered
+    G = build_graph(n, [])
+    assert verify_weak_cover(G, range(n), 2)
+    assert verify_weak_cover(G, range(min(n, 1)), 2)
+
+
 def test_source_out_of_range_refused():
     G = family("cycle", 5)
     for check in (verify_weak_cover, strong_feasible):
@@ -385,3 +415,45 @@ def test_source_pairs_match_enumeration_on_wide_graphs(name, params):
     G = family(name, *params)
     assert G.n >= 40
     _assert_pairs_match_enumeration(G, (2, 3))
+
+
+def _k2_feasibility_case(seed):
+    """A random connected graph with 4 to 11 vertices and a source set:
+    for even seeds up to half the vertices at random, for odd seeds the
+    shortest prefix of a random order that covers weakly, sometimes with
+    one more vertex, so that few answers follow from the weak cover."""
+    rng = random.Random(seed)
+    G = build_graph(0, [])
+    while G.n < 4:
+        G = random_connected_graph(rng, max_n=11,
+                                   edge_prob=rng.choice((0.3, 0.45, 0.6)))
+    order = rng.sample(range(G.n), G.n)
+    if seed % 2 == 0:
+        return G, sorted(order[:rng.randint(1, (G.n + 1) // 2)])
+    size, weak = 0, 0
+    while weak != G.full_edge_mask():
+        weak |= weak_cover_set(G, order[size], 2)
+        size += 1
+    return G, sorted(order[:size + rng.randint(0, 1)])
+
+
+def test_matching_leaf_agrees_with_oracle():
+    """At k = 2 ``feasible_from_pairs`` decides by matching; the oracle
+    tries every choice of one geodesic per pair. Both must agree, and every
+    witness must check out."""
+    outcomes = {"feasible": 0, "infeasible": 0, "weakly covered": 0}
+    for seed in range(400):
+        G, S = _k2_feasibility_case(seed)
+        pairs = tuple(p for u in S for p in source_pairs(G, u, 2))
+        witness = feasible_from_pairs(G, pairs)
+        assert (witness is None) == \
+            (_oracle_strong_feasible(G, list(pairs)) is None), seed
+        if witness is not None:
+            assert verify_strong_witness(G, S, 2, witness), seed
+            outcomes["feasible"] += 1
+        else:
+            outcomes["infeasible"] += 1
+            if verify_weak_cover(G, S, 2):
+                outcomes["weakly covered"] += 1
+    # both answers occur, and some refusals are not read off the weak cover
+    assert min(outcomes.values()) >= 30, outcomes

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -19,7 +19,8 @@ from pathcover import (
     verify_weak_cover,
     vertex_cover_exact,
 )
-from pathcover.solve import _min_cover
+from pathcover.cover import source_pairs
+from pathcover.solve import _MatchingBound, _min_cover
 from conftest import family, random_connected_graph
 
 
@@ -139,6 +140,20 @@ def test_strong_exact_bipartite_frontier():
     G = family("complete_bipartite", 4, 14)
     result = solve_exact(G, 2, "strong")
     assert (result.optimum, result.set) == (4, (0, 1, 2, 3))
+    assert verify_strong_witness(G, result.set, 2, result.witness)
+
+
+@pytest.mark.parametrize("name,params,optimum,chosen", [
+    ("double_fan", (15,), 4, (2, 6, 10, 14)),
+    ("crown", (10,), 6, (0, 1, 2, 10, 11, 12)),
+])
+def test_strong_exact_matching_frontier(name, params, optimum, chosen):
+    # the matching leaf and the deficiency bound make these take
+    # milliseconds; with backtracking leaves alone double_fan(15) takes
+    # about 40 s and crown(10) about 11 s
+    G = family(name, *params)
+    result = solve_exact(G, 2, "strong")
+    assert (result.optimum, result.set) == (optimum, chosen)
     assert verify_strong_witness(G, result.set, 2, result.witness)
 
 
@@ -329,3 +344,38 @@ def test_min_cover_matches_brute_force(masks, allowed, universe, pre):
             assert got is None, cap
         else:
             assert got is not None and least <= got < cap, cap
+
+
+def _max_strong_coverage(pairs):
+    """The most edges one choice of paths covers, by trying every choice
+    of one path per pair (an omitted pair would add nothing); pairs with
+    one path come first, which keeps the set of distinct unions small."""
+    unions = {0}
+    for p in sorted(pairs, key=lambda p: len(p.masks)):
+        unions = {u | m for u in unions for m in p.masks}
+    return max(map(int.bit_count, unions))
+
+
+def test_deficiency_is_edges_the_best_choice_leaves():
+    """The deficiency ``_MatchingBound`` keeps along a search path, the
+    edges neither its forced paths nor its matching cover, is m minus the
+    most edges any choice of ``source_pairs`` paths covers, after each
+    vertex added in any order; alone, a vertex leaves m - cap(v)."""
+    def deficiency(state):
+        base, _, held = state
+        return (G.full_edge_mask() & ~(base | held)).bit_count()
+
+    for seed in range(300):
+        rng = random.Random(seed)
+        G = random_connected_graph(rng, max_n=8)
+        bound = _MatchingBound(G)
+        order = rng.sample(range(G.n), G.n)
+        state = bound.root
+        for i, v in enumerate(order):
+            state = bound.extend(state, v)
+            pairs = [p for u in order[:i + 1] for p in source_pairs(G, u, 2)]
+            assert deficiency(state) == G.m - _max_strong_coverage(pairs), \
+                (seed, order[:i + 1])
+        caps = [G.m - deficiency(bound.extend(bound.root, v))
+                for v in range(G.n)]
+        assert bound._top(0) == [0, *accumulate(sorted(caps, reverse=True))]
