@@ -65,14 +65,20 @@ def weak_cover_set(G: Graph, u: int, k: int) -> int:
     return mask
 
 
-def verify_weak_cover(G: Graph, S: Iterable[int], k: int) -> bool:
-    """True iff the weak cover sets of S jointly cover every edge. As in
-    ``strong_feasible``, an edgeless graph is covered by any S, and a
-    disconnected graph with edges is refused when S is not empty."""
+def _vertex_set(G: Graph, S: Iterable[int]) -> set[int]:
+    """The vertices of S; refuses one out of range."""
     sources = set(S)
     for u in sources:
         if not 0 <= u < G.n:
             raise VertexRangeError(f"vertex {u} out of range for n={G.n}")
+    return sources
+
+
+def verify_weak_cover(G: Graph, S: Iterable[int], k: int) -> bool:
+    """True iff the weak cover sets of S jointly cover every edge. As in
+    ``strong_feasible``, an edgeless graph is covered by any S, and a
+    disconnected graph with edges is refused when S is not empty."""
+    sources = _vertex_set(G, S)
     if G.m == 0:
         return True
     if sources:
@@ -323,10 +329,7 @@ def strong_feasible(
     As in ``verify_weak_cover``, an edgeless graph is covered by any S (the
     empty witness), and a disconnected graph with edges is refused when S
     is not empty."""
-    sources = sorted(set(S))
-    for u in sources:
-        if not 0 <= u < G.n:
-            raise VertexRangeError(f"vertex {u} out of range for n={G.n}")
+    sources = sorted(_vertex_set(G, S))
     if G.m == 0:
         return StrongWitness((), 0)
     if sources:
@@ -347,7 +350,7 @@ def verify_strong_witness(
     and d(u, v) <= k, so each source's BFS stops at depth k: a target
     beyond it is rejected whatever its distance.
     """
-    sset = set(S)
+    sset = _vertex_set(G, S)
     dist_cache: dict[int, dict[int, int]] = {}
     seen: set[tuple[int, int]] = set()
     union = 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Sequence
 
@@ -257,8 +257,9 @@ def _least_cover(
     Every strong cover is a weak cover, so this is sound for strong too.
 
     ``bound`` (strong at k = 2) raises the first size to its ``start`` and
-    adds v only when its ``extend`` keeps the prefix; both cut only sizes
-    and subtrees that hold no accepted set (see ``_MatchingBound``).
+    adds v only when its ``extend`` keeps the prefix, which at a full set
+    is the strong cover test; both cut only sizes and subtrees that hold no
+    strong cover (see ``_MatchingBound``).
     """
     n = len(masks)
     # bit of the nearest lower twin u < v, else 0; twins have equal open
@@ -306,28 +307,32 @@ def _least_cover(
 
 
 class _MatchingBound:
-    """Counting start and deficiency prune of the strong search at k = 2.
+    """Bounds, leaf test and witness of the strong search at k = 2.
 
-    At k = 2 the pairs of a source u are read from adjacency bitmasks, as
-    ``source_pairs`` would give them: the length-1 pairs force u's star; a
-    vertex t at distance 2 with one common neighbour x forces the far edge
-    x-t; one with several is a choice pair whose paths u-x-t each add one
-    edge beyond the forced ones, x-t (a forced far edge ends at a target
-    with a single middle vertex, so it is never such an x-t). So, as in
-    ``feasible_from_pairs``, the most edges one choice of paths from a set
-    P covers is |base(P)| plus the maximum matching of the uncovered edges
-    to choice pairs; the deficiency of P is m minus that. cap(v), v's
-    forced edges plus one per choice pair, that is deg(v) + |N_2(v)|,
-    bounds what v covers alone. A choice for P + {w} splits into choices
-    for P and for w, so adding w lowers the deficiency by at most cap(w).
+    A source v's pairs are ``source_pairs(G, v, 2)``. The union of its
+    one-path pairs, v's forced mask, holds its star, so a path v-x-t of a
+    choice pair adds one edge beyond it, x-t, a distinct one per middle x
+    (x-t is not forced: a forced far edge joins a target to its only
+    middle vertex, and t has several). So, as in ``feasible_from_pairs``,
+    the most edges one choice of paths from a set P covers is |base(P)|
+    plus the maximum matching of the uncovered edges to choice pairs; the
+    deficiency of P is m minus that. cap(v), v's forced edges plus one per
+    choice pair, that is deg(v) + |N_2(v)|, bounds what v covers alone. A
+    choice for P + {w} splits into choices for P and for w, so adding w
+    lowers the deficiency by at most cap(w).
 
     - Counting start: ``start`` is the least t whose t largest caps reach
       m. A smaller set leaves a deficiency, so it is no strong cover.
     - Deficiency prune: ``extend`` cuts the prefix P + {v} when its
       deficiency exceeds the summed ``left`` largest caps of the vertices
       after v. No completion of P + {v} is then a strong cover, so only
-      subtrees holding no accepted set are cut, and the lexicographically
+      subtrees holding no strong cover are cut, and the lexicographically
       least optimum stays the answer.
+    - Leaf test: at ``left`` = 0 the cut is 0, so ``extend`` keeps a full
+      set, as ``leaf``, only when it leaves no deficiency: when its forced
+      paths and its matched pairs' paths cover every edge, one path per
+      pair (``witness``). That is a strong cover, and every strong cover
+      leaves none, so no second proof is needed.
 
     The matching grows along the search path. ``extend`` copies its
     parent's matching and drops the edges v's forced paths cover. It then
@@ -341,23 +346,19 @@ class _MatchingBound:
     def __init__(self, G: Graph):
         self.G = G
         self.full = G.full_edge_mask()
-        # per vertex, built when first added: its forced mask and the ids
-        # of its choice pairs (_source); per choice pair, the edges its
-        # paths add
-        self.sources: dict[int, tuple[int, list[int]]] = {}
-        self.tips: list[list[int]] = []
-        self.nb = nb = [sum(map((1).__lshift__, a)) for a in G.adj]
-        self.far = []  # per vertex, the vertices at distance 2
+        self.sources: dict[int, tuple[int, list[int], list[tuple]]] = {}
+        self.tips: list[dict[int, tuple]] = []  # per choice pair: edge -> path
+        nb = [sum(map((1).__lshift__, a)) for a in G.adj]
         self.caps = []  # cap(v) = deg(v) + |N_2(v)|
         for v, a in enumerate(G.adj):
             ball = nb[v] | 1 << v
             for x in a:
                 ball |= nb[x]
-            self.far.append(ball & ~(nb[v] | 1 << v))
             self.caps.append(ball.bit_count() - 1)
         self.tops: dict[int, list[int]] = {}
         self.start = bisect_left(self._top(0), G.m)
         self.root: tuple[int, dict[int, int], int] = (0, {}, 0)
+        self.leaf = self.root
 
     def _top(self, s: int) -> list[int]:
         """Entry j: the sum of the j largest caps of the vertices from s on;
@@ -367,21 +368,21 @@ class _MatchingBound:
             self.tops[s] = list(accumulate(caps, initial=0))
         return self.tops[s]
 
-    def _source(self, v: int) -> tuple[int, list[int]]:
-        """v's forced mask and the ids of its choice pairs."""
+    def _source(self, v: int) -> tuple[int, list[int], list[tuple]]:
+        """v's forced mask, the ids of its choice pairs and the paths of its
+        one-path pairs, read from ``source_pairs`` when v is first added. A
+        choice pair's tips map the edge each path adds beyond the forced
+        mask, its last, to that path."""
         if v not in self.sources:
-            edge_id, nb = self.G.edge_id, self.nb
-            forced = 0
-            for x in self.G.adj[v]:
-                forced |= 1 << edge_id(v, x)
-            first = len(self.tips)
-            for t in _bits(self.far[v]):
-                tips = [edge_id(x, t) for x in _bits(nb[t] & nb[v])]
-                if len(tips) == 1:
-                    forced |= 1 << tips[0]
+            forced, ones, first = 0, [], len(self.tips)
+            for p in source_pairs(self.G, v, 2):
+                if len(p.paths) == 1:
+                    forced |= p.masks[0]
+                    ones.append(p.paths[0])
                 else:
-                    self.tips.append(tips)
-            self.sources[v] = forced, list(range(first, len(self.tips)))
+                    self.tips.append({self.G.edge_id(x, t): (v, x, t)
+                                      for _, x, t in p.paths})
+            self.sources[v] = forced, list(range(first, len(self.tips))), ones
         return self.sources[v]
 
     def extend(self, state: tuple[int, dict[int, int], int], v: int,
@@ -391,7 +392,7 @@ class _MatchingBound:
         summed ``left`` largest caps after v. A state is (base, matching
         as edge -> pair, bitmask of the matched edges)."""
         base, owner, held = state
-        forced, ids = self._source(v)
+        forced, ids, _ = self._source(v)
         base |= forced
         freed = held & forced  # their pairs are free again
         held ^= freed
@@ -409,7 +410,18 @@ class _MatchingBound:
                 gap -= 1
         if cut is not None and gap > cut:
             return None
+        if left == 0:
+            self.leaf = base, owner, held
         return base, owner, held
+
+    def witness(self, chosen: Sequence[int], state) -> StrongWitness:
+        """Every one-path pair's path of ``chosen`` and, per matched edge of
+        its ``state``, the path of the edge's pair adding it."""
+        base, owner, held = state
+        paths = [path for v in chosen for path in self.sources[v][2]]
+        paths += [self.tips[q][e] for e, q in owner.items()]
+        return StrongWitness(tuple(sorted(((p[0], p[-1]), p) for p in paths)),
+                             base | held)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +448,7 @@ def _clique_lower_bound(G: Graph) -> int:
 def _degree_lower_bound(G: Graph, k: int) -> int | None:
     """ceil(m (D-2) / (D ((D-1)^k - 1))) for maximum degree D >= 3; a single
     source covers at most D ((D-1)^k - 1) / (D-2) edges weakly."""
-    if G.n == 0:
-        return None
-    deg_max = max((G.degree(v) for v in range(G.n)), default=0)
+    deg_max = max(G.degree(v) for v in range(G.n))
     if deg_max < 3:
         return None
     num = G.m * (deg_max - 2)
@@ -449,10 +459,10 @@ def _degree_lower_bound(G: Graph, k: int) -> int | None:
 def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     """Provably optimal cover of the requested variant: ``_least_cover``
     over the per-vertex weak coverage masks. Weak takes the first covering
-    set; strong takes the first one the exact fixed-geodesic search proves
-    feasible, with its witness, building a vertex's source pairs the first
-    time it is in such a set. Either way the set is the lexicographically
-    least optimum.
+    set; strong at k = 2 the first one ``_MatchingBound`` keeps, witnessed
+    by its matching, and at other k the first one ``feasible_from_pairs``
+    proves feasible, with its witness. A vertex's source pairs are built at
+    most once. Either way the set is the lexicographically least optimum.
 
     Strong sizes ascend from the weak optimum: a strong cover is a weak
     cover, so no smaller size can succeed. At k = 2 they ascend from the
@@ -485,8 +495,10 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
 
     bound = _MatchingBound(G) if variant == STRONG and k == 2 else None
     chosen = _least_cover(G, masks, G.full_edge_mask(),
-                          feasible if variant == STRONG else None, nodes,
-                          bound)
+                          feasible if variant == STRONG and bound is None
+                          else None, nodes, bound)
+    if bound is not None:
+        witness = bound.witness(chosen, bound.leaf)
     return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
                        SolveStats(nodes[0], time.perf_counter() - start))
 
@@ -706,15 +718,8 @@ class Bounds:
     half_ub: int | None
 
     def as_dict(self) -> dict:
-        return {
-            "domination_lb": self.domination_lb,
-            "degree_lb": self.degree_lb,
-            "clique_lb": self.clique_lb,
-            "trivial_ub": self.trivial_ub,
-            "order_diameter_ub": self.order_diameter_ub,
-            "diameter_ub": self.diameter_ub,
-            "half_ub": self.half_ub,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "k"}
 
 
 def compute_bounds(G: Graph, k: int) -> Bounds:

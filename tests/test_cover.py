@@ -358,7 +358,12 @@ def test_verify_weak_cover_edgeless(n):
 
 def test_source_out_of_range_refused():
     G = family("cycle", 5)
-    for check in (verify_weak_cover, strong_feasible):
+    witness = strong_feasible(G, [0, 1], 2)
+
+    def check_witness(G, S, k):
+        return verify_strong_witness(G, [0, 1, *S], k, witness)
+
+    for check in (verify_weak_cover, strong_feasible, check_witness):
         for S in ([5], [0, -1]):
             with pytest.raises(VertexRangeError):
                 check(G, S, 2)

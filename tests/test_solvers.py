@@ -19,7 +19,8 @@ from pathcover import (
     verify_weak_cover,
     vertex_cover_exact,
 )
-from pathcover.cover import source_pairs
+from pathcover import solve
+from pathcover.cover import path_edge_mask, source_pairs
 from pathcover.solve import _MatchingBound, _min_cover
 from conftest import family, random_connected_graph
 
@@ -360,7 +361,9 @@ def test_deficiency_is_edges_the_best_choice_leaves():
     """The deficiency ``_MatchingBound`` keeps along a search path, the
     edges neither its forced paths nor its matching cover, is m minus the
     most edges any choice of ``source_pairs`` paths covers, after each
-    vertex added in any order; alone, a vertex leaves m - cap(v)."""
+    vertex added in any order; the witness read from the state covers
+    exactly those edges with one of its pairs' paths per pair; alone, a
+    vertex leaves m - cap(v)."""
     def deficiency(state):
         base, _, held = state
         return (G.full_edge_mask() & ~(base | held)).bit_count()
@@ -376,6 +379,41 @@ def test_deficiency_is_edges_the_best_choice_leaves():
             pairs = [p for u in order[:i + 1] for p in source_pairs(G, u, 2)]
             assert deficiency(state) == G.m - _max_strong_coverage(pairs), \
                 (seed, order[:i + 1])
+            paths = {(p.source, p.target): p.paths for p in pairs}
+            witness = bound.witness(order[:i + 1], state)
+            union = 0
+            for pair, path in witness.assignments:
+                assert path in paths.pop(pair), (seed, pair)
+                union |= path_edge_mask(G, path)
+            assert union == witness.covered
+            assert union.bit_count() == G.m - deficiency(state), seed
         caps = [G.m - deficiency(bound.extend(bound.root, v))
                 for v in range(G.n)]
         assert bound._top(0) == [0, *accumulate(sorted(caps, reverse=True))]
+
+
+def test_strong_k2_search_proves_its_own_leaf(monkeypatch):
+    """At k = 2 the strong search's matching is its only proof: no
+    ``feasible_from_pairs`` call, at most one ``source_pairs`` call per
+    vertex, and the witness read from the matching verifies."""
+    proofs, built = [], []
+    real_source_pairs = solve.source_pairs
+
+    def counted_source_pairs(G, u, k):
+        built.append(u)
+        return real_source_pairs(G, u, k)
+
+    monkeypatch.setattr(solve, "feasible_from_pairs",
+                        lambda *args: proofs.append(args))
+    monkeypatch.setattr(solve, "source_pairs", counted_source_pairs)
+    rng = random.Random(2)
+    graphs = [family("crown", 6), family("double_fan", 10),
+              family("complete_bipartite", 3, 3), family("cycle", 10)]
+    graphs += [random_connected_graph(rng, max_n=12) for _ in range(200)]
+    for G in graphs:
+        built.clear()
+        result = solve_exact(G, 2, "strong")
+        assert proofs == []
+        assert len(built) == len(set(built))
+        assert verify_strong_witness(G, result.set, 2, result.witness), \
+            result.set
