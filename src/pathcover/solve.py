@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, fields
+from functools import reduce
 from itertools import accumulate, combinations
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .cover import (
@@ -27,9 +30,7 @@ from .graph import (
     VertexRangeError,
     bfs_distances,
     enumerate_geodesics,
-    maximal_cliques,
     require_connected,
-    simplicial_vertices,
 )
 
 WEAK = "weak"
@@ -56,10 +57,12 @@ class SolveStats:
     ``_least_cover`` subset search plus every search node of the
     ``_min_cover`` calls it makes (the optimum it starts from and the test
     of each added vertex); for greedy, the vertices picked; for the oracle,
-    the subsets tried. A ``_min_cover`` call that its root bound or its
-    greedy cover answers adds no node, and a test stops at its first cover
-    under the cap, so these counts are lower than before those rules. At
-    k = 2 strong, a vertex that ``_MatchingBound`` cuts is neither entered
+    the subsets tried. A ``_min_cover`` call adds no node when its root
+    checks answer it: an empty remainder, a cap of 1, the top-t bound, the
+    union, the greedy cover or the disjoint-elements bound at the root. A
+    search node is counted when entered, before its own disjoint-elements
+    cut, and a test stops at its first cover under the cap. At k = 2
+    strong, a vertex that ``_MatchingBound`` cuts is neither entered
     nor tested, and sizes below its counting start are not walked.
     """
 
@@ -123,13 +126,33 @@ def _greedy_cover(masks: Sequence[int], universe: int) -> list[int]:
     return chosen
 
 
+def _branch_coverers(sets: Iterable[int], left: int) -> int | None:
+    """The fewest coverers of an element, from ``sets``, the live coverer
+    bitmasks of the elements a node leaves; or None when no cover within
+    ``left`` more picks exists there: an element has no coverer, or more
+    than ``left`` elements, gathered fewest coverers first, have pairwise
+    disjoint coverers."""
+    order = sorted(sets, key=int.bit_count)
+    if not order[0]:
+        return None
+    used = count = 0
+    for c in order:
+        if not c & used:
+            used |= c
+            count += 1
+            if count > left:
+                return None
+    return order[0]
+
+
 def _min_cover(
     masks: Sequence[int],
-    allowed: Iterable[int],
+    allowed: Sequence[int],
     universe: int,
     pre: int = 0,
     cap: int | None = None,
     nodes: list[int] | None = None,
+    index: list[int] | None = None,
 ) -> int | None:
     """Size of a cover of ``universe`` by ``pre`` and masks from
     ``allowed``, or None when there is none. Without ``cap`` the size is
@@ -138,46 +161,56 @@ def _min_cover(
     such cover, not necessarily the least, or None when every cover has
     ``cap`` masks or more.
 
-    The search works on ``mk``, the masks cut down to what ``pre`` leaves,
-    largest first, and branches on the element with the fewest coverers,
-    the lowest such element on ties. Each rule below keeps the answer:
+    ``index`` is the coverer index of ``masks`` over ``universe``: entry e
+    is the bitmask of the indices of the masks holding element e. Calls on
+    the same masks and universe may share one list; the first call that
+    gets past the greedy cover fills it when it is empty. The search
+    branches on the element with the fewest live coverers, ``live`` being
+    the masks a node may still take. Each rule below keeps the answer:
 
+    - Top-t bound, at the root: t = best - 1 picks must beat the best size
+      known, and t picks cover at most the sum of their gains, so when
+      the t largest gains sum to less than the elements left no smaller
+      cover exists. It runs against ``cap``, and, without one, against the
+      greedy size, which it proves least when it cuts.
     - Greedy early return: under ``cap``, a greedy cover smaller than
       ``cap`` already answers the question, so no search is made.
+    - Coverer index: which masks hold an element depends neither on
+      ``pre``, nor on ``allowed``, nor on the picks, so one index serves
+      every call and node, read through ``live``. A pick covers exactly
+      the elements whose coverers hold it, so a node keeps each distinct
+      coverer bitmask of the elements it leaves once: elements with equal
+      coverers are covered together.
+    - Disjoint elements: elements whose live coverers are pairwise
+      disjoint need one pick each, as no mask holds two of them. A node
+      that gathers, fewest coverers first, more of them than the picks
+      left to beat the best size holds no better cover and is cut. The
+      root is checked before any mask is dropped; without ``cap`` a cut
+      there proves the greedy size least. At k = 1, with edges as
+      elements, this is the matching bound of vertex cover.
+    - Dominated masks: a cover that takes a mask lying, on what ``pre``
+      leaves, inside another stays a cover, of no greater size, with the
+      larger mask instead. So ``live`` starts with only the masks inside
+      no other kept one, of equal masks one.
     - First leaf under ``cap``: the search bound starts at ``cap``, so any
       leaf it reaches is a cover smaller than ``cap`` and ends the call.
-    - Top-t bound: a node at ``depth`` may take t = best - 1 - depth more
-      picks to beat the best size known. t picks cover at most the sum of
-      their gains on ``rem``, so when the t largest gains sum to less than
-      ``|rem|`` no completion beats it and the node is cut. This is never
-      weaker than ceil(|rem| / max gain) > t, since t * max gain is at
-      least the top-t sum. It runs at the root before any set-up: against
-      ``cap``, and, without one, against the greedy size, which it proves
-      least when it cuts.
-    - Dominated masks: a cover that takes a mask lying inside another
-      stays a cover, of no greater size, with the larger mask instead. So
-      the search keeps only masks inside no kept one, of equal masks the
-      first.
-    - Option order: the coverers of the branching element are tried by
-      falling gain, ties in ``mk`` order (the sort is stable). Order
-      changes only which cover is met first, never which sizes exist.
+    - Sibling exclusion: once option i of the branching element is
+      searched, every cover holding i and smaller than the best size was
+      met below it, so the later options search without i.
+    - Option order: options are tried by falling gain. Order changes only
+      which cover is met first, never which sizes exist.
     """
     rem0 = universe & ~pre
     if rem0 == 0:
         return 0
     if cap is not None and cap <= 1:  # an uncovered element needs a pick
         return None
-    mk = sorted(filter(None, map(rem0.__and__, map(masks.__getitem__,
-                                                      allowed))),
-                key=int.bit_count, reverse=True)
-    gains = list(map(int.bit_count, mk))
+    mk = [masks[i] & rem0 for i in allowed]
+    gains = sorted(map(int.bit_count, mk), reverse=True)
     need = rem0.bit_count()
     if cap is not None and sum(gains[:cap - 1]) < need:
         return None
-    total = 0
-    for m in mk:
-        total |= m
-    if total != rem0:
+    if reduce(or_, mk, 0) != rem0:
         return None
     best = len(_greedy_cover(mk, rem0))
     if cap is not None:
@@ -186,45 +219,51 @@ def _min_cover(
         best = cap
     elif sum(gains[:best - 1]) < need:
         return best
+    if index is None:
+        index = []
+    if not index:
+        index.extend([0] * universe.bit_length())
+        for i, m in enumerate(masks):
+            for e in _bits(m & universe):
+                index[e] |= 1 << i
+    live = sum(map((1).__lshift__, allowed))
+    sets = {index[e] & live for e in _bits(rem0)}
+    if _branch_coverers(sets, best - 1) is None:
+        return None if cap is not None else best
     kept: list[int] = []
-    for m in mk:
-        if m not in map(m.__and__, kept):  # m lies inside no kept mask
+    # a mask comes after every larger one: its integer is smaller
+    for m, i in sorted(zip(mk, allowed), reverse=True):
+        if m in map(m.__and__, kept):  # m lies inside a kept mask
+            live &= ~(1 << i)
+        else:
             kept.append(m)
-    mk = kept
-    coverers: dict[int, list[int]] = {e: [] for e in _bits(rem0)}
-    for i, m in enumerate(mk):
-        for e in _bits(m):
-            coverers[e].append(i)
-    # the elements by coverer count, one bitmask per count, fewest first
-    by_count: dict[int, int] = {}
-    for e, cs in coverers.items():
-        by_count[len(cs)] = by_count.get(len(cs), 0) | 1 << e
-    levels = [by_count[c] for c in sorted(by_count)]
 
-    def dfs(cover: int, depth: int) -> bool:
-        """Search below ``cover``; True ends the call under ``cap``."""
+    def dfs(rem: int, sets: set[int], depth: int) -> bool:
+        """Search the node leaving ``rem``, whose elements have the live
+        coverers ``sets``; True ends the call under ``cap``."""
         nonlocal best
         if nodes is not None:
             nodes[0] += 1
-        rem = rem0 & ~cover
         if not rem:
             best = depth
             return cap is not None
-        g = list(map(int.bit_count, map(rem.__and__, mk)))
-        if sum(sorted(g, reverse=True)[:best - 1 - depth]) < rem.bit_count():
+        options = _branch_coverers(sets, best - 1 - depth)
+        if options is None:
             return False
-        for level in levels:  # the lowest element with fewest coverers
-            if rem & level:
-                break
-        e = (rem & level & -(rem & level)).bit_length() - 1
-        for i in sorted(coverers[e], key=g.__getitem__, reverse=True):
+        keep = -1  # every mask but the options already searched
+        for i in sorted(_bits(options),
+                        key=lambda i: (masks[i] & rem).bit_count(),
+                        reverse=True):
             if depth + 1 >= best:
                 break
-            if dfs(cover | mk[i], depth + 1):
+            bit = 1 << i
+            if dfs(rem & ~masks[i],
+                   {c & keep for c in sets if not c & bit}, depth + 1):
                 return True
+            keep &= ~bit
         return False
 
-    dfs(0, 0)
+    dfs(rem0, {c & live for c in sets}, 0)
     if cap is not None and best == cap:
         return None
     return best
@@ -255,6 +294,8 @@ def _least_cover(
     Prune: v is added only when the masks after v can finish the cover in
     the picks left, so only subtrees that hold no covering set are cut.
     Every strong cover is a weak cover, so this is sound for strong too.
+    The optimum and every test cover ``universe`` with the same masks, so
+    they share one coverer index (see ``_min_cover``).
 
     ``bound`` (strong at k = 2) raises the first size to its ``start`` and
     adds v only when its ``extend`` keeps the prefix, which at a full set
@@ -288,7 +329,7 @@ def _least_cover(
             if twin_bit[v] & ~vmask:
                 continue
             if _min_cover(masks, range(v + 1, n), universe, cov | masks[v],
-                          cap=need, nodes=nodes) is None:
+                          need, nodes, index) is None:
                 continue
             child = (state if bound is None
                      else bound.extend(state, v, need - 1))
@@ -298,7 +339,8 @@ def _least_cover(
             if found is not None:
                 return
 
-    least = _min_cover(masks, range(n), universe, nodes=nodes)
+    index: list[int] = []  # filled by the first call that needs it
+    least = _min_cover(masks, range(n), universe, nodes=nodes, index=index)
     for size in range(max(least, bound.start if bound else 0), n + 1):
         search(0, 0, 0, size, bound.root if bound else ())
         if found is not None:
@@ -432,17 +474,14 @@ def _clique_lower_bound(G: Graph) -> int:
     """Sum of (s - 1) over maximal cliques containing s >= 2 simplicial
     vertices. Edges between two simplicial vertices lie on no geodesic other
     than themselves, so covering them needs a vertex cover of the clique they
-    span; simplicial vertices belong to exactly one maximal clique, so the
-    cliques never share them."""
-    simp = simplicial_vertices(G)
-    if not simp:
-        return 0
-    bound = 0
-    for clique in maximal_cliques(G):
-        s = sum(1 for v in clique if v in simp)
-        if s >= 2:
-            bound += s - 1
-    return bound
+    span. A simplicial vertex v lies in exactly one maximal clique, N[v], so
+    the cliques never share them, and grouping the simplicial vertices by
+    their closed neighbourhoods gives each clique's s."""
+    closed = [sum(1 << w for w in a) | 1 << v for v, a in enumerate(G.adj)]
+    # v is simplicial when N[v] lies in N[w] for every neighbour w
+    groups = Counter(c for v, c in enumerate(closed)
+                     if not any(c & ~closed[w] for w in G.adj[v]))
+    return sum(groups.values()) - len(groups)
 
 
 def _degree_lower_bound(G: Graph, k: int) -> int | None:
@@ -684,17 +723,33 @@ def naive_oracle(G: Graph, k: int, variant: str) -> SolveResult:
 # Distance-k domination and the bound battery
 # ---------------------------------------------------------------------------
 
-def _domination(rows: Sequence[Sequence[int]], k: int) -> int:
-    """Distance-k domination number from the distance rows of a connected
-    graph: a least cover of the vertices by the radius-k balls."""
-    balls = [sum(1 << x for x, d in enumerate(row) if d <= k) for row in rows]
-    return _min_cover(balls, range(len(rows)), (1 << len(rows)) - 1)
+def _balls(G: Graph, k: int) -> tuple[list[int], int]:
+    """The radius-k balls of a connected graph as vertex bitmasks, and its
+    diameter. All balls grow at once: the radius-(r + 1) ball of v is the
+    union of the radius-r balls of v and its neighbours, and the diameter
+    is the first radius at which every ball holds every vertex."""
+    full = (1 << G.n) - 1
+    balls = [[1 << v for v in range(G.n)]]  # balls[r]: the radius-r balls
+    while not all(map(full.__eq__, balls[-1])):
+        last = balls[-1]
+        balls.append([reduce(or_, map(last.__getitem__, a), b)
+                      for b, a in zip(last, G.adj)])
+    d = len(balls) - 1
+    return balls[min(k, d)], d
+
+
+def _domination(balls: list[int]) -> int:
+    """Least cover of the vertices by their radius-k ``balls``, which are
+    their own coverer index: u lies in v's ball exactly when v lies in
+    u's."""
+    n = len(balls)
+    return _min_cover(balls, range(n), (1 << n) - 1, index=balls)
 
 
 def domination_number(G: Graph, k: int) -> int:
     """Minimum size of a set D with every vertex within distance k of D."""
     _check_args(G, k, WEAK_VERTEX_LIMIT)
-    return _domination([bfs_distances(G, v).dist for v in range(G.n)], k)
+    return _domination(_balls(G, k)[0])
 
 
 @dataclass(frozen=True)
@@ -703,9 +758,13 @@ class Bounds:
 
     All three lower bounds (domination_lb, clique_lb, degree_lb) bound the
     weak optimum, hence the strong one too; see ``solve_exact``.
-    Upper bounds trivial_ub and order_diameter_ub hold for the strong
-    optimum. diameter_ub and half_ub are monitored claims: they are reported
-    and compared but violations are findings, not errors.
+    domination_lb is the distance-k domination number when G has an edge,
+    and 0 when it has none: a weak cover dominates at distance k only
+    because every vertex has an edge to reach, and the one-vertex graph
+    needs no source at all. Upper bounds trivial_ub and order_diameter_ub
+    hold for the strong optimum. diameter_ub and half_ub are monitored
+    claims: they are reported and compared but violations are findings,
+    not errors.
     """
 
     k: int
@@ -723,15 +782,16 @@ class Bounds:
 
 
 def compute_bounds(G: Graph, k: int) -> Bounds:
-    """Evaluate every general bound with its applicability predicate. One
-    BFS per vertex gives both the diameter and the domination balls."""
+    """Evaluate every general bound with its applicability predicate. The
+    radius-k balls of ``_balls`` give the domination bound, and the radius
+    at which they stop growing the diameter, so no BFS runs beyond the
+    connectivity check."""
     _check_args(G, k, WEAK_VERTEX_LIMIT)
     if G.n < 1:
         raise VertexRangeError("bounds require at least one vertex")
-    rows = [bfs_distances(G, v).dist for v in range(G.n)]
-    d = max(map(max, rows))
+    balls, d = _balls(G, k)
     min_deg = min((G.degree(v) for v in range(G.n)), default=0)
-    dom = _domination(rows, k)
+    dom = _domination(balls) if G.m else 0
     order_diameter_ub = G.n - k + 1 if k <= d else None
     diameter_ub = None
     if d >= 2:

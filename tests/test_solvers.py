@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import accumulate, combinations
+from operator import or_
 
 import pytest
 
@@ -21,7 +23,7 @@ from pathcover import (
 )
 from pathcover import solve
 from pathcover.cover import path_edge_mask, source_pairs
-from pathcover.solve import _MatchingBound, _min_cover
+from pathcover.solve import _MatchingBound, _least_cover, _min_cover
 from conftest import family, random_connected_graph
 
 
@@ -305,6 +307,20 @@ def test_single_vertex_graph():
         assert result.optimum == 0 and result.set == ()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bounds_sandwich_single_vertex(k):
+    """The one-vertex graph needs no source, so no lower bound may exceed
+    0; its distance-k domination number is still 1."""
+    G = family("path", 1)
+    bounds = compute_bounds(G, k)
+    weak = solve_exact(G, k, "weak").optimum
+    strong = solve_exact(G, k, "strong").optimum
+    lower = (bounds.domination_lb, bounds.clique_lb, bounds.degree_lb or 0)
+    assert max(lower) <= weak <= strong <= bounds.trivial_ub == 0
+    assert bounds.order_diameter_ub is None  # k exceeds the diameter 0
+    assert domination_number(G, k) == 1
+
+
 def _brute_min_cover(masks, allowed, universe, pre):
     """Least number of masks from ``allowed`` covering ``universe`` with
     ``pre``, by trying every subset in ascending size; None when none does."""
@@ -338,13 +354,126 @@ def test_min_cover_matches_brute_force(masks, allowed, universe, pre):
     None exactly when the minimum is at least the cap, and otherwise the
     size of some cover below the cap."""
     least = _brute_min_cover(masks, allowed, universe, pre)
-    assert _min_cover(masks, allowed, universe, pre) == least
-    for cap in range(1, len(allowed) + 2):
-        got = _min_cover(masks, allowed, universe, pre, cap=cap)
-        if least is None or least >= cap:
-            assert got is None, cap
-        else:
-            assert got is not None and least <= got < cap, cap
+    for cap in (None, *range(1, len(allowed) + 2)):
+        _check_capped(_min_cover(masks, allowed, universe, pre, cap=cap),
+                      least, cap)
+
+
+def _check_capped(got, least, cap):
+    """``_min_cover``'s contract: the minimum without a cap; under one,
+    None exactly when no cover is smaller, else some size below it."""
+    if cap is None:
+        assert got == least
+    elif least is None or least >= cap:
+        assert got is None, cap
+    else:
+        assert got is not None and least <= got < cap, cap
+
+
+def _set_systems_with_twins(count):
+    """Random set systems in which some masks equal or lie inside others,
+    with a universe the masks cover (all of their union, or part of it)."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        width = rng.randint(1, 12)
+        masks = [rng.getrandbits(width) & rng.getrandbits(width)
+                 for _ in range(rng.randint(4, 9))]
+        for i in range(len(masks)):
+            r = rng.random()
+            if r < 0.15:
+                masks[i] = rng.choice(masks)  # an equal mask
+            elif r < 0.3:  # a mask inside another
+                masks[i] = rng.choice(masks) & rng.getrandbits(width)
+        union = reduce(or_, masks, 0)
+        universe = union if rng.random() < 0.7 else union & rng.getrandbits(
+            width)
+        yield seed, masks, universe
+
+
+@pytest.mark.parametrize("masks", [
+    [7777, 823, 5070, 11823, 9279, 5498, 2043, 6477, 11451, 8478],
+    [6847, 4290, 3873, 1811, 1152, 5719, 3820, 7321, 2866, 461, 5075],
+    [7812, 507, 2963, 1596, 2110, 4211, 1145, 3039, 7494, 5912],
+])
+def test_min_cover_two_options_of_one_element(masks):
+    """Set systems whose least covers take two coverers of the element the
+    search branches on first; found among 200,000 random systems, since a
+    search that drops every sibling after the first option misses them."""
+    universe = reduce(or_, masks, 0)
+    least = _brute_min_cover(masks, range(len(masks)), universe, 0)
+    assert least == 2
+    for cap in (None, 1, 2, 3):
+        _check_capped(_min_cover(masks, range(len(masks)), universe, 0, cap),
+                      least, cap)
+
+
+def test_min_cover_shared_index_matches_brute_force():
+    """Calls sharing one coverer index, as ``_least_cover`` makes them:
+    suffixes of the masks, the union of earlier masks as ``pre``, and
+    caps from 1 up or none. Each answer keeps the contract, and the index
+    the calls fill is the coverer index of the masks."""
+    for seed, masks, universe in _set_systems_with_twins(300):
+        rng = random.Random(seed)
+        n, index = len(masks), []
+        for _ in range(12):
+            start = rng.randrange(n + 1)
+            pre = 0
+            for j in range(start):
+                if rng.random() < 0.3:
+                    pre |= masks[j]
+            allowed = range(start, n)
+            cap = rng.choice((None, 1, 2, 3, 4, n))
+            least = _brute_min_cover(masks, allowed, universe, pre)
+            got = _min_cover(masks, allowed, universe, pre, cap, None, index)
+            _check_capped(got, least, cap)
+        if index:
+            assert index == [sum(1 << i for i, m in enumerate(masks)
+                                 if (m & universe) >> e & 1)
+                             for e in range(universe.bit_length())], seed
+
+
+def test_least_cover_matches_brute_force():
+    """``_least_cover`` returns the lexicographically least optimum: the
+    first covering set of least size in ``combinations`` order. The graph
+    is a path on four or more vertices, which has no twins, so the twin
+    rule cuts nothing."""
+    for seed, masks, universe in _set_systems_with_twins(300):
+        n = len(masks)
+        expected = next(combo for size in range(n + 1)
+                        for combo in combinations(range(n), size)
+                        if reduce(or_, map(masks.__getitem__, combo), 0)
+                        & universe == universe)
+        assert _least_cover(family("path", n), masks, universe) == expected, \
+            seed
+
+
+def _dense_graph(seed, n=40, m=78):
+    """Connected graph on n vertices and m edges: a random recursive tree
+    plus random chords, under a random numbering."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@pytest.mark.parametrize("G,k,optimum,ceiling", [
+    # 1,054 nodes with the disjoint-elements bound, 6,984 without it and
+    # 3,868 before the coverer index
+    (family("sierpinski", 3), 2, 9, 1_500),
+    # 1,404 nodes with the bound, 12,334 without it and 154,648 before the
+    # coverer index
+    (_dense_graph(3), 1, 23, 2_500),
+], ids=["sierpinski(3)", "dense40"])
+def test_weak_search_node_ceilings(G, k, optimum, ceiling):
+    """The weak search's node count stays under a ceiling with margin, so a
+    change that loses a pruning rule fails instead of only slowing down."""
+    result = solve_exact(G, k, "weak")
+    assert result.optimum == optimum
+    assert result.stats.nodes <= ceiling, result.stats.nodes
 
 
 def _max_strong_coverage(pairs):
