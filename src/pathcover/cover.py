@@ -12,7 +12,7 @@ Edge sets are integer bitmasks over the graph's canonical edge indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import (
     DEFAULT_GEODESIC_CAP,
@@ -89,9 +89,10 @@ def verify_weak_cover(G: Graph, S: Iterable[int], k: int) -> bool:
     return mask == G.full_edge_mask()
 
 
-@dataclass(frozen=True)
-class PairChoices:
-    """Candidate fixed geodesics for one (source, target) pair."""
+class PairChoices(NamedTuple):
+    """Candidate fixed geodesics for one (source, target) pair. A named
+    tuple, so immutable and cheap to build: ``source_pairs`` makes one per
+    pair of every source it is asked for."""
 
     source: int
     target: int
@@ -128,9 +129,11 @@ def source_pairs(
     k from u is such a walk, since each of its prefixes is a geodesic. The
     walk visits the paths in pre-order over ascending neighbours, so each
     target's paths come in lexicographic order, as ``enumerate_geodesics``
-    gives them. A path's mask is its prefix's mask plus one edge bit.
+    gives them. A path's mask is its prefix's mask plus one edge bit, read
+    from the graph's edge index.
     """
     dist = _distances_within(G, u, k)
+    eidx = G._eidx
     found: dict[int, tuple[list, list]] = {}
     path, masks = [u], [0]
     stack = [iter(G.adj[u])]
@@ -138,7 +141,8 @@ def source_pairs(
         for y in stack[-1]:
             if dist.get(y) != len(path):
                 continue
-            mask = masks[-1] | 1 << G.edge_id(path[-1], y)
+            x = path[-1]
+            mask = masks[-1] | 1 << eidx[(x, y) if x < y else (y, x)]
             paths_y, masks_y = found.setdefault(y, ([], []))
             if len(paths_y) >= cap:
                 raise EnumerationCapError(

@@ -12,6 +12,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
 from operator import or_
 from typing import Callable, Iterable, Sequence
@@ -554,23 +555,57 @@ def _greedy_weak(G: Graph, k: int, start: float) -> SolveResult:
                        SolveStats(len(chosen), time.perf_counter() - start))
 
 
+def _greedy_source(
+    pairs: tuple[PairChoices, ...]
+) -> tuple[list[int], int, list[tuple[int, int]]]:
+    """What strong greedy derives from one source's pairs, once per solve:
+    per pair U_p, the union of its path masks; the star, the edges at the
+    source; and (d - 1, U_p) per pair at distance d >= 2."""
+    unions = [reduce(or_, p.masks) for p in pairs]
+    star = 0
+    tails = []
+    for p, union in zip(pairs, unions):
+        if len(p.paths[0]) == 2:
+            star |= union
+        else:
+            tails.append((len(p.paths[0]) - 2, union))
+    return unions, star, tails
+
+
 def _greedy_pair_gain(
-    pairs: tuple[PairChoices, ...], cover: int
+    pairs: tuple[PairChoices, ...], unions: list[int], cover: int
 ) -> tuple[int, list]:
-    """Coverage gained by greedily assigning one path per pair, and the
-    assignments that gain it; pairs that would add nothing get no path."""
-    gained = 0
+    """The edges outside ``cover`` that greedily assigning one path per
+    pair gains, and the assignments that gain them; pairs that would add
+    nothing get no path.
+
+    A pair whose union U_p lies in ``cover`` plus the edges gained so far
+    adds nothing and is skipped. Any other pair has a path of positive gain
+    and takes the first path of largest gain: its only path, or
+    ``gains.index(max(gains))``.
+    """
+    taken = cover
     picks = []
-    for p in pairs:
-        best_i, best_gain = -1, 0
-        for i, m in enumerate(p.masks):
-            gain = (m & ~(cover | gained)).bit_count()
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        if best_i >= 0:
-            gained |= p.masks[best_i]
-            picks.append(((p.source, p.target), p.paths[best_i]))
-    return gained, picks
+    for (source, target, paths, masks), union in zip(pairs, unions):
+        if not union & ~taken:
+            continue
+        if len(masks) == 1:
+            i = 0
+        else:
+            free = ~taken
+            gains = [(m & free).bit_count() for m in masks]
+            i = gains.index(max(gains))
+        taken |= masks[i]
+        picks.append(((source, target), paths[i]))
+    return taken & ~cover, picks
+
+
+def _greedy_bound(star: int, tails: list[tuple[int, int]], cover: int) -> int:
+    """ub(v, cover): an upper bound on v's greedy gain outside ``cover``,
+    from ``_greedy_source``'s star and tails (see ``_greedy_strong``)."""
+    off_star = ~(cover | star)
+    return (star & ~cover).bit_count() + sum(
+        min(d, (union & off_star).bit_count()) for d, union in tails)
 
 
 def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
@@ -579,43 +614,72 @@ def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
     a chosen vertex's length-1 pairs cover all its edges, so an uncovered
     edge has two unchosen endpoints, each with a positive gain.
 
-    A vertex keeps its score until the edges a pick newly covers meet its
-    kept ``gained``. ``_greedy_pair_gain`` reads ``cover`` only through
-    ``m & ~(cover | gained)``. Take the pairs in order, with ``gained`` so
-    far as before: the path a pair took lies in the kept ``gained``, so it
-    misses the new edges and keeps its gain, and every other path's gain
-    can only fall; so the pair takes the same first path of largest gain,
-    or none when all were 0. Hence ``gained``, the picks and the gain
-    outside ``cover`` come out as before, and so do the argmax and its
-    first-vertex tie-break. Scores can rise when the new edges meet
-    ``gained`` (a pair whose best path was spent may switch to one that
-    adds more), so they are not treated as upper bounds.
+    Each round picks the vertex of largest gain outside ``cover``, the
+    lowest on ties, as a scan of every vertex would. The gains come lazily
+    from one heap of entries (-key, v, version). The key is v's kept gain
+    when v has one, and an upper bound on its gain when it has none, so an
+    entry needs no flag to say which it is.
+
+    - Kept gains. A vertex keeps ``gained``, the edges outside ``cover``
+      that ``_greedy_pair_gain`` gives it, and its picks, until a pick
+      covers one of those edges. Until then ``gained`` stays outside
+      ``cover``, so picking the vertex covers exactly ``gained``. And the
+      kept result is what a fresh call would give, since
+      ``_greedy_pair_gain`` reads ``cover`` only through the edges taken
+      so far. Take the pairs in order, with those edges as before plus the
+      newly covered ones: the path a pair took adds only edges of
+      ``gained``, which the new ones miss, so it keeps its gain, and every
+      other path's gain can only fall; so the pair takes the same first
+      path of largest gain, or none when all were 0.
+    - The bound. ub(v, cover) is the number of edges of star(v) outside
+      ``cover`` plus, over v's pairs at distance d >= 2, the sum of
+      min(d - 1, number of edges of U_p - star(v) outside ``cover``), where
+      U_p is the union of the pair's paths (``_greedy_bound``). A path from
+      v starts with an edge of star(v), and its other d - 1 edges avoid v,
+      so they lie in U_p - star(v). So ub is at least the gain, and it only
+      falls as ``cover`` grows: a bound pushed in an earlier round holds.
+    - The heap tie-break. Every unchosen vertex has exactly one current
+      entry, and its key is at least the vertex's gain. So when the top
+      entry is a kept gain, no vertex gains more and no lower vertex gains
+      as much: ordering by (-key, v) picks the largest gain and the lowest
+      vertex on ties. A bound on top is replaced by the gain, computed then.
+    - Invalidation. When a pick covers an edge of a kept ``gained``, it
+      is dropped and the vertex's version is bumped, so its entry goes
+      stale, and a fresh bound is pushed. The old gain is not pushed again:
+      gains can rise (a pair whose best path was spent may switch to one
+      that adds more, leaving edges for later pairs), so it is no bound.
     """
     universe = G.full_edge_mask()
     pairs_by_source = [source_pairs(G, v, k) for v in range(G.n)]
-    # (gain, gained, picks) per vertex, None when it must be re-scored
-    scores: list[tuple[int, int, list] | None] = [None] * G.n
-    chosen: set[int] = set()
+    sources = [_greedy_source(pairs) for pairs in pairs_by_source]
+    kept: dict[int, tuple[int, list]] = {}  # v -> (gained, picks)
+    version = [0] * G.n
+    heap = [(-_greedy_bound(star, tails, 0), v, 0)
+            for v, (_, star, tails) in enumerate(sources)]
+    heapify(heap)
+    chosen = []
     assignments = []
     cover = 0
     while cover != universe:
-        best = -1
-        for v in range(G.n):
-            if v in chosen:
-                continue
-            if scores[v] is None:
-                gained, picks = _greedy_pair_gain(pairs_by_source[v], cover)
-                scores[v] = ((gained & ~cover).bit_count(), gained, picks)
-            if best < 0 or scores[v][0] > scores[best][0]:
-                best = v
-        _, gained, picks = scores[best]
-        new = gained & ~cover
-        chosen.add(best)
+        _, v, ver = heappop(heap)
+        if ver != version[v]:
+            continue
+        if v not in kept:
+            gained, picks = _greedy_pair_gain(pairs_by_source[v],
+                                              sources[v][0], cover)
+            kept[v] = gained, picks
+            heappush(heap, (-gained.bit_count(), v, ver))
+            continue
+        gained, picks = kept.pop(v)
+        version[v] += 1
+        chosen.append(v)
         cover |= gained
         assignments.extend(picks)
-        for v in range(G.n):
-            if scores[v] is not None and scores[v][1] & new:
-                scores[v] = None
+        for w in [w for w, (other, _) in kept.items() if other & gained]:
+            del kept[w]
+            version[w] += 1
+            _, star, tails = sources[w]
+            heappush(heap, (-_greedy_bound(star, tails, cover), w, version[w]))
     witness = StrongWitness(tuple(sorted(assignments)), cover)
     return SolveResult(STRONG, k, len(chosen), tuple(sorted(chosen)), witness,
                        "heuristic",

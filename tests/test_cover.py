@@ -278,6 +278,21 @@ def test_source_pairs_match_per_pair_enumeration(G):
     _assert_pairs_match_enumeration(G, range(1, 5))
 
 
+def test_pair_choices_fields_and_immutability():
+    assert PairChoices._fields == ("source", "target", "paths", "masks")
+    G = family("cycle", 5)
+    p = source_pairs(G, 0, 2)[1]
+    assert (p.source, p.target, p.paths, p.masks) == \
+        (0, 2, ((0, 1, 2),), (path_edge_mask(G, (0, 1, 2)),))
+    assert PairChoices(0, 2, p.paths, p.masks) == p
+    assert PairChoices(source=0, target=2, paths=p.paths, masks=p.masks) == p
+    for field in PairChoices._fields:
+        with pytest.raises(AttributeError):
+            setattr(p, field, None)
+    with pytest.raises(AttributeError):
+        p.extra = None
+
+
 def test_source_pairs_cap():
     # K_{2,5}: vertices 0 and 1 share the five vertices 2..6
     G = family("complete_bipartite", 2, 5)

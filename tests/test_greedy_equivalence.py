@@ -1,0 +1,160 @@
+"""Strong greedy against a full-rescan reference.
+
+``_reference_greedy_strong`` is the strong greedy as it was before the
+heap: every round re-scores each vertex whose kept gain was invalidated,
+path by path, and scans all n vertices for the first one of largest gain.
+``solve_greedy(G, k, "strong")`` must return the same set, ``stats.nodes``
+and witness assignments, path for path. ``tests/data/greedy_sets.json``
+reaches only 20 vertices and pins no witness, so the benchmark's
+topologies are checked here too.
+
+The bound test checks the upper bound the heap orders unscored vertices
+by: it is never below a vertex's exact gain, and never rises as the cover
+grows.
+"""
+
+import random
+
+import pytest
+
+from pathcover import solve_greedy, verify_strong_witness
+from pathcover.cover import PairChoices, source_pairs
+from pathcover.solve import _greedy_bound, _greedy_pair_gain, _greedy_source
+from conftest import family, random_connected_graph
+
+# The topologies of the benchmark's greedy-scale workload, plus crown(12)
+GREEDY_TOPOLOGIES = (
+    ("hypercube", (6,)),
+    ("butterfly", (4,)),
+    ("benes", (4,)),
+    ("silicate", (3,)),
+    ("sierpinski", (4,)),
+    ("sierpinski", (5,)),
+    ("sierpinski_gasket", (5,)),
+    ("enhanced_butterfly", (4,)),
+    ("generalized_petersen", (50, 7)),
+    ("crown", (20,)),
+    ("crown", (12,)),
+)
+RANDOM_GRAPHS = 100
+
+
+def _reference_pair_gain(pairs, cover):
+    gained = 0
+    picks = []
+    for p in pairs:
+        best_i, best_gain = -1, 0
+        for i, m in enumerate(p.masks):
+            gain = (m & ~(cover | gained)).bit_count()
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        if best_i >= 0:
+            gained |= p.masks[best_i]
+            picks.append(((p.source, p.target), p.paths[best_i]))
+    return gained, picks
+
+
+def _reference_greedy_strong(G, k):
+    """(set, number of picks, assignments) of the full-rescan greedy."""
+    universe = G.full_edge_mask()
+    pairs_by_source = [source_pairs(G, v, k) for v in range(G.n)]
+    scores = [None] * G.n
+    chosen = set()
+    assignments = []
+    cover = 0
+    while cover != universe:
+        best = -1
+        for v in range(G.n):
+            if v in chosen:
+                continue
+            if scores[v] is None:
+                gained, picks = _reference_pair_gain(pairs_by_source[v],
+                                                     cover)
+                scores[v] = ((gained & ~cover).bit_count(), gained, picks)
+            if best < 0 or scores[v][0] > scores[best][0]:
+                best = v
+        _, gained, picks = scores[best]
+        new = gained & ~cover
+        chosen.add(best)
+        cover |= gained
+        assignments.extend(picks)
+        for v in range(G.n):
+            if scores[v] is not None and scores[v][1] & new:
+                scores[v] = None
+    return tuple(sorted(chosen)), len(chosen), tuple(sorted(assignments))
+
+
+def _assert_matches_reference(G, k):
+    result = solve_greedy(G, k, "strong")
+    assert (result.set, result.stats.nodes, result.witness.assignments) == \
+        _reference_greedy_strong(G, k)
+    assert verify_strong_witness(G, result.set, k, result.witness)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize(
+    "name, params", GREEDY_TOPOLOGIES,
+    ids=[f"{f}{p}" for f, p in GREEDY_TOPOLOGIES])
+def test_greedy_strong_matches_reference_on_topologies(name, params, k):
+    _assert_matches_reference(family(name, *params), k)
+
+
+def test_greedy_strong_matches_reference_on_random_graphs():
+    for seed in range(RANDOM_GRAPHS):
+        rng = random.Random(seed)
+        G = random_connected_graph(rng, max_n=rng.randint(4, 24),
+                                   edge_prob=rng.choice((0.15, 0.3, 0.5)))
+        for k in (1, 2, 3):
+            _assert_matches_reference(G, k)
+
+
+def test_greedy_gain_can_rise_as_the_cover_grows():
+    """Why an invalidated gain is replaced by a bound, not kept as one.
+    Edges 0..3 as bits; the first pair has paths {0, 1} and {2, 3}, the
+    second one path {0, 1}. With nothing covered the first pair takes
+    {0, 1} and the second adds nothing: gain 2. Once edge 0 is covered the
+    first pair takes {2, 3} and the second adds edge 1: gain 3."""
+    pairs = (PairChoices(0, 1, ((0, 2, 1), (0, 3, 1)), (0b0011, 0b1100)),
+             PairChoices(0, 4, ((0, 2, 4),), (0b0011,)))
+    unions, _, _ = _greedy_source(pairs)
+    gained, picks = _greedy_pair_gain(pairs, unions, 0)
+    assert (gained, picks) == (0b0011, [((0, 1), (0, 2, 1))])
+    gained, picks = _greedy_pair_gain(pairs, unions, 0b0001)
+    assert gained == 0b1110
+    assert picks == [((0, 1), (0, 3, 1)), ((0, 4), (0, 2, 4))]
+
+
+def test_greedy_bound_holds_and_never_rises():
+    """Covers grow from random vertices' random paths; at every step the
+    bound of each unchosen vertex is at least its exact gain outside the
+    cover, and at most its bound at the step before."""
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        G = random_connected_graph(rng, max_n=14,
+                                   edge_prob=rng.choice((0.2, 0.35, 0.5)))
+        k = 1 + seed % 4
+        pairs_by_source = [source_pairs(G, v, k) for v in range(G.n)]
+        sources = [_greedy_source(pairs) for pairs in pairs_by_source]
+        chosen = set()
+        cover = 0
+        last = [None] * G.n
+        for v in rng.sample(range(G.n), G.n):
+            for w in range(G.n):
+                if w in chosen:
+                    continue
+                unions, star, tails = sources[w]
+                gained, _ = _greedy_pair_gain(pairs_by_source[w], unions,
+                                              cover)
+                bound = _greedy_bound(star, tails, cover)
+                assert not gained & cover
+                assert bound >= gained.bit_count(), (seed, w)
+                if last[w] is not None:
+                    assert bound <= last[w], (seed, w)
+                last[w] = bound
+                checked += 1
+            chosen.add(v)
+            for p in pairs_by_source[v]:
+                if rng.random() < 0.5:
+                    cover |= rng.choice(p.masks)
+    assert checked > 1000
