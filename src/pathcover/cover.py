@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .graph import (
-    DEFAULT_GEODESIC_CAP,
+    GEODESIC_CAP,
     EnumerationCapError,
     Graph,
     VertexRangeError,
@@ -29,7 +29,9 @@ def path_edge_mask(G: Graph, path: tuple[int, ...]) -> int:
 
 def _distances_within(G: Graph, u: int, k: int) -> dict[int, int]:
     """d(u, x) for every x within distance k of ``u``, from a BFS that stops
-    at depth k."""
+    at depth k; refuses k < 1 first, as the solvers do."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if not 0 <= u < G.n:
         raise VertexRangeError(f"source {u} out of range for n={G.n}")
     dist = {u: 0}
@@ -65,8 +67,10 @@ def weak_cover_set(G: Graph, u: int, k: int) -> int:
     return mask
 
 
-def _vertex_set(G: Graph, S: Iterable[int]) -> set[int]:
-    """The vertices of S; refuses one out of range."""
+def _vertex_set(G: Graph, S: Iterable[int], k: int) -> set[int]:
+    """The vertices of S; refuses k < 1, then a vertex out of range."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     sources = set(S)
     for u in sources:
         if not 0 <= u < G.n:
@@ -78,7 +82,7 @@ def verify_weak_cover(G: Graph, S: Iterable[int], k: int) -> bool:
     """True iff the weak cover sets of S jointly cover every edge. As in
     ``strong_feasible``, an edgeless graph is covered by any S, and a
     disconnected graph with edges is refused when S is not empty."""
-    sources = _vertex_set(G, S)
+    sources = _vertex_set(G, S, k)
     if G.m == 0:
         return True
     if sources:
@@ -105,18 +109,24 @@ class StrongWitness:
     """A per-pair fixed-geodesic assignment certifying a strong cover.
 
     ``assignments`` maps each chosen (source, target) pair to one geodesic
-    starting at the source; at most one path per pair. ``covered`` is the
-    union of all assigned path edges as a bitmask. Pairs whose paths would
-    add no new edges may be omitted; omission never changes feasibility.
+    starting at the source; at most one path per pair, in sorted order.
+    ``covered`` is the union of all assigned path edges as a bitmask. Pairs
+    whose paths would add no new edges may be omitted; omission never
+    changes feasibility. Solvers build witnesses with ``of``; a parsed one
+    keeps the pairs it reads, for ``verify_strong_witness`` to check.
     """
 
     assignments: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
     covered: int
 
+    @classmethod
+    def of(cls, paths: Iterable[tuple[int, ...]],
+           covered: int) -> StrongWitness:
+        """Fixes each path for its (first, last) vertex pair, sorted."""
+        return cls(tuple(sorted(((p[0], p[-1]), p) for p in paths)), covered)
 
-def source_pairs(
-    G: Graph, u: int, k: int, cap: int = DEFAULT_GEODESIC_CAP
-) -> tuple[PairChoices, ...]:
+
+def source_pairs(G: Graph, u: int, k: int) -> tuple[PairChoices, ...]:
     """Geodesic choice sets for every pair (u, v) with 1 <= d(u, v) <= k,
     in ascending target order, from one BFS that stops at depth k and one
     walk, so a source costs as much as its radius-k ball. Answers on any
@@ -133,6 +143,7 @@ def source_pairs(
     from the graph's edge index.
     """
     dist = _distances_within(G, u, k)
+    cap = GEODESIC_CAP
     eidx = G._eidx
     found: dict[int, tuple[list, list]] = {}
     path, masks = [u], [0]
@@ -234,7 +245,7 @@ def feasible_from_pairs(
     first success. The search keeps its own stack, one frame per assigned
     pair, so deep searches need no recursion.
 
-    Both ways the witness is deterministic.
+    Both ways the witness is deterministic, and covers the full edge mask.
     """
     full = G.full_edge_mask()
     forced = tuple(p for p in pairs if len(p.paths) == 1)
@@ -252,11 +263,11 @@ def feasible_from_pairs(
 
     if max(gain, default=0) <= 1:
         # per choice pair: the edge each path adds -> its first such path
-        tips: list[dict[int, int]] = [{} for _ in choice]
+        tips: list[dict[int, tuple[int, ...]]] = [{} for _ in choice]
         for tip, p in zip(tips, choice):
-            for pi, m in enumerate(p.masks):
+            for path, m in zip(p.paths, p.masks):
                 if m & ~base:
-                    tip.setdefault((m & ~base).bit_length() - 1, pi)
+                    tip.setdefault((m & ~base).bit_length() - 1, path)
         owner: dict[int, int] = {}
         dead: set[int] = set()
         uncovered = (full & ~base).bit_count()
@@ -266,35 +277,28 @@ def feasible_from_pairs(
             augment(ci, tips, owner, base, dead)
         if len(owner) < uncovered:
             return None
-        picks = [(ci, tips[ci][e]) for e, ci in owner.items()]
+        picks = [tips[ci][e] for e, ci in owner.items()]
     else:
         picks = _backtrack(G, base, choice, gain)
         if picks is None:
             return None
-    assignments = [((p.source, p.target), p.paths[0]) for p in forced]
-    covered = base
-    for ci, pi in picks:
-        p = choice[ci]
-        assignments.append(((p.source, p.target), p.paths[pi]))
-        covered |= p.masks[pi]
-    assignments.sort()
-    return StrongWitness(tuple(assignments), covered)
+    return StrongWitness.of([p.paths[0] for p in forced] + picks, full)
 
 
 def _backtrack(
     G: Graph, base: int, choice: tuple[PairChoices, ...], gain: list[int]
-) -> list[tuple[int, int]] | None:
-    """The (choice index, path index) picks of the first covering
-    assignment, or None; ``feasible_from_pairs`` states the search."""
+) -> list[tuple[int, ...]] | None:
+    """The paths picked by the first covering assignment, or None;
+    ``feasible_from_pairs`` states the search."""
     full = G.full_edge_mask()
-    # candidates per edge: (choice index, path index), lexicographic
-    cands: list[list[tuple[int, int]]] = [[] for _ in range(G.m)]
+    # candidates per edge: (choice index, path, mask), lexicographic
+    cands: list[list[tuple]] = [[] for _ in range(G.m)]
     for ci, p in enumerate(choice):
-        for pi, m in enumerate(p.masks):
+        for path, m in zip(p.paths, p.masks):
             rest = m
             while rest:
                 low = rest & -rest
-                cands[low.bit_length() - 1].append((ci, pi))
+                cands[low.bit_length() - 1].append((ci, path, m))
                 rest ^= low
 
     failed: set[tuple[int, int]] = set()
@@ -314,8 +318,8 @@ def _backtrack(
                 i += 1
             if i < len(options):
                 frame[4] = i + 1
-                ci, pi = options[i]
-                mask = fmask | choice[ci].masks[pi]
+                ci, _, m = options[i]
+                mask = fmask | m
                 abits = fbits | 1 << ci
                 room = froom - gain[ci]
                 break
@@ -323,7 +327,7 @@ def _backtrack(
             frames.pop()
         else:
             return None
-    return [frame[3][frame[4] - 1] for frame in frames]
+    return [frame[3][frame[4] - 1][1] for frame in frames]
 
 
 def strong_feasible(
@@ -333,9 +337,9 @@ def strong_feasible(
     As in ``verify_weak_cover``, an edgeless graph is covered by any S (the
     empty witness), and a disconnected graph with edges is refused when S
     is not empty."""
-    sources = sorted(_vertex_set(G, S))
+    sources = sorted(_vertex_set(G, S, k))
     if G.m == 0:
-        return StrongWitness((), 0)
+        return StrongWitness.of((), 0)
     if sources:
         require_connected(G)
     pairs = []
@@ -354,7 +358,7 @@ def verify_strong_witness(
     and d(u, v) <= k, so each source's BFS stops at depth k: a target
     beyond it is rejected whatever its distance.
     """
-    sset = _vertex_set(G, S)
+    sset = _vertex_set(G, S, k)
     dist_cache: dict[int, dict[int, int]] = {}
     seen: set[tuple[int, int]] = set()
     union = 0

@@ -14,8 +14,9 @@ from typing import Iterable, Sequence
 
 UNREACHABLE = -1
 
-DEFAULT_GEODESIC_CAP = 100_000
-DEFAULT_CLIQUE_CAP = 100_000
+# Fixed enumeration caps: raising one is a stated change, not a setting.
+GEODESIC_CAP = 100_000  # geodesics of one pair
+CLIQUE_CAP = 100_000  # maximal cliques of one graph
 
 
 class GraphError(ValueError):
@@ -39,7 +40,7 @@ class DisconnectedGraphError(GraphError):
 
 
 class EnumerationCapError(RuntimeError):
-    """An enumeration would exceed its configured cap; carries the cap."""
+    """An enumeration would exceed its fixed cap; carries the cap."""
 
     def __init__(self, message: str, cap: int):
         super().__init__(message)
@@ -220,14 +221,15 @@ def geodesic_dag(G: Graph, u: int, k: int) -> GeodesicDag:
 
 
 def enumerate_geodesics(
-    G: Graph, u: int, v: int, cap: int = DEFAULT_GEODESIC_CAP
+    G: Graph, u: int, v: int
 ) -> tuple[tuple[int, ...], ...]:
     """Every geodesic from ``u`` to ``v`` in lexicographic vertex order.
 
-    Each path is a vertex tuple of length ``d(u, v) + 1``. Raises
-    :class:`EnumerationCapError` when more than ``cap`` geodesics exist, so a
+    Each path is a vertex tuple of length ``d(u, v) + 1``. More than
+    ``GEODESIC_CAP`` geodesics raise :class:`EnumerationCapError`, so a
     combinatorial blow-up is an explicit failure rather than a truncation.
     """
+    cap = GEODESIC_CAP
     if not 0 <= v < G.n:
         raise VertexRangeError(f"target {v} out of range for n={G.n}")
     du = bfs_distances(G, u).dist
@@ -295,14 +297,13 @@ def simplicial_vertices(G: Graph) -> frozenset[int]:
     return frozenset(out)
 
 
-def maximal_cliques(
-    G: Graph, cap: int = DEFAULT_CLIQUE_CAP
-) -> tuple[tuple[int, ...], ...]:
+def maximal_cliques(G: Graph) -> tuple[tuple[int, ...], ...]:
     """All maximal cliques, as sorted vertex tuples in lexicographic order.
 
-    Bron-Kerbosch with pivoting; guarded by a configurable count cap since the
-    output can be exponential.
+    Bron-Kerbosch with pivoting; guarded by ``CLIQUE_CAP`` since the output
+    can be exponential.
     """
+    cap = CLIQUE_CAP
     if G.n == 0:
         return ()
     adjsets = [frozenset(neigh) for neigh in G.adj]

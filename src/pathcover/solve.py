@@ -59,8 +59,8 @@ class SolveStats:
     ``_min_cover`` calls it makes (the optimum it starts from and the test
     of each added vertex); for greedy, the vertices picked; for the oracle,
     the subsets tried. A ``_min_cover`` call adds no node when its root
-    checks answer it: an empty remainder, a cap of 1, the top-t bound, the
-    union, the greedy cover or the disjoint-elements bound at the root. A
+    checks answer it: an empty remainder, the top-t bound, the union, the
+    greedy cover or the disjoint-elements bound at the root. A
     search node is counted when entered, before its own disjoint-elements
     cut, and a test stops at its first cover under the cap. At k = 2
     strong, a vertex that ``_MatchingBound`` cuts is neither entered
@@ -157,10 +157,10 @@ def _min_cover(
 ) -> int | None:
     """Size of a cover of ``universe`` by ``pre`` and masks from
     ``allowed``, or None when there is none. Without ``cap`` the size is
-    the minimum. With a positive ``cap`` the call only decides whether a
-    cover of fewer than ``cap`` masks exists: it returns the size of some
-    such cover, not necessarily the least, or None when every cover has
-    ``cap`` masks or more.
+    the minimum. A ``cap`` must be positive; the call then only decides
+    whether a cover of fewer than ``cap`` masks exists: it returns the size
+    of some such cover, not necessarily the least, or None when every cover
+    has ``cap`` masks or more.
 
     ``index`` is the coverer index of ``masks`` over ``universe``: entry e
     is the bitmask of the indices of the masks holding element e. Calls on
@@ -173,7 +173,8 @@ def _min_cover(
       known, and t picks cover at most the sum of their gains, so when
       the t largest gains sum to less than the elements left no smaller
       cover exists. It runs against ``cap``, and, without one, against the
-      greedy size, which it proves least when it cuts.
+      greedy size, which it proves least when it cuts. At ``cap`` 1 it
+      cuts at once, as 0 gains sum to 0.
     - Greedy early return: under ``cap``, a greedy cover smaller than
       ``cap`` already answers the question, so no search is made.
     - Coverer index: which masks hold an element depends neither on
@@ -204,8 +205,6 @@ def _min_cover(
     rem0 = universe & ~pre
     if rem0 == 0:
         return 0
-    if cap is not None and cap <= 1:  # an uncovered element needs a pick
-        return None
     mk = [masks[i] & rem0 for i in allowed]
     gains = sorted(map(int.bit_count, mk), reverse=True)
     need = rem0.bit_count()
@@ -274,23 +273,27 @@ def _least_cover(
     G: Graph,
     masks: Sequence[int],
     universe: int,
-    accept: Callable[[tuple[int, ...]], bool] | None = None,
+    accept: Callable[[tuple[int, ...]], object] | None = None,
     nodes: list[int] | None = None,
     bound: _MatchingBound | None = None,
-) -> tuple[int, ...]:
-    """Lexicographically least vertex set of least size whose masks cover
-    ``universe`` and that ``accept`` takes (every covering set when
-    ``accept`` is None). Sizes ascend from the optimum of ``_min_cover``;
-    each size walks its sets in lexicographic order.
+) -> tuple[tuple[int, ...], object]:
+    """The lexicographically least vertex set of least size whose masks
+    cover ``universe`` and that ``accept`` takes, and its proof: what
+    ``accept`` returned (None refuses a set), or without ``accept`` the
+    search state at that leaf, the matching of ``bound`` or else ``()``.
+    Sizes ascend from the optimum of ``_min_cover``; each size walks its
+    sets in lexicographic order.
 
     Twin prefixes: u < v are twins when N(u) - {v} == N(v) - {u}, which
     covers true and false twins, and swapping them is an automorphism of G.
     ``masks[v]`` follows v under automorphisms, as weak coverage, the
     incident edges of v and strong covers do (automorphisms map geodesics
-    to geodesics). So a set holding v but not its twin u maps to a set of
-    the same size, covering and accepted alike, that is lexicographically
-    smaller: the least accepted set takes a prefix of every twin class, and
-    the search takes v only when v's nearest lower twin is already chosen.
+    to geodesics). A refusing ``accept`` must be invariant under them too,
+    as the strong cover test is. So a set holding v but not its twin u maps
+    to a set of the same size, covering and accepted alike, that is
+    lexicographically smaller: the least accepted set takes a prefix of
+    every twin class, and the search takes v only when v's nearest lower
+    twin is already chosen.
 
     Prune: v is added only when the masks after v can finish the cover in
     the picks left, so only subtrees that hold no covering set are cut.
@@ -314,7 +317,7 @@ def _least_cover(
         u = max(last_open.get(nb, -1), last_closed.get(nb | 1 << v, -1))
         twin_bit.append(1 << u if u >= 0 else 0)
         last_open[nb] = last_closed[nb | 1 << v] = v
-    found: tuple[int, ...] | None = None
+    found: tuple[tuple[int, ...], object] | None = None
 
     def search(start_v: int, vmask: int, cov: int, need: int,
                state) -> None:
@@ -323,8 +326,9 @@ def _least_cover(
             nodes[0] += 1
         if need == 0:
             chosen = tuple(_bits(vmask))
-            if accept is None or accept(chosen):
-                found = chosen
+            proof = state if accept is None else accept(chosen)
+            if proof is not None:
+                found = chosen, proof
             return
         for v in range(start_v, n - need + 1):
             if twin_bit[v] & ~vmask:
@@ -372,10 +376,11 @@ class _MatchingBound:
       subtrees holding no strong cover are cut, and the lexicographically
       least optimum stays the answer.
     - Leaf test: at ``left`` = 0 the cut is 0, so ``extend`` keeps a full
-      set, as ``leaf``, only when it leaves no deficiency: when its forced
-      paths and its matched pairs' paths cover every edge, one path per
-      pair (``witness``). That is a strong cover, and every strong cover
-      leaves none, so no second proof is needed.
+      set only when it leaves no deficiency: when its forced paths and its
+      matched pairs' paths cover every edge, one path per pair. That is a
+      strong cover, and every strong cover leaves none, so no second proof
+      is needed: the kept state, which ``_least_cover`` returns as its
+      proof, gives the ``witness``.
 
     The matching grows along the search path. ``extend`` copies its
     parent's matching and drops the edges v's forced paths cover. It then
@@ -401,7 +406,6 @@ class _MatchingBound:
         self.tops: dict[int, list[int]] = {}
         self.start = bisect_left(self._top(0), G.m)
         self.root: tuple[int, dict[int, int], int] = (0, {}, 0)
-        self.leaf = self.root
 
     def _top(self, s: int) -> list[int]:
         """Entry j: the sum of the j largest caps of the vertices from s on;
@@ -453,8 +457,6 @@ class _MatchingBound:
                 gap -= 1
         if cut is not None and gap > cut:
             return None
-        if left == 0:
-            self.leaf = base, owner, held
         return base, owner, held
 
     def witness(self, chosen: Sequence[int], state) -> StrongWitness:
@@ -463,8 +465,7 @@ class _MatchingBound:
         base, owner, held = state
         paths = [path for v in chosen for path in self.sources[v][2]]
         paths += [self.tips[q][e] for e, q in owner.items()]
-        return StrongWitness(tuple(sorted(((p[0], p[-1]), p) for p in paths)),
-                             base | held)
+        return StrongWitness.of(paths, base | held)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +501,10 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     """Provably optimal cover of the requested variant: ``_least_cover``
     over the per-vertex weak coverage masks. Weak takes the first covering
     set; strong at k = 2 the first one ``_MatchingBound`` keeps, witnessed
-    by its matching, and at other k the first one ``feasible_from_pairs``
-    proves feasible, with its witness. A vertex's source pairs are built at
-    most once. Either way the set is the lexicographically least optimum.
+    by the matching ``_least_cover`` returns, and at other k the first one
+    ``feasible_from_pairs`` proves feasible, its witness being the proof
+    ``accept`` returns. A vertex's source pairs are built at most once.
+    Either way the set is the lexicographically least optimum.
 
     Strong sizes ascend from the weak optimum: a strong cover is a weak
     cover, so no smaller size can succeed. At k = 2 they ascend from the
@@ -521,24 +523,22 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     nodes = [0]
     masks = [weak_cover_set(G, v, k) for v in range(G.n)]
     pairs_by_source: dict[int, tuple[PairChoices, ...]] = {}
-    witness: StrongWitness | None = None
 
-    def feasible(chosen: tuple[int, ...]) -> bool:
-        nonlocal witness
+    def feasible(chosen: tuple[int, ...]) -> StrongWitness | None:
         pair_list: list[PairChoices] = []
         for v in chosen:
             if v not in pairs_by_source:
                 pairs_by_source[v] = source_pairs(G, v, k)
             pair_list.extend(pairs_by_source[v])
-        witness = feasible_from_pairs(G, tuple(pair_list))
-        return witness is not None
+        return feasible_from_pairs(G, tuple(pair_list))
 
     bound = _MatchingBound(G) if variant == STRONG and k == 2 else None
-    chosen = _least_cover(G, masks, G.full_edge_mask(),
-                          feasible if variant == STRONG and bound is None
-                          else None, nodes, bound)
+    accept = feasible if variant == STRONG and bound is None else None
+    chosen, proof = _least_cover(G, masks, G.full_edge_mask(), accept,
+                                 nodes, bound)
     if bound is not None:
-        witness = bound.witness(chosen, bound.leaf)
+        proof = bound.witness(chosen, proof)
+    witness = proof if variant == STRONG else None
     return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
                        SolveStats(nodes[0], time.perf_counter() - start))
 
@@ -576,8 +576,8 @@ def _greedy_pair_gain(
     pairs: tuple[PairChoices, ...], unions: list[int], cover: int
 ) -> tuple[int, list]:
     """The edges outside ``cover`` that greedily assigning one path per
-    pair gains, and the assignments that gain them; pairs that would add
-    nothing get no path.
+    pair gains, and the paths that gain them; pairs that would add nothing
+    get no path.
 
     A pair whose union U_p lies in ``cover`` plus the edges gained so far
     adds nothing and is skipped. Any other pair has a path of positive gain
@@ -586,7 +586,7 @@ def _greedy_pair_gain(
     """
     taken = cover
     picks = []
-    for (source, target, paths, masks), union in zip(pairs, unions):
+    for (_, _, paths, masks), union in zip(pairs, unions):
         if not union & ~taken:
             continue
         if len(masks) == 1:
@@ -596,7 +596,7 @@ def _greedy_pair_gain(
             gains = [(m & free).bit_count() for m in masks]
             i = gains.index(max(gains))
         taken |= masks[i]
-        picks.append(((source, target), paths[i]))
+        picks.append(paths[i])
     return taken & ~cover, picks
 
 
@@ -658,7 +658,7 @@ def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
             for v, (_, star, tails) in enumerate(sources)]
     heapify(heap)
     chosen = []
-    assignments = []
+    paths = []
     cover = 0
     while cover != universe:
         _, v, ver = heappop(heap)
@@ -674,13 +674,13 @@ def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
         version[v] += 1
         chosen.append(v)
         cover |= gained
-        assignments.extend(picks)
+        paths.extend(picks)
         for w in [w for w, (other, _) in kept.items() if other & gained]:
             del kept[w]
             version[w] += 1
             _, star, tails = sources[w]
             heappush(heap, (-_greedy_bound(star, tails, cover), w, version[w]))
-    witness = StrongWitness(tuple(sorted(assignments)), cover)
+    witness = StrongWitness.of(paths, cover)
     return SolveResult(STRONG, k, len(chosen), tuple(sorted(chosen)), witness,
                        "heuristic",
                        SolveStats(len(chosen), time.perf_counter() - start))
@@ -719,7 +719,7 @@ def _oracle_strong_feasible(
     """Try every combination of one geodesic per pair, in pair order, with
     memoization on (pair index, covered mask) only."""
     full = G.full_edge_mask()
-    chosen: list[int] = []
+    chosen: list[tuple[int, ...]] = []
     seen: set[tuple[int, int]] = set()
 
     def walk(idx: int, mask: int) -> bool:
@@ -729,8 +729,9 @@ def _oracle_strong_feasible(
             return False
         if (idx, mask) in seen:
             return False
-        for pi, pmask in enumerate(pair_list[idx].masks):
-            chosen.append(pi)
+        p = pair_list[idx]
+        for path, pmask in zip(p.paths, p.masks):
+            chosen.append(path)
             if walk(idx + 1, mask | pmask):
                 return True
             chosen.pop()
@@ -739,14 +740,7 @@ def _oracle_strong_feasible(
 
     if not walk(0, 0):
         return None
-    assignments = []
-    covered = 0
-    for idx, pi in enumerate(chosen):
-        p = pair_list[idx]
-        assignments.append(((p.source, p.target), p.paths[pi]))
-        covered |= p.masks[pi]
-    assignments.sort()
-    return StrongWitness(tuple(assignments), covered)
+    return StrongWitness.of(chosen, full)
 
 
 def naive_oracle(G: Graph, k: int, variant: str) -> SolveResult:

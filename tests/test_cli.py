@@ -61,6 +61,18 @@ def test_verify_weak_mode(tmp_path, capsys):
                  "--set", "0"]) == 1
 
 
+def test_verify_refuses_nonpositive_k(tmp_path, capsys):
+    graph_file = tmp_path / "c5.edges"
+    main(["gen", "--family", "cycle", "--params", "5",
+          "--out", str(graph_file)])
+    capsys.readouterr()
+    assert main(["verify", "--in", str(graph_file), "--k", "0",
+                 "--set", "0,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: k must be positive, got 0\n"
+    assert captured.out == ""
+
+
 def test_bounds_smoke(tmp_path, capsys):
     graph_file = tmp_path / "q3.edges"
     main(["gen", "--family", "hypercube", "--params", "3",

@@ -293,13 +293,15 @@ def test_pair_choices_fields_and_immutability():
         p.extra = None
 
 
-def test_source_pairs_cap():
+def test_source_pairs_cap(monkeypatch):
     # K_{2,5}: vertices 0 and 1 share the five vertices 2..6
     G = family("complete_bipartite", 2, 5)
+    monkeypatch.setattr(pathcover.cover, "GEODESIC_CAP", 4)
     with pytest.raises(EnumerationCapError) as err:
-        source_pairs(G, 0, 2, cap=4)
+        source_pairs(G, 0, 2)
     assert err.value.cap == 4
-    pairs = {p.target: p for p in source_pairs(G, 0, 2, cap=5)}
+    monkeypatch.setattr(pathcover.cover, "GEODESIC_CAP", 5)
+    pairs = {p.target: p for p in source_pairs(G, 0, 2)}
     assert len(pairs[1].paths) == 5
 
 
@@ -355,6 +357,35 @@ def test_disconnected_graph_refused():
         verify_weak_cover(G, {0, 2}, 2)
     with pytest.raises(DisconnectedGraphError):
         strong_feasible(G, {0, 2}, 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda G, k: weak_cover_set(G, 0, k),
+    lambda G, k: source_pairs(G, 0, k),
+    lambda G, k: verify_weak_cover(G, [0], k),
+    lambda G, k: strong_feasible(G, [0], k),
+    lambda G, k: verify_strong_witness(G, [0], k, StrongWitness((), 0)),
+], ids=["weak_cover_set", "source_pairs", "verify_weak_cover",
+        "strong_feasible", "verify_strong_witness"])
+def test_cover_layer_refuses_nonpositive_k(call, k):
+    """The cover layer refuses k < 1 as the solvers do, even where there is
+    no graph work to do: an edgeless graph, or a witness with no path."""
+    for G in (family("cycle", 5), build_graph(1, [])):
+        with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+            call(G, k)
+
+
+def test_strong_witness_of_keys_paths_by_their_ends():
+    """``StrongWitness.of`` fixes each path for its (first, last) pair and
+    sorts the assignments; ``covered`` is kept as given."""
+    paths = [(3, 4, 0), (0, 1, 2), (0, 4), (0, 1)]
+    witness = StrongWitness.of(paths, 0b1011)
+    assert witness == StrongWitness(
+        (((0, 1), (0, 1)), ((0, 2), (0, 1, 2)), ((0, 4), (0, 4)),
+         ((3, 0), (3, 4, 0))), 0b1011)
+    assert StrongWitness.of(iter(paths), 0b1011) == witness
+    assert StrongWitness.of((), 0) == StrongWitness((), 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

@@ -1,5 +1,6 @@
 import pytest
 
+import pathcover.graph
 from pathcover import (
     DisconnectedGraphError,
     DuplicateEdgeError,
@@ -106,10 +107,11 @@ def test_enumerate_geodesics_antipodal_c4():
         (0, 1, 2), (0, 3, 2))
 
 
-def test_enumerate_geodesics_cap_overflow():
+def test_enumerate_geodesics_cap_overflow(monkeypatch):
     G = family("complete_bipartite", 2, 5)
+    monkeypatch.setattr(pathcover.graph, "GEODESIC_CAP", 3)
     with pytest.raises(EnumerationCapError) as exc:
-        enumerate_geodesics(G, 0, 1, cap=3)
+        enumerate_geodesics(G, 0, 1)
     assert exc.value.cap == 3
 
 
@@ -160,9 +162,10 @@ def test_maximal_cliques_silicate():
     assert all(len(c) == 4 for c in cliques)
 
 
-def test_maximal_cliques_cap():
+def test_maximal_cliques_cap(monkeypatch):
+    monkeypatch.setattr(pathcover.graph, "CLIQUE_CAP", 5)
     with pytest.raises(EnumerationCapError):
-        maximal_cliques(family("complete_bipartite", 3, 3), cap=5)
+        maximal_cliques(family("complete_bipartite", 3, 3))
 
 
 def test_edgelist_round_trip():

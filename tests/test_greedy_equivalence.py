@@ -118,10 +118,10 @@ def test_greedy_gain_can_rise_as_the_cover_grows():
              PairChoices(0, 4, ((0, 2, 4),), (0b0011,)))
     unions, _, _ = _greedy_source(pairs)
     gained, picks = _greedy_pair_gain(pairs, unions, 0)
-    assert (gained, picks) == (0b0011, [((0, 1), (0, 2, 1))])
+    assert (gained, picks) == (0b0011, [(0, 2, 1)])
     gained, picks = _greedy_pair_gain(pairs, unions, 0b0001)
     assert gained == 0b1110
-    assert picks == [((0, 1), (0, 3, 1)), ((0, 4), (0, 2, 4))]
+    assert picks == [(0, 3, 1), (0, 2, 4)]
 
 
 def test_greedy_bound_holds_and_never_rises():

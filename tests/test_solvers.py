@@ -443,8 +443,36 @@ def test_least_cover_matches_brute_force():
                         for combo in combinations(range(n), size)
                         if reduce(or_, map(masks.__getitem__, combo), 0)
                         & universe == universe)
-        assert _least_cover(family("path", n), masks, universe) == expected, \
-            seed
+        chosen, proof = _least_cover(family("path", n), masks, universe)
+        assert (chosen, proof) == (expected, ()), seed
+
+
+def test_least_cover_returns_what_accept_returned():
+    """An ``accept`` that refuses (returns None for) the first j covering
+    sets makes ``_least_cover`` return the (j + 1)-th in (size,
+    lexicographic) order, together with the proof ``accept`` returned for
+    it; ``accept`` sees exactly those j + 1 sets, in that order. The graph
+    is a path on four or more vertices, which has no twins, so the twin
+    rule cuts nothing even though this ``accept`` is not invariant under
+    automorphisms."""
+    for seed, masks, universe in _set_systems_with_twins(100):
+        n = len(masks)
+        covering = [combo for size in range(n + 1)
+                    for combo in combinations(range(n), size)
+                    if reduce(or_, map(masks.__getitem__, combo), 0)
+                    & universe == universe]
+        for j in sorted({0, 1, 3, len(covering) - 1}):
+            if j >= len(covering):
+                continue
+            seen = []
+
+            def accept(chosen):
+                seen.append(chosen)
+                return ("proof", chosen) if len(seen) > j else None
+
+            got = _least_cover(family("path", n), masks, universe, accept)
+            assert got == (covering[j], ("proof", covering[j])), (seed, j)
+            assert seen == covering[:j + 1], (seed, j)
 
 
 def _dense_graph(seed, n=40, m=78):
