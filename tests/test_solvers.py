@@ -1,6 +1,6 @@
 import random
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import or_
 
 import pytest
@@ -22,7 +22,11 @@ from pathcover import (
     vertex_cover_exact,
 )
 from pathcover import solve
-from pathcover.cover import path_edge_mask, source_pairs
+from pathcover.cover import (
+    feasible_from_pairs,
+    path_edge_mask,
+    source_pairs,
+)
 from pathcover.solve import _MatchingBound, _least_cover, _min_cover
 from conftest import family, random_connected_graph
 
@@ -515,15 +519,20 @@ def _max_strong_coverage(pairs):
 
 
 def test_deficiency_is_edges_the_best_choice_leaves():
-    """The deficiency ``_MatchingBound`` keeps along a search path, the
-    edges neither its forced paths nor its matching cover, is m minus the
-    most edges any choice of ``source_pairs`` paths covers, after each
-    vertex added in any order; the witness read from the state covers
-    exactly those edges with one of its pairs' paths per pair; alone, a
-    vertex leaves m - cap(v)."""
+    """The deficiency the ``Matching`` of ``_MatchingBound`` keeps along a
+    search path, driven without a cut, the edges neither its forced paths
+    nor its matching cover, is m minus the most edges any choice of
+    ``source_pairs`` paths covers, after each vertex added in any order;
+    the witness read from the state covers exactly those edges with one of
+    its pairs' paths per pair; alone, a vertex leaves m - cap(v), and
+    ``maxcap`` and ``start`` are read from those caps."""
     def deficiency(state):
         base, _, held = state
         return (G.full_edge_mask() & ~(base | held)).bit_count()
+
+    def grow(state, v):
+        forced, ids, _ = bound._source(v)
+        return bound.matching.extend(state, forced, ids, G.m)
 
     for seed in range(300):
         rng = random.Random(seed)
@@ -532,7 +541,7 @@ def test_deficiency_is_edges_the_best_choice_leaves():
         order = rng.sample(range(G.n), G.n)
         state = bound.root
         for i, v in enumerate(order):
-            state = bound.extend(state, v)
+            state = grow(state, v)
             pairs = [p for u in order[:i + 1] for p in source_pairs(G, u, 2)]
             assert deficiency(state) == G.m - _max_strong_coverage(pairs), \
                 (seed, order[:i + 1])
@@ -544,9 +553,57 @@ def test_deficiency_is_edges_the_best_choice_leaves():
                 union |= path_edge_mask(G, path)
             assert union == witness.covered
             assert union.bit_count() == G.m - deficiency(state), seed
-        caps = [G.m - deficiency(bound.extend(bound.root, v))
-                for v in range(G.n)]
-        assert bound._top(0) == [0, *accumulate(sorted(caps, reverse=True))]
+        caps = [G.m - deficiency(grow(bound.root, v)) for v in range(G.n)]
+        assert bound.maxcap == [max(caps[s:], default=0)
+                                for s in range(G.n + 1)], seed
+        assert bound.start == min(t for t in range(G.n + 1)
+                                  if t * max(caps) >= G.m), seed
+
+
+def test_one_matcher_decides_k2_both_ways():
+    """At k = 2 ``feasible_from_pairs``, one matching over all pairs with
+    tips beyond the global base, and the search's per-source growth,
+    sources added in ascending order with the cut of the vertices left,
+    agree on every set, and both witnesses verify."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        G = random_connected_graph(rng, max_n=10)
+        bound = _MatchingBound(G)
+        for _ in range(5):
+            S = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
+            single = feasible_from_pairs(
+                G, tuple(p for v in S for p in source_pairs(G, v, 2)))
+            state = bound.root
+            for i, v in enumerate(S):
+                state = bound.extend(state, v, len(S) - 1 - i)
+                if state is None:
+                    break
+            assert (single is None) == (state is None), (seed, S)
+            if state is not None:
+                assert verify_strong_witness(G, S, 2, single), (seed, S)
+                assert verify_strong_witness(G, S, 2,
+                                             bound.witness(S, state)), \
+                    (seed, S)
+
+
+@pytest.mark.parametrize("G,optimum,ceiling", [
+    # 101 nodes; 4,943 without the deficiency cut, 6,293 without it and the
+    # counting start
+    (family("crown", 10), 6, 1_000),
+    # 5,543 nodes; 26,348 without the cut, 35,456 without both
+    (family("crown", 11), 7, 12_000),
+    # 11 nodes; 17 without the cut, 98 without both
+    (family("hypercube", 4), 4, 40),
+    # 58 nodes; 86 without the cut, 89 without both
+    (family("benes", 2), 4, 75),
+], ids=["crown(10)", "crown(11)", "hypercube(4)", "benes(2)"])
+def test_strong_k2_search_node_ceilings(G, optimum, ceiling):
+    """The k = 2 strong search's node count stays under a ceiling, so a
+    change that loses the deficiency cut fails instead of only slowing
+    down."""
+    result = solve_exact(G, 2, "strong")
+    assert result.optimum == optimum
+    assert result.stats.nodes <= ceiling, result.stats.nodes
 
 
 def test_strong_k2_search_proves_its_own_leaf(monkeypatch):

@@ -1,0 +1,171 @@
+"""Print the solvers' answers over a fixed battery, to compare two trees.
+
+One tab-separated line per result: an id, the optimum, the set,
+``stats.nodes`` and a digest of the witness ("-" where a field does not
+apply). The battery:
+
+- every claims-registry instance with at most 16 vertices, weak and strong
+  ``solve_exact`` at the registry's k;
+- the graphs of ``tests/data/exact_sets.json``, weak and strong
+  ``solve_exact`` at k = 1, 2, 3;
+- seeded random connected graphs, the same;
+- ``strong_feasible`` on the set ``solve_greedy`` returns, strong, for the
+  graphs of the two items above at k = 1, 2, 3.
+
+    python tools/answers.py                # the answers of src/
+    python tools/answers.py --src DIR      # the answers of DIR/pathcover
+    python tools/answers.py --against REV  # per-field differences from REV
+
+``--against`` extracts REV's ``src/`` with ``git archive`` into a temporary
+directory and runs this script on it in a subprocess. The script writes
+nothing in the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from io import BytesIO
+from itertools import combinations
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EXACT_SETS = ROOT / "tests" / "data" / "exact_sets.json"
+FIELDS = ("optimum", "set", "nodes", "witness")
+REGISTRY_MAX_N = 16
+RANDOM_GRAPHS = 400
+RANDOM_MAX_N = 14
+KS = (1, 2, 3)
+
+
+def _digest(witness) -> str:
+    if witness is None:
+        return "None"
+    text = repr((witness.assignments, witness.covered))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _random_graph(pc, rng: random.Random):
+    """A connected graph on 2 to ``RANDOM_MAX_N`` vertices, each edge kept
+    with probability 0.4."""
+    while True:
+        n = rng.randint(2, RANDOM_MAX_N)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+        G = pc.build_graph(n, edges)
+        if pc.is_connected(G):
+            return G
+
+
+def snapshot() -> list[str]:
+    import pathcover as pc
+
+    lines = []
+
+    def exact(name, G, k):
+        for variant in ("weak", "strong"):
+            r = pc.solve_exact(G, k, variant)
+            lines.append(f"{name} k={k} {variant}\t{r.optimum}\t"
+                         f"{list(r.set)}\t{r.stats.nodes}\t"
+                         f"{'-' if r.witness is None else _digest(r.witness)}")
+
+    def greedy_set(name, G, k):
+        chosen = pc.solve_greedy(G, k, "strong").set
+        w = pc.strong_feasible(G, chosen, k)
+        lines.append(f"{name} k={k} feasible-greedy\t-\t{list(chosen)}\t-\t"
+                     f"{_digest(w)}")
+
+    seen = set()
+    for record in pc.claims_registry():
+        for params in record.instances(REGISTRY_MAX_N):
+            if (record.family, params, record.k) not in seen:
+                seen.add((record.family, params, record.k))
+                G = pc.generate(pc.FamilySpec(record.family, params))
+                exact(f"registry {record.family}{params}", G, record.k)
+
+    graphs = []
+    for inst in json.loads(EXACT_SETS.read_text())["instances"]:
+        G = pc.build_graph(inst["n"], [tuple(e) for e in inst["edges"]])
+        graphs.append((f"exact_sets {inst['name']}", G))
+    for seed in range(RANDOM_GRAPHS):
+        graphs.append((f"random{seed}",
+                       _random_graph(pc, random.Random(seed))))
+    for name, G in graphs:
+        for k in KS:
+            exact(name, G, k)
+            greedy_set(name, G, k)
+    return lines
+
+
+def _extract(rev: str, into: Path) -> Path:
+    """REV's ``src/`` under ``into``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return into / "src"
+
+
+def _parse(lines: list[str]) -> dict[str, dict[str, str]]:
+    out = {}
+    for line in lines:
+        name, *values = line.split("\t")
+        out[name] = dict(zip(FIELDS, values))
+    return out
+
+
+def compare(old: list[str], new: list[str], rev: str) -> None:
+    """Per field, the results whose value differs from REV's; then every
+    differing value."""
+    before, after = _parse(old), _parse(new)
+    common = [name for name in after if name in before]
+    print(f"{len(common)} results in both; only in {rev}: "
+          f"{len(before.keys() - after.keys())}, only in the tree: "
+          f"{len(after.keys() - before.keys())}")
+    changed = {f: [n for n in common if before[n][f] != after[n][f]]
+               for f in FIELDS}
+    for f in FIELDS:
+        print(f"{f:>8}: {len(changed[f])} differ")
+    nodes = [(int(before[n]["nodes"]), int(after[n]["nodes"]))
+             for n in common if before[n]["nodes"] != "-"]
+    print(f"nodes total: {sum(a for a, _ in nodes)} -> "
+          f"{sum(b for _, b in nodes)}")
+    for f in FIELDS:
+        for n in changed[f]:
+            print(f"  {f} {n}: {before[n][f]} -> {after[n][f]}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the directory that holds the pathcover "
+                             "package (default: src/)")
+    parser.add_argument("--against", metavar="REV",
+                        help="print the per-field differences from REV")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src))
+    sys.dont_write_bytecode = True
+    new = snapshot()
+    if not args.against:
+        print("\n".join(new))
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            src = _extract(args.against, Path(tmp))
+        except subprocess.CalledProcessError as exc:
+            print(f"error: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 1
+        old = subprocess.run(
+            [sys.executable, "-B", __file__, "--src", str(src)], check=True,
+            capture_output=True, text=True).stdout.splitlines()
+    compare(old, new, args.against)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
