@@ -263,12 +263,15 @@ def verify_claims(
 ) -> tuple[DiscrepancyReport, ...]:
     """Solve claim instances exactly and classify each against its claim.
 
-    ``families`` filters by family name (None means all); ``instances``
-    restricts to an explicit (family, params) list. Only the records of
-    the families asked for, by either argument, list their instances. A
-    family that no registry record carries raises ``UnknownFamilyError``,
-    and a requested instance that no (filtered) record lists at ``max_n``
-    raises ``ValueError``, so nothing asked for is dropped without a word.
+    ``families`` filters by a list of family names (None means all; a bare
+    string raises ``ValueError``); ``instances`` restricts to an explicit
+    (family, params) list, the params any sequence of ints. Only the
+    records of the families asked for, by either argument, list their
+    instances. A family that no registry record carries raises
+    ``UnknownFamilyError``, and a requested instance that no (filtered)
+    record lists at ``max_n`` raises ``ValueError``, which names the
+    ``families`` filter when there is one, so nothing asked for is dropped
+    without a word.
     Each instance's graph is generated once and solved once per variant.
     Instances over ``solve_exact``'s fixed vertex limits (40 weak, 34
     strong), which it refuses with ``SizeLimitError``, are reported as
@@ -277,8 +280,12 @@ def verify_claims(
     ordered by (family, params, variant, kind), and records of one such
     key by registry order.
     """
+    if isinstance(families, str):
+        raise ValueError("families must be a list of family names, "
+                         f"not the string {families!r}")
     wanted = set(families) if families is not None else None
-    explicit = set(instances) if instances is not None else None
+    explicit = ({(family, tuple(params)) for family, params in instances}
+                if instances is not None else None)
     unknown = ({*(wanted or ()), *(family for family, _ in explicit or ())}
                - _BY_FAMILY.keys())
     if unknown:
@@ -297,7 +304,9 @@ def verify_claims(
             raise ValueError(
                 "no claim lists " + ", ".join(
                     f"{family}{params}" for family, params in sorted(missing))
-                + f" at max_n={max_n}")
+                + f" at max_n={max_n}"
+                + (f" in families {sorted(wanted)}" if wanted is not None
+                   else ""))
         todo = [(record, params) for record, params in todo
                 if (record.family, params) in explicit]
     todo.sort(key=lambda item: (item[0].family, item[1], item[0].variant,

@@ -12,19 +12,19 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cover import (
-    Matching,
     PairChoices,
     StrongWitness,
     _bits,
-    feasible_from_pairs,
+    _MatchingTest,
+    _PairTest,
     path_edge_mask,
     source_pairs,
-    split_pairs,
+    strong_test,
     weak_cover_set,
 )
 from .graph import (
@@ -63,9 +63,9 @@ class SolveStats:
     checks answer it: an empty remainder, the top-t bound, the union, the
     greedy cover or the disjoint-elements bound at the root. A
     search node is counted when entered, before its own disjoint-elements
-    cut, and a test stops at its first cover under the cap. At k = 2
-    strong, a vertex that ``_MatchingBound`` cuts is neither entered
-    nor tested, and sizes below its counting start are not walked.
+    cut, and a test stops at its first cover under the cap. For strong, a
+    vertex whose set the strong test refuses is not entered, at every k
+    and at full sets too, and sizes below its ``start`` are not walked.
     """
 
     nodes: int
@@ -269,38 +269,32 @@ def _least_cover(
     G: Graph,
     masks: Sequence[int],
     universe: int,
-    accept: Callable[[tuple[int, ...]], object] | None = None,
+    test: _MatchingTest | _PairTest | None = None,
     nodes: list[int] | None = None,
-    bound: _MatchingBound | None = None,
 ) -> tuple[tuple[int, ...], object]:
     """The lexicographically least vertex set of least size whose masks
-    cover ``universe`` and that ``accept`` takes, and its proof: what
-    ``accept`` returned (None refuses a set), or without ``accept`` the
-    search state at that leaf, the matching of ``bound`` or else ``()``.
-    Sizes ascend from the optimum of ``_min_cover``; each size walks its
-    sets in lexicographic order.
+    cover ``universe`` and that ``test`` (see ``cover.strong_test``) keeps,
+    and its proof: its state, ``()`` without a test. Sizes ascend from the
+    optimum of ``_min_cover`` or ``test.start``, the higher; each size
+    walks its sets in lexicographic order.
 
     Twin prefixes: u < v are twins when N(u) - {v} == N(v) - {u}, which
     covers true and false twins, and swapping them is an automorphism of G.
     ``masks[v]`` follows v under automorphisms, as weak coverage, the
     incident edges of v and strong covers do (automorphisms map geodesics
-    to geodesics). A refusing ``accept`` must be invariant under them too,
-    as the strong cover test is. So a set holding v but not its twin u maps
-    to a set of the same size, covering and accepted alike, that is
+    to geodesics). A ``test`` must treat automorphic sets alike too, as
+    the strong cover test does. So a set holding v but not its twin u maps
+    to a set of the same size, covering and kept alike, that is
     lexicographically smaller: the least accepted set takes a prefix of
     every twin class, and the search takes v only when v's nearest lower
     twin is already chosen.
 
     Prune: v is added only when the masks after v can finish the cover in
-    the picks left, so only subtrees that hold no covering set are cut.
+    the picks left and ``test.extend`` keeps the set with v, so only
+    subtrees that hold no accepted set are cut.
     Every strong cover is a weak cover, so this is sound for strong too.
-    The optimum and every test cover ``universe`` with the same masks, so
-    they share one coverer index (see ``_min_cover``).
-
-    ``bound`` (strong at k = 2) raises the first size to its ``start`` and
-    adds v only when its ``extend`` keeps the prefix, which at a full set
-    is the strong cover test; both cut only sizes and subtrees that hold no
-    strong cover (see ``_MatchingBound``).
+    The optimum and every such check cover ``universe`` with the same
+    masks, so they share one coverer index (see ``_min_cover``).
     """
     n = len(masks)
     # bit of the nearest lower twin u < v, else 0; twins have equal open
@@ -321,10 +315,7 @@ def _least_cover(
         if nodes is not None:
             nodes[0] += 1
         if need == 0:
-            chosen = tuple(_bits(vmask))
-            proof = state if accept is None else accept(chosen)
-            if proof is not None:
-                found = chosen, proof
+            found = tuple(_bits(vmask)), state
             return
         for v in range(start_v, n - need + 1):
             if twin_bit[v] & ~vmask:
@@ -332,8 +323,7 @@ def _least_cover(
             if _min_cover(masks, range(v + 1, n), universe, cov | masks[v],
                           need, nodes, index) is None:
                 continue
-            child = (state if bound is None
-                     else bound.extend(state, v, need - 1))
+            child = state if test is None else test.extend(state, v, need - 1)
             if child is None:
                 continue
             search(v + 1, vmask | 1 << v, cov | masks[v], need - 1, child)
@@ -342,69 +332,11 @@ def _least_cover(
 
     index: list[int] = []  # filled by the first call that needs it
     least = _min_cover(masks, range(n), universe, nodes=nodes, index=index)
-    for size in range(max(least, bound.start if bound else 0), n + 1):
-        search(0, 0, 0, size, bound.root if bound else ())
+    for size in range(max(least, test.start if test else 0), n + 1):
+        search(0, 0, 0, size, test.root if test else ())
         if found is not None:
             return found
     raise AssertionError("the full vertex set is always accepted")
-
-
-class _MatchingBound:
-    """Bounds, leaf test and witness of the strong search at k = 2.
-
-    A source v's forced mask, the union of its one-path pairs in
-    ``source_pairs(G, v, 2)``, holds its star, so each path v-x-t of a
-    choice pair adds one tip beyond it, x-t, and one ``Matching`` grown by
-    the added sources keeps the deficiency of the prefix P. v alone covers
-    at most cap(v) = deg(v) + |N_2(v)| edges, its forced ones and one per
-    choice pair, and adding w lowers the deficiency by at most cap(w), as
-    a choice for P + {w} splits into choices for P and for w.
-
-    - Counting start: a set smaller than ``start`` = ceil(m / max cap)
-      leaves a deficiency, so it is no strong cover.
-    - Deficiency prune: ``extend`` cuts P + {v} when its deficiency exceeds
-      ``left`` times ``maxcap[v + 1]``, the largest cap from v + 1 on (0
-      past the last vertex). Only subtrees holding no strong cover are cut,
-      so the lexicographically least optimum stays the answer.
-    - Leaf test: at ``left`` = 0 the cut is 0, so a full set is kept
-      exactly when it is a strong cover, and its state, which
-      ``_least_cover`` returns as its proof, gives the ``witness``.
-    """
-
-    def __init__(self, G: Graph):
-        self.G = G
-        self.matching = Matching(G.full_edge_mask())
-        self.sources: dict[int, tuple[int, list[int], list[tuple]]] = {}
-        nb = [sum(map((1).__lshift__, a)) for a in G.adj]
-        caps = []  # cap(v) = deg(v) + |N_2(v)|
-        for v, a in enumerate(G.adj):
-            ball = nb[v] | 1 << v
-            for x in a:
-                ball |= nb[x]
-            caps.append(ball.bit_count() - 1)
-        self.maxcap = list(accumulate(reversed(caps), max, initial=0))[::-1]
-        self.start = -(-G.m // self.maxcap[0]) if G.m else 0
-        self.root: tuple[int, dict[int, int], int] = (0, {}, 0)
-
-    def _source(self, v: int) -> tuple[int, list[int], list[tuple]]:
-        """v's forced mask, the ids of its choice pairs and the paths of its
-        one-path pairs, read from ``source_pairs`` when v is first added."""
-        if v not in self.sources:
-            ones, forced, choice = split_pairs(source_pairs(self.G, v, 2))
-            self.sources[v] = forced, self.matching.add(choice, forced), ones
-        return self.sources[v]
-
-    def extend(self, state: tuple[int, dict[int, int], int], v: int,
-               left: int):
-        """The state of the prefix extended by v, or None when it is cut."""
-        forced, ids, _ = self._source(v)
-        return self.matching.extend(state, forced, ids,
-                                    left * self.maxcap[v + 1])
-
-    def witness(self, chosen: Sequence[int], state) -> StrongWitness:
-        """The one-path pairs' paths of ``chosen``, then ``state``'s."""
-        return self.matching.witness(
-            [path for v in chosen for path in self.sources[v][2]], state)
 
 
 # ---------------------------------------------------------------------------
@@ -438,46 +370,28 @@ def _degree_lower_bound(G: Graph, k: int) -> int | None:
 
 def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     """Provably optimal cover of the requested variant: ``_least_cover``
-    over the per-vertex weak coverage masks. Weak takes the first covering
-    set; strong at k = 2 the first one ``_MatchingBound`` keeps, witnessed
-    by the matching ``_least_cover`` returns, and at other k the first one
-    ``feasible_from_pairs`` proves feasible, its witness being the proof
-    ``accept`` returns. A vertex's source pairs are built at most once.
-    Either way the set is the lexicographically least optimum.
+    over the per-vertex weak coverage masks, so the lexicographically least
+    optimum: weak the first covering set, strong the first one
+    ``cover.strong_test`` keeps, witnessed as ``strong_feasible`` does.
 
     Strong sizes ascend from the weak optimum: a strong cover is a weak
-    cover, so no smaller size can succeed. At k = 2 they ascend from the
-    counting start of ``_MatchingBound`` when it is higher, and its
-    deficiency prune cuts prefixes. The other lower bounds of
-    ``compute_bounds`` never start higher: a weak cover reaches an edge at
-    every vertex within distance k, so it dominates at distance k; an edge
-    joining two simplicial vertices of one clique lies only on geodesics
-    that start at its endpoints, so a weak cover holds all but one
-    simplicial vertex of each such clique; and the degree bound counts the
-    edges one source covers weakly.
+    cover, so no smaller size can succeed, or from the test's ``start``
+    when it is higher (at k = 2, a counting start). The other lower bounds
+    of ``compute_bounds`` never start higher: a weak cover reaches an edge
+    at every vertex within distance k, so it dominates at distance k; an
+    edge joining two simplicial vertices of one clique lies only on
+    geodesics that start at its endpoints, so a weak cover holds all but
+    one simplicial vertex of each such clique; and the degree bound counts
+    the edges one source covers weakly.
     """
     _check_args(G, k, STRONG_VERTEX_LIMIT if variant == STRONG
                 else WEAK_VERTEX_LIMIT, variant)
     start = time.perf_counter()
     nodes = [0]
     masks = [weak_cover_set(G, v, k) for v in range(G.n)]
-    pairs_by_source: dict[int, tuple[PairChoices, ...]] = {}
-
-    def feasible(chosen: tuple[int, ...]) -> StrongWitness | None:
-        pair_list: list[PairChoices] = []
-        for v in chosen:
-            if v not in pairs_by_source:
-                pairs_by_source[v] = source_pairs(G, v, k)
-            pair_list.extend(pairs_by_source[v])
-        return feasible_from_pairs(G, tuple(pair_list))
-
-    bound = _MatchingBound(G) if variant == STRONG and k == 2 else None
-    accept = feasible if variant == STRONG and bound is None else None
-    chosen, proof = _least_cover(G, masks, G.full_edge_mask(), accept,
-                                 nodes, bound)
-    if bound is not None:
-        proof = bound.witness(chosen, proof)
-    witness = proof if variant == STRONG else None
+    test = strong_test(G, k) if variant == STRONG else None
+    chosen, proof = _least_cover(G, masks, G.full_edge_mask(), test, nodes)
+    witness = test.witness(chosen, proof) if test else None
     return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
                        SolveStats(nodes[0], time.perf_counter() - start))
 

@@ -105,6 +105,28 @@ def test_unlisted_instance_is_refused():
     assert len(verify_claims(instances=[("cycle", (50,))], max_n=50)) == 1
 
 
+def test_instance_params_may_be_a_list():
+    # claim_value, expected_size and generate take list params; so does
+    # the instance list, with the same reports as for the tuple
+    got = verify_claims(instances=[("cycle", [5])])
+    assert [_fields(r) for r in got] == [
+        _fields(r) for r in verify_claims(instances=[("cycle", (5,))])]
+    assert got and all(r.params == (5,) for r in got)
+
+
+def test_bare_family_string_is_refused():
+    # a string is not read letter by letter as the families c, y, l, e
+    with pytest.raises(ValueError, match="list of family names.*'cycle'"):
+        verify_claims(families="cycle")
+
+
+def test_unlisted_instance_names_the_families_filter():
+    # a claim lists cycle(5,); it is the families filter that leaves it out
+    with pytest.raises(ValueError,
+                       match=r"cycle\(5,\) at max_n=12 in families \['path'\]"):
+        verify_claims(instances=[("cycle", (5,))], families=["path"])
+
+
 def test_every_family_has_a_claim():
     registered = {record.family for record in claims_registry()}
     assert registered == set(FAMILY_NAMES)

@@ -394,6 +394,17 @@ def test_strong_feasible_edgeless(n):
         StrongWitness((), 0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_strong_feasible_edgeless_and_sourceless_at_every_k(k):
+    # k = 2 and the other k take different strong tests, with one rule: an
+    # edgeless graph is covered by any set, and no source covers no edge
+    for n in (0, 1, 3):
+        assert strong_feasible(build_graph(n, []), range(n), k) == \
+            StrongWitness((), 0)
+    assert strong_feasible(family("path", 2), [], k) is None
+    assert strong_feasible(family("cycle", 5), [], k) is None
+
+
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_verify_weak_cover_edgeless(n):
     # the same rule as strong_feasible: an edgeless graph is covered

@@ -10,6 +10,7 @@ from pathcover import (
     StrongWitness,
     VertexRangeError,
     build_graph,
+    claims_registry,
     compute_bounds,
     diameter,
     domination_number,
@@ -21,13 +22,14 @@ from pathcover import (
     verify_weak_cover,
     vertex_cover_exact,
 )
-from pathcover import solve
+from pathcover import cover
 from pathcover.cover import (
     feasible_from_pairs,
     path_edge_mask,
     source_pairs,
+    strong_test,
 )
-from pathcover.solve import _MatchingBound, _least_cover, _min_cover
+from pathcover.solve import _least_cover, _min_cover
 from conftest import family, random_connected_graph
 
 
@@ -276,6 +278,14 @@ def test_edgeless_strong_has_empty_witness(solve, n):
     assert result.witness == StrongWitness((), 0)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_edgeless_strong_exact_has_empty_witness_at_other_k(k):
+    # away from k = 2 the empty set's proof is the strong test's root
+    for n in (0, 1):
+        result = solve_exact(build_graph(n, []), k, "strong")
+        assert (result.set, result.witness) == ((), StrongWitness((), 0))
+
+
 def test_monotonicity_chain(rng):
     # weak at the diameter <= weak at k <= strong at k
     for _ in range(10):
@@ -451,32 +461,53 @@ def test_least_cover_matches_brute_force():
         assert (chosen, proof) == (expected, ()), seed
 
 
-def test_least_cover_returns_what_accept_returned():
-    """An ``accept`` that refuses (returns None for) the first j covering
-    sets makes ``_least_cover`` return the (j + 1)-th in (size,
-    lexicographic) order, together with the proof ``accept`` returned for
-    it; ``accept`` sees exactly those j + 1 sets, in that order. The graph
-    is a path on four or more vertices, which has no twins, so the twin
-    rule cuts nothing even though this ``accept`` is not invariant under
+class _RefuseFirst:
+    """A test for ``_least_cover`` that keeps every prefix and refuses the
+    first j full sets at ``left`` 0; the state is the sources added, and
+    the proof of a kept full set is ("proof", set). The empty set is no
+    full set that ``extend`` sees: ``start`` alone decides it."""
+
+    root = ()
+
+    def __init__(self, j, start=1):
+        self.j, self.start = j, start
+        self.seen = []
+
+    def extend(self, state, v, left):
+        state = (*state, v)
+        if left:
+            return state
+        self.seen.append(state)
+        return ("proof", state) if len(self.seen) > self.j else None
+
+
+def test_least_cover_returns_what_the_test_kept():
+    """A test that refuses the first j covering sets at ``left`` 0 makes
+    ``_least_cover`` return the (j + 1)-th in (size, lexicographic) order,
+    together with the state the test returned for it; the test sees
+    exactly those j + 1 full sets, in that order. With ``start`` 1 every
+    set it is asked about has a vertex; with ``start`` 0 an empty universe
+    is covered by the empty set and its state, the root. The graph is a
+    path on four or more vertices, which has no twins, so the twin rule
+    cuts nothing even though this test is not invariant under
     automorphisms."""
     for seed, masks, universe in _set_systems_with_twins(100):
         n = len(masks)
-        covering = [combo for size in range(n + 1)
+        if not universe:
+            got = _least_cover(family("path", n), masks, universe,
+                               _RefuseFirst(0, start=0))
+            assert got == ((), ()), seed
+        covering = [combo for size in range(1, n + 1)
                     for combo in combinations(range(n), size)
                     if reduce(or_, map(masks.__getitem__, combo), 0)
                     & universe == universe]
         for j in sorted({0, 1, 3, len(covering) - 1}):
             if j >= len(covering):
                 continue
-            seen = []
-
-            def accept(chosen):
-                seen.append(chosen)
-                return ("proof", chosen) if len(seen) > j else None
-
-            got = _least_cover(family("path", n), masks, universe, accept)
+            test = _RefuseFirst(j)
+            got = _least_cover(family("path", n), masks, universe, test)
             assert got == (covering[j], ("proof", covering[j])), (seed, j)
-            assert seen == covering[:j + 1], (seed, j)
+            assert test.seen == covering[:j + 1], (seed, j)
 
 
 def _dense_graph(seed, n=40, m=78):
@@ -519,13 +550,13 @@ def _max_strong_coverage(pairs):
 
 
 def test_deficiency_is_edges_the_best_choice_leaves():
-    """The deficiency the ``Matching`` of ``_MatchingBound`` keeps along a
-    search path, driven without a cut, the edges neither its forced paths
-    nor its matching cover, is m minus the most edges any choice of
-    ``source_pairs`` paths covers, after each vertex added in any order;
-    the witness read from the state covers exactly those edges with one of
-    its pairs' paths per pair; alone, a vertex leaves m - cap(v), and
-    ``maxcap`` and ``start`` are read from those caps."""
+    """The deficiency the ``Matching`` of the k = 2 strong test keeps
+    along a search path, driven without a cut, the edges neither its
+    forced paths nor its matching cover, is m minus the most edges any
+    choice of ``source_pairs`` paths covers, after each vertex added in any
+    order; the witness read from the state covers exactly those edges with
+    one of its pairs' paths per pair; alone, a vertex leaves m - cap(v),
+    and ``maxcap`` and ``start`` are read from those caps."""
     def deficiency(state):
         base, _, held = state
         return (G.full_edge_mask() & ~(base | held)).bit_count()
@@ -537,7 +568,7 @@ def test_deficiency_is_edges_the_best_choice_leaves():
     for seed in range(300):
         rng = random.Random(seed)
         G = random_connected_graph(rng, max_n=8)
-        bound = _MatchingBound(G)
+        bound = strong_test(G, 2)
         order = rng.sample(range(G.n), G.n)
         state = bound.root
         for i, v in enumerate(order):
@@ -568,7 +599,7 @@ def test_one_matcher_decides_k2_both_ways():
     for seed in range(200):
         rng = random.Random(seed)
         G = random_connected_graph(rng, max_n=10)
-        bound = _MatchingBound(G)
+        bound = strong_test(G, 2)
         for _ in range(5):
             S = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
             single = feasible_from_pairs(
@@ -611,15 +642,15 @@ def test_strong_k2_search_proves_its_own_leaf(monkeypatch):
     ``feasible_from_pairs`` call, at most one ``source_pairs`` call per
     vertex, and the witness read from the matching verifies."""
     proofs, built = [], []
-    real_source_pairs = solve.source_pairs
+    real_source_pairs = cover.source_pairs
 
     def counted_source_pairs(G, u, k):
         built.append(u)
         return real_source_pairs(G, u, k)
 
-    monkeypatch.setattr(solve, "feasible_from_pairs",
+    monkeypatch.setattr(cover, "feasible_from_pairs",
                         lambda *args: proofs.append(args))
-    monkeypatch.setattr(solve, "source_pairs", counted_source_pairs)
+    monkeypatch.setattr(cover, "source_pairs", counted_source_pairs)
     rng = random.Random(2)
     graphs = [family("crown", 6), family("double_fan", 10),
               family("complete_bipartite", 3, 3), family("cycle", 10)]
@@ -631,3 +662,41 @@ def test_strong_k2_search_proves_its_own_leaf(monkeypatch):
         assert len(built) == len(set(built))
         assert verify_strong_witness(G, result.set, 2, result.witness), \
             result.set
+
+
+def test_diameter_two_proofs_never_backtrack(monkeypatch):
+    """On a diameter-2 graph every geodesic has length at most 2, so at
+    k >= 3 no path adds two edges beyond its source's star and every proof
+    is a matching: ``feasible_from_pairs`` keeps its gain <= 1 branch for
+    this, and the search never backtracks."""
+    def no_backtrack(*args):
+        raise AssertionError("backtracked")
+
+    monkeypatch.setattr(cover, "_backtrack", no_backtrack)
+    result = solve_exact(family("double_fan", 15), 3, "strong")
+    assert (result.optimum, result.set) == (4, (2, 6, 10, 14))
+
+
+def _registry_graphs(max_n):
+    """(name, graph) for every claims-registry instance at ``max_n``."""
+    listed = dict.fromkeys((record.family, params)
+                           for record in claims_registry()
+                           for params in record.instances(max_n))
+    return [(f"{name}{params}", family(name, *params))
+            for name, params in listed]
+
+
+def test_strong_feasible_gives_the_solver_witness():
+    """``solve_exact`` and ``strong_feasible`` prove a set with one strong
+    test, so at k = 1, 2, 3 ``strong_feasible`` on a strong optimum returns
+    the solver's witness: over the registry instances to 12 vertices and
+    seeded random graphs."""
+    rng = random.Random(3)
+    graphs = _registry_graphs(12) + [
+        (f"random{i}", random_connected_graph(rng, max_n=12))
+        for i in range(100)]
+    for name, G in graphs:
+        for k in (1, 2, 3):
+            result = solve_exact(G, k, "strong")
+            assert strong_feasible(G, result.set, k) == result.witness, \
+                (name, k)

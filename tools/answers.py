@@ -17,8 +17,10 @@ apply). The battery:
     python tools/answers.py --against REV  # per-field differences from REV
 
 ``--against`` extracts REV's ``src/`` with ``git archive`` into a temporary
-directory and runs this script on it in a subprocess. The script writes
-nothing in the repository.
+directory and runs this script on it in a subprocess. It prints the node
+and witness differences grouped by row kind and k, then every differing
+value, and exits 1 when any optimum or set differs: those move only by a
+stated change. The script writes nothing in the repository.
 """
 
 from __future__ import annotations
@@ -119,9 +121,17 @@ def _parse(lines: list[str]) -> dict[str, dict[str, str]]:
     return out
 
 
-def compare(old: list[str], new: list[str], rev: str) -> None:
-    """Per field, the results whose value differs from REV's; then every
-    differing value."""
+def _kind(name: str) -> str:
+    """A result's row kind and k, its last two words swapped: "strong k=3"
+    or "feasible-greedy k=2"."""
+    *_, k, kind = name.split(" ")
+    return f"{kind} {k}"
+
+
+def compare(old: list[str], new: list[str], rev: str) -> int:
+    """Per field, the results whose value differs from REV's; the node and
+    witness differences per row kind and k; then every differing value.
+    1 when an optimum or a set differs, else 0."""
     before, after = _parse(old), _parse(new)
     common = [name for name in after if name in before]
     print(f"{len(common)} results in both; only in {rev}: "
@@ -135,9 +145,24 @@ def compare(old: list[str], new: list[str], rev: str) -> None:
              for n in common if before[n]["nodes"] != "-"]
     print(f"nodes total: {sum(a for a, _ in nodes)} -> "
           f"{sum(b for _, b in nodes)}")
+    for f in ("nodes", "witness"):
+        groups: dict[str, list[str]] = {}
+        for n in changed[f]:
+            groups.setdefault(_kind(n), []).append(n)
+        for kind, names in sorted(groups.items()):
+            line = f"{f} {kind}: {len(names)} differ"
+            if f == "nodes":
+                old_new = [(int(before[n][f]), int(after[n][f]))
+                           for n in names]
+                lower = sum(b < a for a, b in old_new)
+                line += (f", {lower} lower, {len(names) - lower} higher; "
+                         f"{sum(a for a, _ in old_new)} -> "
+                         f"{sum(b for _, b in old_new)}")
+            print(line)
     for f in FIELDS:
         for n in changed[f]:
             print(f"  {f} {n}: {before[n][f]} -> {after[n][f]}")
+    return 1 if changed["optimum"] or changed["set"] else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,8 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         old = subprocess.run(
             [sys.executable, "-B", __file__, "--src", str(src)], check=True,
             capture_output=True, text=True).stdout.splitlines()
-    compare(old, new, args.against)
-    return 0
+    return compare(old, new, args.against)
 
 
 if __name__ == "__main__":
