@@ -256,6 +256,22 @@ def _classify(kind: str, claimed: int, computed: int | None) -> str:
     return STATUS_BOUND_HOLDS if computed <= claimed else STATUS_BOUND_VIOLATED
 
 
+def _instance(entry) -> tuple[str, tuple[int, ...]]:
+    """One ``verify_claims`` instance as (family, params), or ValueError
+    naming the entry when it is no (family name, sequence of ints) pair."""
+    try:
+        family, params = entry
+        params = tuple(params)
+        ok = isinstance(family, str) and all(isinstance(x, int)
+                                             for x in params)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError("an instance is a (family, params) pair such as "
+                         f"('cycle', (5,)), got {entry!r}")
+    return family, params
+
+
 def verify_claims(
     families: Iterable[str] | None = None,
     max_n: int = 12,
@@ -265,9 +281,10 @@ def verify_claims(
 
     ``families`` filters by a list of family names (None means all; a bare
     string raises ``ValueError``); ``instances`` restricts to an explicit
-    (family, params) list, the params any sequence of ints. Only the
-    records of the families asked for, by either argument, list their
-    instances. A family that no registry record carries raises
+    (family, params) list, the params any sequence of ints (a bare string,
+    or an entry that is no such pair, raises ``ValueError`` naming it).
+    Only the records of the families asked for, by either argument, list
+    their instances. A family that no registry record carries raises
     ``UnknownFamilyError``, and a requested instance that no (filtered)
     record lists at ``max_n`` raises ``ValueError``, which names the
     ``families`` filter when there is one, so nothing asked for is dropped
@@ -284,7 +301,10 @@ def verify_claims(
         raise ValueError("families must be a list of family names, "
                          f"not the string {families!r}")
     wanted = set(families) if families is not None else None
-    explicit = ({(family, tuple(params)) for family, params in instances}
+    if isinstance(instances, str):
+        raise ValueError("instances must be a list of (family, params) "
+                         f"pairs, not the string {instances!r}")
+    explicit = ({_instance(entry) for entry in instances}
                 if instances is not None else None)
     unknown = ({*(wanted or ()), *(family for family, _ in explicit or ())}
                - _BY_FAMILY.keys())

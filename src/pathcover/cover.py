@@ -6,13 +6,15 @@ length at most k starting at u. Strong coverage fixes one geodesic per
 strong-feasible when some choice of fixed geodesics covers every edge, and
 the feasibility search here plays that benevolent chooser exactly.
 
-Edge sets are integer bitmasks over the graph's canonical edge indices.
+Edge sets are integer bitmasks over the graph's canonical edge indices, and
+so is each geodesic a solver may fix: only the paths a witness keeps are
+rebuilt as vertex sequences (``mask_path``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -29,13 +31,19 @@ def path_edge_mask(G: Graph, path: tuple[int, ...]) -> int:
     return G.edge_mask(zip(path, path[1:]))
 
 
-def _distances_within(G: Graph, u: int, k: int) -> dict[int, int]:
-    """d(u, x) for every x within distance k of ``u``, from a BFS that stops
-    at depth k; refuses k < 1 first, as the solvers do."""
+def _check_source(G: Graph, u: int, k: int) -> None:
+    """Refuses k < 1 first, as the solvers do, then a source out of
+    range."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if not 0 <= u < G.n:
         raise VertexRangeError(f"source {u} out of range for n={G.n}")
+
+
+def _distances_within(G: Graph, u: int, k: int) -> dict[int, int]:
+    """d(u, x) for every x within distance k of ``u``, from a BFS that stops
+    at depth k, after ``_check_source``."""
+    _check_source(G, u, k)
     dist = {u: 0}
     layer = [u]
     d = 0
@@ -96,14 +104,43 @@ def verify_weak_cover(G: Graph, S: Iterable[int], k: int) -> bool:
 
 
 class PairChoices(NamedTuple):
-    """Candidate fixed geodesics for one (source, target) pair. A named
-    tuple, so immutable and cheap to build: ``source_pairs`` makes one per
-    pair of every source it is asked for."""
+    """Candidate fixed geodesics for one (source, target) pair, as the edge
+    masks of its geodesics in the lexicographic order of their vertex
+    sequences. A named tuple, so immutable and cheap to build:
+    ``source_pairs`` makes one per pair of every source it is asked for. A
+    path is rebuilt from its mask only when a witness keeps it
+    (``mask_path``)."""
 
     source: int
     target: int
-    paths: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
+
+
+def mask_path(G: Graph, u: int, v: int, mask: int) -> tuple[int, ...]:
+    """The geodesic from ``u`` to ``v`` whose edges are ``mask``.
+
+    A geodesic is a simple path, so at each of its vertices at most two of
+    its edges meet. One edge is (u, v) itself. Of two, either one joins
+    u or v to the middle vertex, its other end. A longer one is walked
+    from u, each step along the one edge of ``mask`` at the vertex that
+    does not lead back.
+    """
+    d = mask.bit_count()
+    if d == 1:
+        return u, v
+    if d == 2:
+        a, b = G.edges[(mask & -mask).bit_length() - 1]
+        return u, b if a == u or a == v else a, v
+    path = [u]
+    prev, x = -1, u
+    for _ in range(d - 1):
+        for y in G.adj[x]:
+            if y != prev and mask >> G.edge_id(x, y) & 1:
+                break
+        path.append(y)
+        prev, x = x, y
+    path.append(v)
+    return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -122,57 +159,73 @@ class StrongWitness:
     covered: int
 
     @classmethod
-    def of(cls, paths: Iterable[tuple[int, ...]],
+    def of(cls, G: Graph, picks: Iterable[tuple[int, int, int]],
            covered: int) -> StrongWitness:
-        """Fixes each path for its (first, last) vertex pair, sorted."""
-        return cls(tuple(sorted(((p[0], p[-1]), p) for p in paths)), covered)
+        """Fixes, for each pick (source, target, mask), the path
+        ``mask_path`` rebuilds, sorted by pair."""
+        return cls(tuple(sorted(((u, v), mask_path(G, u, v, m))
+                                for u, v, m in picks)), covered)
 
 
-def source_pairs(G: Graph, u: int, k: int) -> tuple[PairChoices, ...]:
+def arc_table(G: Graph) -> list:
+    """An empty arc table of G for ``source_pairs``: row x, filled on first
+    use, lists (y, bit of the edge x-y) for the neighbours y of x,
+    ascending. One table serves every source of a solve, so each row is
+    built once, and a lone source fills only the rows of its ball."""
+    return [None] * G.n
+
+
+def source_pairs(G: Graph, u: int, k: int,
+                 arcs: list | None = None) -> tuple[PairChoices, ...]:
     """Geodesic choice sets for every pair (u, v) with 1 <= d(u, v) <= k,
-    in ascending target order, from one BFS that stops at depth k and one
-    walk, so a source costs as much as its radius-k ball. Answers on any
-    graph, with the pairs within u's component.
+    in ascending target order, from one walk of u's radius-k ball, layer by
+    layer, over the rows of ``arcs`` (an ``arc_table`` of G, a fresh one
+    when None), so a source costs as much as its radius-k ball. Answers on
+    any graph, with the pairs within u's component.
 
-    The walk goes depth-first over ascending neighbours, from u, stepping
-    only to a y with d(u, y) equal to the length of the path so far, and
-    stops at depth k. Each step raises the distance by one, so every walk
-    is a geodesic to its last vertex; and every geodesic of length at most
-    k from u is such a walk, since each of its prefixes is a geodesic. The
-    walk visits the paths in pre-order over ascending neighbours, so each
-    target's paths come in lexicographic order, as ``enumerate_geodesics``
-    gives them. A path's mask is its prefix's mask plus one edge bit, read
-    from the graph's edge index.
+    Layer d holds every geodesic of length d from u, as (last vertex,
+    mask). A path of layer d - 1 extends along each arc x-y to a y in no
+    earlier layer: such a y lies at distance d, so the path is a geodesic
+    to y; and every geodesic of length d is such an extension, since its
+    prefix is a geodesic. Paths extend in layer order over ascending
+    neighbours, so a layer in lexicographic order yields the next in
+    lexicographic order, and each target's masks come in the order of
+    ``enumerate_geodesics``' paths. A path's mask is its prefix's mask plus
+    one edge bit, read from the table.
     """
-    dist = _distances_within(G, u, k)
+    _check_source(G, u, k)
+    if arcs is None:
+        arcs = arc_table(G)
     cap = GEODESIC_CAP
     eidx = G._eidx
-    found: dict[int, tuple[list, list]] = {}
-    path, masks = [u], [0]
-    stack = [iter(G.adj[u])]
-    while stack:
-        for y in stack[-1]:
-            if dist.get(y) != len(path):
-                continue
-            x = path[-1]
-            mask = masks[-1] | 1 << eidx[(x, y) if x < y else (y, x)]
-            paths_y, masks_y = found.setdefault(y, ([], []))
-            if len(paths_y) >= cap:
-                raise EnumerationCapError(
-                    f"more than {cap} geodesics between {u} and {y}", cap)
-            paths_y.append((*path, y))
-            masks_y.append(mask)
-            if len(path) < k:
-                path.append(y)
-                masks.append(mask)
-                stack.append(iter(G.adj[y]))
-                break
-        else:
-            stack.pop()
-            path.pop()
-            masks.pop()
-    return tuple(PairChoices(u, v, tuple(found[v][0]), tuple(found[v][1]))
-                 for v in sorted(found))
+    found: dict[int, list[int]] = {}
+    inner = {u}  # the vertices of the layers before the current one
+    layer = [(u, 0)]
+    for d in range(k):
+        reach: dict[int, list[int]] = {}
+        nxt = []
+        for x, mask in layer:
+            row = arcs[x]
+            if row is None:
+                row = arcs[x] = [
+                    (y, 1 << eidx[(x, y) if x < y else (y, x)])
+                    for y in G.adj[x]]
+            for y, bit in row:
+                masks = reach.get(y)
+                if masks is None:
+                    if y in inner:
+                        continue
+                    masks = reach[y] = []
+                elif len(masks) >= cap:
+                    raise EnumerationCapError(
+                        f"more than {cap} geodesics between {u} and {y}", cap)
+                mask_y = mask | bit
+                masks.append(mask_y)
+                nxt.append((y, mask_y))
+        found.update(reach)
+        inner.update(reach)
+        layer = nxt
+    return tuple(PairChoices(u, v, tuple(found[v])) for v in sorted(found))
 
 
 def _bits(x: int):
@@ -184,12 +237,12 @@ def _bits(x: int):
 
 
 def split_pairs(pairs: Iterable[PairChoices]) -> tuple[list, int, list]:
-    """The paths of the one-path pairs, the union of their masks, and the
-    pairs with a choice of paths."""
+    """The picks (source, target, mask) of the one-path pairs, the union of
+    their masks, and the pairs with a choice of paths."""
     ones, forced, choice = [], 0, []
     for p in pairs:
-        if len(p.paths) == 1:
-            ones.append(p.paths[0])
+        if len(p.masks) == 1:
+            ones.append((p.source, p.target, p.masks[0]))
             forced |= p.masks[0]
         else:
             choice.append(p)
@@ -246,7 +299,8 @@ class Matching:
     plus a maximum matching (Kuhn's method; Hopcroft & Karp, 1973), and
     the deficiency, the edges outside ``base | held``, is m minus that.
     The pairs are feasible exactly when it is 0, with the forced paths and
-    each matched edge's first path from its pair as witness.
+    each matched edge's first path from its pair as witness; a tip keeps
+    that path's mask, and its pair the ends.
 
     ``extend`` keeps the matching maximum. The edges a new forced mask
     covers leave it, and augmenting starts only at the pairs this frees and
@@ -255,18 +309,21 @@ class Matching:
     none after later augmentations (Kuhn's lemma).
     """
 
-    def __init__(self, full: int):
-        self.full = full
-        self.tips: list[dict[int, tuple[int, ...]]] = []
+    def __init__(self, G: Graph):
+        self.G = G
+        self.full = G.full_edge_mask()
+        self.pairs: list[PairChoices] = []
+        self.tips: list[dict[int, int]] = []
 
     def add(self, choice: Iterable[PairChoices], forced: int) -> list[int]:
         """The ids of the choice pairs, tips read beyond ``forced``."""
         first = len(self.tips)
         for p in choice:
-            tip: dict[int, tuple[int, ...]] = {}
-            for path, m in zip(p.paths, p.masks):
+            tip: dict[int, int] = {}
+            for m in p.masks:
                 for e in _bits(m & ~forced):
-                    tip.setdefault(e, path)
+                    tip.setdefault(e, m)
+            self.pairs.append(p)
             self.tips.append(tip)
         return list(range(first, len(self.tips)))
 
@@ -292,11 +349,14 @@ class Matching:
             return None
         return base, owner, held
 
-    def witness(self, paths: list[tuple[int, ...]], state) -> StrongWitness:
-        """``paths`` and, per matched edge of ``state``, its pair's path."""
+    def witness(self, picks: list[tuple[int, int, int]],
+                state) -> StrongWitness:
+        """``picks`` and, per matched edge of ``state``, its pair's path."""
         base, owner, held = state
-        return StrongWitness.of(
-            paths + [self.tips[q][e] for e, q in owner.items()], base | held)
+        pairs = self.pairs
+        return StrongWitness.of(self.G, picks + [
+            (pairs[q].source, pairs[q].target, self.tips[q][e])
+            for e, q in owner.items()], base | held)
 
 
 def feasible_from_pairs(
@@ -342,26 +402,26 @@ def feasible_from_pairs(
     # every k on a diameter-2 graph: solve_exact(double_fan(15), 3, "strong")
     # took 0.002 s with this branch and 36 s without it (2-core Xeon VM)
     if max(gain, default=0) <= 1:
-        matching = Matching(full)
+        matching = Matching(G)
         state = matching.extend((0, {}, 0), base,
                                 matching.add(choice, base), 0)
         return None if state is None else matching.witness(ones, state)
     picks = _backtrack(G, base, choice, gain)
-    return None if picks is None else StrongWitness.of(ones + picks, full)
+    return None if picks is None else StrongWitness.of(G, ones + picks, full)
 
 
 def _backtrack(
     G: Graph, base: int, choice: Sequence[PairChoices], gain: list[int]
-) -> list[tuple[int, ...]] | None:
-    """The paths picked by the first covering assignment, or None;
-    ``feasible_from_pairs`` states the search."""
+) -> list[tuple[int, int, int]] | None:
+    """The picks (source, target, mask) of the first covering assignment,
+    or None; ``feasible_from_pairs`` states the search."""
     full = G.full_edge_mask()
-    # candidates per edge: (choice index, path, mask), lexicographic
-    cands: list[list[tuple]] = [[] for _ in range(G.m)]
+    # candidates per edge: (choice index, mask), lexicographic
+    cands: list[list[tuple[int, int]]] = [[] for _ in range(G.m)]
     for ci, p in enumerate(choice):
-        for path, m in zip(p.paths, p.masks):
+        for m in p.masks:
             for e in _bits(m):
-                cands[e].append((ci, path, m))
+                cands[e].append((ci, m))
 
     failed: set[tuple[int, int]] = set()
     # frame: [mask, assigned-pair bits, room, candidates, next candidate]
@@ -380,7 +440,7 @@ def _backtrack(
                 i += 1
             if i < len(options):
                 frame[4] = i + 1
-                ci, _, m = options[i]
+                ci, m = options[i]
                 mask = fmask | m
                 abits = fbits | 1 << ci
                 room = froom - gain[ci]
@@ -389,7 +449,11 @@ def _backtrack(
             frames.pop()
         else:
             return None
-    return [frame[3][frame[4] - 1][1] for frame in frames]
+    picks = []
+    for frame in frames:
+        ci, m = frame[3][frame[4] - 1]
+        picks.append((choice[ci].source, choice[ci].target, m))
+    return picks
 
 
 class _MatchingTest:
@@ -410,12 +474,22 @@ class _MatchingTest:
       past the last vertex). Only sets holding no strong cover are cut.
     - Leaf test: at ``left`` = 0 the cut is 0, so a full set is kept
       exactly when it is a strong cover; its state gives the ``witness``.
+
+    The caps are computed on first use: ``whole`` grows the matching
+    without a cut, so a set given whole never reads them.
     """
 
     def __init__(self, G: Graph):
         self.G = G
-        self.matching = Matching(G.full_edge_mask())
-        self.sources: dict[int, tuple[int, list[int], list[tuple]]] = {}
+        self.matching = Matching(G)
+        self.arcs = arc_table(G)
+        self.sources: dict[int, tuple[int, list[int], list]] = {}
+        self.root: tuple[int, dict[int, int], int] = (0, {}, 0)
+
+    @cached_property
+    def maxcap(self) -> list[int]:
+        """maxcap[s], the largest cap(v) over v >= s."""
+        G = self.G
         nb = [sum(map((1).__lshift__, a)) for a in G.adj]
         caps = []  # cap(v) = deg(v) + |N_2(v)|
         for v, a in enumerate(G.adj):
@@ -423,14 +497,17 @@ class _MatchingTest:
             for x in a:
                 ball |= nb[x]
             caps.append(ball.bit_count() - 1)
-        self.maxcap = list(accumulate(reversed(caps), max, initial=0))[::-1]
-        self.start = -(-G.m // self.maxcap[0]) if G.m else 0
-        self.root: tuple[int, dict[int, int], int] = (0, {}, 0)
+        return list(accumulate(reversed(caps), max, initial=0))[::-1]
 
-    def _source(self, v: int) -> tuple[int, list[int], list[tuple]]:
-        """v's forced mask, choice pair ids and one-path pairs' paths."""
+    @cached_property
+    def start(self) -> int:
+        return -(-self.G.m // self.maxcap[0]) if self.G.m else 0
+
+    def _source(self, v: int) -> tuple[int, list[int], list]:
+        """v's forced mask, choice pair ids and one-path pairs' picks."""
         if v not in self.sources:
-            ones, forced, choice = split_pairs(source_pairs(self.G, v, 2))
+            ones, forced, choice = split_pairs(
+                source_pairs(self.G, v, 2, self.arcs))
             self.sources[v] = forced, self.matching.add(choice, forced), ones
         return self.sources[v]
 
@@ -441,10 +518,22 @@ class _MatchingTest:
         return self.matching.extend(state, forced, ids,
                                     left * self.maxcap[v + 1])
 
+    def whole(self, sources: Sequence[int]):
+        """The state of ``sources``, ascending, or None when they are no
+        strong cover: the states ``extend`` gives, with no cut but the
+        last. Its cuts fire only on sets that hold no strong cover, so
+        without them the answer, and a state kept, are the same."""
+        state = self.root
+        for v in sources:
+            forced, ids, _ = self._source(v)
+            state = self.matching.extend(state, forced, ids, self.G.m)
+        base, _, held = state
+        return state if base | held == self.matching.full else None
+
     def witness(self, chosen: Sequence[int], state) -> StrongWitness:
-        """The one-path pairs' paths of ``chosen``, then ``state``'s."""
+        """The one-path pairs' picks of ``chosen``, then ``state``'s."""
         return self.matching.witness(
-            [path for v in chosen for path in self.sources[v][2]], state)
+            [pick for v in chosen for pick in self.sources[v][2]], state)
 
 
 class _PairTest:
@@ -453,15 +542,20 @@ class _PairTest:
 
     def __init__(self, G: Graph, k: int):
         self.G, self.start, self.root = G, min(G.m, 1), ()
-        self.pairs = cache(lambda u: source_pairs(G, u, k))
+        arcs = arc_table(G)
+        self.pairs = cache(lambda u: source_pairs(G, u, k, arcs))
 
     def extend(self, state: tuple[int, ...], v: int, left: int):
         chosen = (*state, v)
-        return chosen if left else feasible_from_pairs(
-            self.G, tuple(p for u in chosen for p in self.pairs(u)))
+        return chosen if left else self.whole(chosen)
+
+    def whole(self, sources: Sequence[int]) -> StrongWitness | None:
+        return feasible_from_pairs(
+            self.G, tuple(p for u in sources for p in self.pairs(u)))
 
     def witness(self, chosen: Sequence[int], state) -> StrongWitness:
-        return state or StrongWitness.of((), 0)  # the root: G is edgeless
+        # the root: G is edgeless
+        return state or StrongWitness.of(self.G, (), 0)
 
 
 def strong_test(G: Graph, k: int) -> _MatchingTest | _PairTest:
@@ -470,25 +564,26 @@ def strong_test(G: Graph, k: int) -> _MatchingTest | _PairTest:
     strong covers; ``root`` is the empty set's state; ``extend(state, v,
     left)`` adds v, or is None when no strong cover holds the set and
     ``left`` more vertices above v, so a state it returns at ``left`` 0 is
-    a strong cover, which ``witness(chosen, state)`` witnesses."""
+    a strong cover, which ``witness(chosen, state)`` witnesses.
+    ``whole(sources)`` is the state or None that ``extend`` gives at
+    ``left`` 0 once ``sources`` are added to the root, ascending, but read
+    without a cut before the last: a set given whole reads no bound."""
     return _MatchingTest(G) if k == 2 else _PairTest(G, k)
 
 
 def strong_feasible(
     G: Graph, S: Iterable[int], k: int
 ) -> StrongWitness | None:
-    """Witness that S is a k-strong cover, or None: ``strong_test`` folded
-    over the sorted sources. As in ``verify_weak_cover``, an edgeless graph
-    is covered by any S (the empty witness), and a disconnected graph with
-    edges is refused when S is not empty."""
+    """Witness that S is a k-strong cover, or None: the state of
+    ``strong_test`` for the sorted sources given whole. As in
+    ``verify_weak_cover``, an edgeless graph is covered by any S (the empty
+    witness), and a disconnected graph with edges is refused when S is not
+    empty."""
     sources = sorted(_vertex_set(G, S, k))
     if sources and G.m:
         require_connected(G)
     test = strong_test(G, k)
-    state = test.root if len(sources) >= test.start else None
-    for i, v in enumerate(sources):
-        if state is not None:
-            state = test.extend(state, v, len(sources) - 1 - i)
+    state = test.whole(sources)
     return None if state is None else test.witness(sources, state)
 
 

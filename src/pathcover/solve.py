@@ -22,6 +22,7 @@ from .cover import (
     _bits,
     _MatchingTest,
     _PairTest,
+    arc_table,
     path_edge_mask,
     source_pairs,
     strong_test,
@@ -413,15 +414,17 @@ def _greedy_source(
 ) -> tuple[list[int], int, list[tuple[int, int]]]:
     """What strong greedy derives from one source's pairs, once per solve:
     per pair U_p, the union of its path masks; the star, the edges at the
-    source; and (d - 1, U_p) per pair at distance d >= 2."""
+    source; and (d - 1, U_p) per pair at distance d >= 2, d the number of
+    edges of each of its paths."""
     unions = [reduce(or_, p.masks) for p in pairs]
     star = 0
     tails = []
     for p, union in zip(pairs, unions):
-        if len(p.paths[0]) == 2:
+        d = p.masks[0].bit_count()
+        if d == 1:
             star |= union
         else:
-            tails.append((len(p.paths[0]) - 2, union))
+            tails.append((d - 1, union))
     return unions, star, tails
 
 
@@ -429,8 +432,8 @@ def _greedy_pair_gain(
     pairs: tuple[PairChoices, ...], unions: list[int], cover: int
 ) -> tuple[int, list]:
     """The edges outside ``cover`` that greedily assigning one path per
-    pair gains, and the paths that gain them; pairs that would add nothing
-    get no path.
+    pair gains, and the picks (source, target, mask) that gain them; pairs
+    that would add nothing get no path.
 
     A pair whose union U_p lies in ``cover`` plus the edges gained so far
     adds nothing and is skipped. Any other pair has a path of positive gain
@@ -439,7 +442,7 @@ def _greedy_pair_gain(
     """
     taken = cover
     picks = []
-    for (_, _, paths, masks), union in zip(pairs, unions):
+    for (u, t, masks), union in zip(pairs, unions):
         if not union & ~taken:
             continue
         if len(masks) == 1:
@@ -449,7 +452,7 @@ def _greedy_pair_gain(
             gains = [(m & free).bit_count() for m in masks]
             i = gains.index(max(gains))
         taken |= masks[i]
-        picks.append(paths[i])
+        picks.append((u, t, masks[i]))
     return taken & ~cover, picks
 
 
@@ -503,7 +506,8 @@ def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
       that adds more, leaving edges for later pairs), so it is no bound.
     """
     universe = G.full_edge_mask()
-    pairs_by_source = [source_pairs(G, v, k) for v in range(G.n)]
+    arcs = arc_table(G)
+    pairs_by_source = [source_pairs(G, v, k, arcs) for v in range(G.n)]
     sources = [_greedy_source(pairs) for pairs in pairs_by_source]
     kept: dict[int, tuple[int, list]] = {}  # v -> (gained, picks)
     version = [0] * G.n
@@ -511,7 +515,7 @@ def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
             for v, (_, star, tails) in enumerate(sources)]
     heapify(heap)
     chosen = []
-    paths = []
+    assigned = []
     cover = 0
     while cover != universe:
         _, v, ver = heappop(heap)
@@ -527,13 +531,13 @@ def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
         version[v] += 1
         chosen.append(v)
         cover |= gained
-        paths.extend(picks)
+        assigned.extend(picks)
         for w in [w for w, (other, _) in kept.items() if other & gained]:
             del kept[w]
             version[w] += 1
             _, star, tails = sources[w]
             heappush(heap, (-_greedy_bound(star, tails, cover), w, version[w]))
-    witness = StrongWitness.of(paths, cover)
+    witness = StrongWitness.of(G, assigned, cover)
     return SolveResult(STRONG, k, len(chosen), tuple(sorted(chosen)), witness,
                        "heuristic",
                        SolveStats(len(chosen), time.perf_counter() - start))
@@ -572,7 +576,7 @@ def _oracle_strong_feasible(
     """Try every combination of one geodesic per pair, in pair order, with
     memoization on (pair index, covered mask) only."""
     full = G.full_edge_mask()
-    chosen: list[tuple[int, ...]] = []
+    chosen: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int]] = set()
 
     def walk(idx: int, mask: int) -> bool:
@@ -583,8 +587,8 @@ def _oracle_strong_feasible(
         if (idx, mask) in seen:
             return False
         p = pair_list[idx]
-        for path, pmask in zip(p.paths, p.masks):
-            chosen.append(path)
+        for pmask in p.masks:
+            chosen.append((p.source, p.target, pmask))
             if walk(idx + 1, mask | pmask):
                 return True
             chosen.pop()
@@ -593,7 +597,7 @@ def _oracle_strong_feasible(
 
     if not walk(0, 0):
         return None
-    return StrongWitness.of(chosen, full)
+    return StrongWitness.of(G, chosen, full)
 
 
 def naive_oracle(G: Graph, k: int, variant: str) -> SolveResult:
@@ -615,7 +619,8 @@ def naive_oracle(G: Graph, k: int, variant: str) -> SolveResult:
                         WEAK, k, size, combo, None, "exact",
                         SolveStats(tried, time.perf_counter() - start))
     else:
-        pairs_by_source = [source_pairs(G, v, k) for v in range(G.n)]
+        arcs = arc_table(G)
+        pairs_by_source = [source_pairs(G, v, k, arcs) for v in range(G.n)]
         for size in range(G.n + 1):
             for combo in combinations(range(G.n), size):
                 tried += 1

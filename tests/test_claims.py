@@ -8,6 +8,7 @@ module as a script from the repository root:
     PYTHONPATH=src python tests/test_claims.py
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,23 @@ def test_bare_family_string_is_refused():
     # a string is not read letter by letter as the families c, y, l, e
     with pytest.raises(ValueError, match="list of family names.*'cycle'"):
         verify_claims(families="cycle")
+
+
+def test_malformed_instance_list_names_the_bad_entry():
+    # one pair not wrapped in a list: its first entry is the string 'cycle'
+    with pytest.raises(ValueError, match=re.escape(
+            "an instance is a (family, params) pair such as ('cycle', (5,)),"
+            " got 'cycle'")):
+        verify_claims(instances=("cycle", (5,)))
+    # a bare string is not read letter by letter as instances c, y, ...
+    with pytest.raises(ValueError, match=re.escape(
+            "instances must be a list of (family, params) pairs, not the "
+            "string 'cycle'")):
+        verify_claims(instances="cycle")
+    for entry in (("cycle", 5), (5, (5,)), ("cycle", ("5",)),
+                  ("cycle", (5,), 2)):
+        with pytest.raises(ValueError, match=re.escape(f"got {entry!r}")):
+            verify_claims(instances=[entry])
 
 
 def test_unlisted_instance_names_the_families_filter():

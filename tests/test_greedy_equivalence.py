@@ -4,9 +4,10 @@
 heap: every round re-scores each vertex whose kept gain was invalidated,
 path by path, and scans all n vertices for the first one of largest gain.
 ``solve_greedy(G, k, "strong")`` must return the same set, ``stats.nodes``
-and witness assignments, path for path. ``tests/data/greedy_sets.json``
-reaches only 20 vertices and pins no witness, so the benchmark's
-topologies are checked here too.
+and witness assignments, path for path. The reference reads its paths
+from ``enumerate_geodesics``, not from the solver's rebuild of a mask.
+``tests/data/greedy_sets.json`` reaches only 20 vertices and pins no
+witness, so the benchmark's topologies are checked here too.
 
 The bound test checks the upper bound the heap orders unscored vertices
 by: it is never below a vertex's exact gain, and never rises as the cover
@@ -17,7 +18,11 @@ import random
 
 import pytest
 
-from pathcover import solve_greedy, verify_strong_witness
+from pathcover import (
+    enumerate_geodesics,
+    solve_greedy,
+    verify_strong_witness,
+)
 from pathcover.cover import PairChoices, source_pairs
 from pathcover.solve import _greedy_bound, _greedy_pair_gain, _greedy_source
 from conftest import family, random_connected_graph
@@ -39,7 +44,7 @@ GREEDY_TOPOLOGIES = (
 RANDOM_GRAPHS = 100
 
 
-def _reference_pair_gain(pairs, cover):
+def _reference_pair_gain(G, pairs, cover):
     gained = 0
     picks = []
     for p in pairs:
@@ -50,7 +55,8 @@ def _reference_pair_gain(pairs, cover):
                 best_i, best_gain = i, gain
         if best_i >= 0:
             gained |= p.masks[best_i]
-            picks.append(((p.source, p.target), p.paths[best_i]))
+            path = enumerate_geodesics(G, p.source, p.target)[best_i]
+            picks.append(((p.source, p.target), path))
     return gained, picks
 
 
@@ -68,7 +74,7 @@ def _reference_greedy_strong(G, k):
             if v in chosen:
                 continue
             if scores[v] is None:
-                gained, picks = _reference_pair_gain(pairs_by_source[v],
+                gained, picks = _reference_pair_gain(G, pairs_by_source[v],
                                                      cover)
                 scores[v] = ((gained & ~cover).bit_count(), gained, picks)
             if best < 0 or scores[v][0] > scores[best][0]:
@@ -114,14 +120,14 @@ def test_greedy_gain_can_rise_as_the_cover_grows():
     second one path {0, 1}. With nothing covered the first pair takes
     {0, 1} and the second adds nothing: gain 2. Once edge 0 is covered the
     first pair takes {2, 3} and the second adds edge 1: gain 3."""
-    pairs = (PairChoices(0, 1, ((0, 2, 1), (0, 3, 1)), (0b0011, 0b1100)),
-             PairChoices(0, 4, ((0, 2, 4),), (0b0011,)))
+    pairs = (PairChoices(0, 1, (0b0011, 0b1100)),
+             PairChoices(0, 4, (0b0011,)))
     unions, _, _ = _greedy_source(pairs)
     gained, picks = _greedy_pair_gain(pairs, unions, 0)
-    assert (gained, picks) == (0b0011, [(0, 2, 1)])
+    assert (gained, picks) == (0b0011, [(0, 1, 0b0011)])
     gained, picks = _greedy_pair_gain(pairs, unions, 0b0001)
     assert gained == 0b1110
-    assert picks == [(0, 3, 1), (0, 2, 4)]
+    assert picks == [(0, 1, 0b1100), (0, 4, 0b0011)]
 
 
 def test_greedy_bound_holds_and_never_rises():

@@ -105,7 +105,7 @@ def test_strong_coverage_within_weak_and_equality_when_unique(G, k):
                 union |= mask
                 assert mask & weak == mask  # each geodesic stays inside weak
         assert union == weak
-        if all(len(p.paths) == 1 for p in pairs):
+        if all(len(p.masks) == 1 for p in pairs):
             forced = 0
             for p in pairs:
                 forced |= p.masks[0]

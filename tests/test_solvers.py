@@ -14,6 +14,7 @@ from pathcover import (
     compute_bounds,
     diameter,
     domination_number,
+    enumerate_geodesics,
     naive_oracle,
     solve_exact,
     solve_greedy,
@@ -576,7 +577,9 @@ def test_deficiency_is_edges_the_best_choice_leaves():
             pairs = [p for u in order[:i + 1] for p in source_pairs(G, u, 2)]
             assert deficiency(state) == G.m - _max_strong_coverage(pairs), \
                 (seed, order[:i + 1])
-            paths = {(p.source, p.target): p.paths for p in pairs}
+            paths = {(p.source, p.target): enumerate_geodesics(G, p.source,
+                                                               p.target)
+                     for p in pairs}
             witness = bound.witness(order[:i + 1], state)
             union = 0
             for pair, path in witness.assignments:
@@ -644,9 +647,9 @@ def test_strong_k2_search_proves_its_own_leaf(monkeypatch):
     proofs, built = [], []
     real_source_pairs = cover.source_pairs
 
-    def counted_source_pairs(G, u, k):
+    def counted_source_pairs(G, u, k, *arcs):
         built.append(u)
-        return real_source_pairs(G, u, k)
+        return real_source_pairs(G, u, k, *arcs)
 
     monkeypatch.setattr(cover, "feasible_from_pairs",
                         lambda *args: proofs.append(args))

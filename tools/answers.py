@@ -9,8 +9,11 @@ apply). The battery:
 - the graphs of ``tests/data/exact_sets.json``, weak and strong
   ``solve_exact`` at k = 1, 2, 3;
 - seeded random connected graphs, the same;
-- ``strong_feasible`` on the set ``solve_greedy`` returns, strong, for the
-  graphs of the two items above at k = 1, 2, 3.
+- strong ``solve_greedy`` itself (its set, ``stats.nodes`` and witness),
+  and ``strong_feasible`` on the set it returns, for the graphs of the two
+  items above at k = 1, 2, 3;
+- strong ``solve_greedy`` on the ten topologies of the benchmark's
+  greedy-scale workload at k = 2, greedy rows only.
 
     python tools/answers.py                # the answers of src/
     python tools/answers.py --src DIR      # the answers of DIR/pathcover
@@ -44,6 +47,18 @@ REGISTRY_MAX_N = 16
 RANDOM_GRAPHS = 400
 RANDOM_MAX_N = 14
 KS = (1, 2, 3)
+GREEDY_TOPOLOGIES = (
+    ("hypercube", (6,)),
+    ("butterfly", (4,)),
+    ("benes", (4,)),
+    ("silicate", (3,)),
+    ("sierpinski", (4,)),
+    ("sierpinski", (5,)),
+    ("sierpinski_gasket", (5,)),
+    ("enhanced_butterfly", (4,)),
+    ("generalized_petersen", (50, 7)),
+    ("crown", (20,)),
+)
 
 
 def _digest(witness) -> str:
@@ -76,8 +91,14 @@ def snapshot() -> list[str]:
                          f"{list(r.set)}\t{r.stats.nodes}\t"
                          f"{'-' if r.witness is None else _digest(r.witness)}")
 
+    def greedy(name, G, k):
+        r = pc.solve_greedy(G, k, "strong")
+        lines.append(f"{name} k={k} greedy\t{r.optimum}\t{list(r.set)}\t"
+                     f"{r.stats.nodes}\t{_digest(r.witness)}")
+        return r.set
+
     def greedy_set(name, G, k):
-        chosen = pc.solve_greedy(G, k, "strong").set
+        chosen = greedy(name, G, k)
         w = pc.strong_feasible(G, chosen, k)
         lines.append(f"{name} k={k} feasible-greedy\t-\t{list(chosen)}\t-\t"
                      f"{_digest(w)}")
@@ -101,6 +122,9 @@ def snapshot() -> list[str]:
         for k in KS:
             exact(name, G, k)
             greedy_set(name, G, k)
+    for family, params in GREEDY_TOPOLOGIES:
+        G = pc.generate(pc.FamilySpec(family, params))
+        greedy(f"topology {family}{params}", G, 2)
     return lines
 
 
