@@ -14,9 +14,10 @@ rebuilt as vertex sequences (``mask_path``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from functools import cache, cached_property, reduce
+from itertools import accumulate, islice
+from operator import or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import (
     GEODESIC_CAP,
@@ -75,6 +76,42 @@ def weak_cover_set(G: Graph, u: int, k: int) -> int:
                 if dist.get(y) == dx + 1:
                     mask |= 1 << G.edge_id(x, y)
     return mask
+
+
+def ball_layers(G: Graph) -> Iterator[list[int]]:
+    """The radius-r balls of G as vertex bitmasks, for r = 0, 1, ..., up to
+    the last radius at which a ball grows; beyond it every ball stays as
+    it is. All balls grow at once: the radius-(r + 1) ball of v is the
+    union of the radius-r balls of v and its neighbours. On a connected
+    graph the last radius is the diameter, the first at which every ball
+    is full, so no step is taken to see that they stopped."""
+    full = (1 << G.n) - 1
+    layer = [1 << v for v in range(G.n)]
+    yield layer
+    while not all(map(full.__eq__, layer)):
+        grown = [reduce(or_, map(layer.__getitem__, a), b)
+                 for b, a in zip(layer, G.adj)]
+        if grown == layer:  # G is disconnected
+            return
+        layer = grown
+        yield layer
+
+
+def coverer_index(G: Graph, k: int) -> list[int]:
+    """Entry e: the bitmask of the sources that weakly cover edge e at
+    distance k >= 1, from one pass over the radius-r balls B_r, r < k.
+
+    u covers x-y exactly when u lies in B_r(x) XOR B_r(y) for some r < k.
+    If u lies in B_r(x) only, then d(u, x) <= r < d(u, y), and as the two
+    distances differ by at most 1, d(u, y) = d(u, x) + 1 <= k; conversely,
+    when d(u, y) = d(u, x) + 1 <= k, r = d(u, x) serves. So the
+    ``weak_cover_set`` of u is the set of edges whose entry holds u.
+    """
+    index = [0] * G.m
+    for layer in islice(ball_layers(G), k):
+        index = [c | (layer[x] ^ layer[y])
+                 for c, (x, y) in zip(index, G.edges)]
+    return index
 
 
 def _vertex_set(G: Graph, S: Iterable[int], k: int) -> set[int]:
@@ -488,15 +525,10 @@ class _MatchingTest:
 
     @cached_property
     def maxcap(self) -> list[int]:
-        """maxcap[s], the largest cap(v) over v >= s."""
-        G = self.G
-        nb = [sum(map((1).__lshift__, a)) for a in G.adj]
-        caps = []  # cap(v) = deg(v) + |N_2(v)|
-        for v, a in enumerate(G.adj):
-            ball = nb[v] | 1 << v
-            for x in a:
-                ball |= nb[x]
-            caps.append(ball.bit_count() - 1)
+        """maxcap[s], the largest cap(v) over v >= s; cap(v) is
+        |B_2(v)| - 1, read from the radius-2 balls."""
+        *_, radius2 = islice(ball_layers(self.G), 3)
+        caps = [ball.bit_count() - 1 for ball in radius2]
         return list(accumulate(reversed(caps), max, initial=0))[::-1]
 
     @cached_property

@@ -130,7 +130,8 @@ def vertex_cover_exact(G: Graph) -> tuple[int, tuple[int, ...]]:
         raise SizeLimitError(
             f"n={G.n} exceeds the {WEAK_VERTEX_LIMIT}-vertex limit")
     masks = [G.edge_mask((v, w) for w in G.adj[v]) for v in range(G.n)]
-    chosen, _ = _least_cover(G, masks, G.full_edge_mask())
+    ends = [1 << x | 1 << y for x, y in G.edges]  # an edge's coverers
+    chosen, _ = _least_cover(G, masks, ends, G.full_edge_mask())
     return len(chosen), chosen
 
 

@@ -23,10 +23,11 @@ from .cover import (
     _MatchingTest,
     _PairTest,
     arc_table,
+    ball_layers,
+    coverer_index,
     path_edge_mask,
     source_pairs,
     strong_test,
-    weak_cover_set,
 )
 from .graph import (
     Graph,
@@ -64,7 +65,9 @@ class SolveStats:
     checks answer it: an empty remainder, the top-t bound, the union, the
     greedy cover or the disjoint-elements bound at the root. A
     search node is counted when entered, before its own disjoint-elements
-    cut, and a test stops at its first cover under the cap. For strong, a
+    cut, and a test stops at its first cover under the cap. A vertex that
+    the witness shortcut takes is tested by no call, so it adds only its
+    own subset-search node. For strong, a
     vertex whose set the strong test refuses is not entered, at every k
     and at full sets too, and sizes below its ``start`` are not walked.
     """
@@ -104,21 +107,21 @@ def _check_args(G: Graph, k: int, limit: int | None = None,
 # domination number, and minimum vertex cover.
 # ---------------------------------------------------------------------------
 
-def _greedy_cover(masks: Sequence[int], universe: int) -> list[int]:
+def _greedy_cover(masks: Sequence[int], universe: int,
+                  most: int | None = None) -> list[int] | None:
     """Indices picked by taking, until ``universe`` is covered, the first
     mask with the largest new coverage; the masks must jointly cover
-    ``universe``."""
+    ``universe``. None when that takes more than ``most`` picks."""
     chosen: list[int] = []
     cover = 0
     while cover & universe != universe:
+        if len(chosen) == most:
+            return None
         rem = universe & ~cover
-        best_i, best_gain = -1, 0
-        for i, m in enumerate(masks):
-            gain = (m & rem).bit_count()
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        chosen.append(best_i)
-        cover |= masks[best_i]
+        gains = [(m & rem).bit_count() for m in masks]
+        i = gains.index(max(gains))
+        chosen.append(i)
+        cover |= masks[i]
     return chosen
 
 
@@ -143,26 +146,25 @@ def _branch_coverers(sets: Iterable[int], left: int) -> int | None:
 
 def _min_cover(
     masks: Sequence[int],
+    index: Sequence[int],
     allowed: Sequence[int],
     universe: int,
     pre: int = 0,
     cap: int | None = None,
     nodes: list[int] | None = None,
-    index: list[int] | None = None,
-) -> int | None:
-    """Size of a cover of ``universe`` by ``pre`` and masks from
-    ``allowed``, or None when there is none. Without ``cap`` the size is
-    the minimum. A ``cap`` must be positive; the call then only decides
-    whether a cover of fewer than ``cap`` masks exists: it returns the size
-    of some such cover, not necessarily the least, or None when every cover
+) -> tuple[int, ...] | None:
+    """The indices, ascending, of a cover of ``universe`` by ``pre`` and
+    masks from ``allowed``, or None when there is none. Without ``cap`` the
+    cover is a least one. A ``cap`` must be positive; the call then only
+    decides whether a cover of fewer than ``cap`` masks exists: it returns
+    some such cover, not necessarily a least one, or None when every cover
     has ``cap`` masks or more.
 
     ``index`` is the coverer index of ``masks`` over ``universe``: entry e
-    is the bitmask of the indices of the masks holding element e. Calls on
-    the same masks and universe may share one list; the first call that
-    gets past the greedy cover fills it when it is empty. The search
-    branches on the element with the fewest live coverers, ``live`` being
-    the masks a node may still take. Each rule below keeps the answer:
+    is the bitmask of the indices of the masks holding element e. The
+    search branches on the element with the fewest live coverers, ``live``
+    being the masks a node may still take. Each rule below keeps the
+    answer:
 
     - Top-t bound, at the root: t = best - 1 picks must beat the best size
       known, and t picks cover at most the sum of their gains, so when
@@ -171,7 +173,9 @@ def _min_cover(
       greedy size, which it proves least when it cuts. At ``cap`` 1 it
       cuts at once, as 0 gains sum to 0.
     - Greedy early return: under ``cap``, a greedy cover smaller than
-      ``cap`` already answers the question, so no search is made.
+      ``cap`` already answers the question, so no search is made, and the
+      greedy stops after ``cap`` - 1 picks: a longer greedy cover answers
+      nothing.
     - Coverer index: which masks hold an element depends neither on
       ``pre``, nor on ``allowed``, nor on the picks, so one index serves
       every call and node, read through ``live``. A pick covers exactly
@@ -183,7 +187,7 @@ def _min_cover(
       that gathers, fewest coverers first, more of them than the picks
       left to beat the best size holds no better cover and is cut. The
       root is checked before any mask is dropped; without ``cap`` a cut
-      there proves the greedy size least. At k = 1, with edges as
+      there proves the greedy cover least. At k = 1, with edges as
       elements, this is the matching bound of vertex cover.
     - Dominated masks: a cover that takes a mask lying, on what ``pre``
       leaves, inside another stays a cover, of no greater size, with the
@@ -199,7 +203,7 @@ def _min_cover(
     """
     rem0 = universe & ~pre
     if rem0 == 0:
-        return 0
+        return ()
     mk = [masks[i] & rem0 for i in allowed]
     gains = sorted(map(int.bit_count, mk), reverse=True)
     need = rem0.bit_count()
@@ -209,24 +213,17 @@ def _min_cover(
         return None
     if reduce(or_, mk, 0) != rem0:
         return None
-    best = len(_greedy_cover(mk, rem0))
-    if cap is not None:
-        if best < cap:
-            return best
-        best = cap
-    elif sum(gains[:best - 1]) < need:
-        return best
-    if index is None:
-        index = []
-    if not index:
-        index.extend([0] * universe.bit_length())
-        for i, m in enumerate(masks):
-            for e in _bits(m & universe):
-                index[e] |= 1 << i
+    picks = _greedy_cover(mk, rem0, None if cap is None else cap - 1)
+    found = None if picks is None else tuple(sorted(allowed[i]
+                                                    for i in picks))
+    if found is not None and (cap is not None
+                              or sum(gains[:len(found) - 1]) < need):
+        return found
+    best = cap if found is None else len(found)
     live = sum(map((1).__lshift__, allowed))
     sets = {index[e] & live for e in _bits(rem0)}
     if _branch_coverers(sets, best - 1) is None:
-        return None if cap is not None else best
+        return found
     kept: list[int] = []
     # a mask comes after every larger one: its integer is smaller
     for m, i in sorted(zip(mk, allowed), reverse=True):
@@ -234,15 +231,17 @@ def _min_cover(
             live &= ~(1 << i)
         else:
             kept.append(m)
+    path: list[int] = []  # the picks of the node searched
 
-    def dfs(rem: int, sets: set[int], depth: int) -> bool:
+    def dfs(rem: int, sets: set[int]) -> bool:
         """Search the node leaving ``rem``, whose elements have the live
         coverers ``sets``; True ends the call under ``cap``."""
-        nonlocal best
+        nonlocal best, found
         if nodes is not None:
             nodes[0] += 1
+        depth = len(path)
         if not rem:
-            best = depth
+            best, found = depth, tuple(sorted(path))
             return cap is not None
         options = _branch_coverers(sets, best - 1 - depth)
         if options is None:
@@ -254,30 +253,32 @@ def _min_cover(
             if depth + 1 >= best:
                 break
             bit = 1 << i
-            if dfs(rem & ~masks[i],
-                   {c & keep for c in sets if not c & bit}, depth + 1):
+            path.append(i)
+            if dfs(rem & ~masks[i], {c & keep for c in sets if not c & bit}):
                 return True
+            path.pop()
             keep &= ~bit
         return False
 
-    dfs(rem0, {c & live for c in sets}, 0)
-    if cap is not None and best == cap:
-        return None
-    return best
+    dfs(rem0, {c & live for c in sets})
+    return found
 
 
 def _least_cover(
     G: Graph,
     masks: Sequence[int],
+    index: Sequence[int],
     universe: int,
     test: _MatchingTest | _PairTest | None = None,
     nodes: list[int] | None = None,
 ) -> tuple[tuple[int, ...], object]:
     """The lexicographically least vertex set of least size whose masks
     cover ``universe`` and that ``test`` (see ``cover.strong_test``) keeps,
-    and its proof: its state, ``()`` without a test. Sizes ascend from the
-    optimum of ``_min_cover`` or ``test.start``, the higher; each size
-    walks its sets in lexicographic order.
+    and its proof: its state, ``()`` without a test. ``index`` is the
+    coverer index of ``masks`` (see ``_min_cover``), which the optimum and
+    every check share. Sizes ascend from the optimum of ``_min_cover`` or
+    ``test.start``, the higher; each size walks its sets in lexicographic
+    order.
 
     Twin prefixes: u < v are twins when N(u) - {v} == N(v) - {u}, which
     covers true and false twins, and swapping them is an automorphism of G.
@@ -291,11 +292,21 @@ def _least_cover(
     twin is already chosen.
 
     Prune: v is added only when the masks after v can finish the cover in
-    the picks left and ``test.extend`` keeps the set with v, so only
-    subtrees that hold no accepted set are cut.
+    the picks left, a ``_min_cover`` check, and ``test.extend`` keeps the
+    set with v, so only subtrees that hold no accepted set are cut.
     Every strong cover is a weak cover, so this is sound for strong too.
-    The optimum and every such check cover ``universe`` with the same
-    masks, so they share one coverer index (see ``_min_cover``).
+
+    Witness shortcut: a node carries a witness, ascending vertices none
+    below its first candidate, whose masks finish its cover in at most the
+    picks it has left; each size starts with the optimum's cover. When the
+    candidate is the witness's first vertex, the rest of the witness
+    finishes the cover after it in fewer picks than are left, so the check
+    would succeed and is not run: the rest becomes the child's witness.
+    Otherwise the check runs, and the cover it returns becomes the child's
+    witness. The loop spends a witness at its first vertex, whether that
+    vertex is then taken, twin-skipped or refused by the test, or its
+    subtree fails. Only checks that would succeed are skipped, so the same
+    sets are walked and kept.
     """
     n = len(masks)
     # bit of the nearest lower twin u < v, else 0; twins have equal open
@@ -311,7 +322,7 @@ def _least_cover(
     found: tuple[tuple[int, ...], object] | None = None
 
     def search(start_v: int, vmask: int, cov: int, need: int,
-               state) -> None:
+               state, witness: tuple[int, ...]) -> None:
         nonlocal found
         if nodes is not None:
             nodes[0] += 1
@@ -319,22 +330,27 @@ def _least_cover(
             found = tuple(_bits(vmask)), state
             return
         for v in range(start_v, n - need + 1):
+            rest = None
+            if witness and witness[0] == v:
+                rest, witness = witness[1:], ()
             if twin_bit[v] & ~vmask:
                 continue
-            if _min_cover(masks, range(v + 1, n), universe, cov | masks[v],
-                          need, nodes, index) is None:
-                continue
+            if rest is None:
+                rest = _min_cover(masks, index, range(v + 1, n), universe,
+                                  cov | masks[v], need, nodes)
+                if rest is None:
+                    continue
             child = state if test is None else test.extend(state, v, need - 1)
             if child is None:
                 continue
-            search(v + 1, vmask | 1 << v, cov | masks[v], need - 1, child)
+            search(v + 1, vmask | 1 << v, cov | masks[v], need - 1, child,
+                   rest)
             if found is not None:
                 return
 
-    index: list[int] = []  # filled by the first call that needs it
-    least = _min_cover(masks, range(n), universe, nodes=nodes, index=index)
-    for size in range(max(least, test.start if test else 0), n + 1):
-        search(0, 0, 0, size, test.root if test else ())
+    least = _min_cover(masks, index, range(n), universe, nodes=nodes)
+    for size in range(max(len(least), test.start if test else 0), n + 1):
+        search(0, 0, 0, size, test.root if test else (), least)
         if found is not None:
             return found
     raise AssertionError("the full vertex set is always accepted")
@@ -389,9 +405,10 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
                 else WEAK_VERTEX_LIMIT, variant)
     start = time.perf_counter()
     nodes = [0]
-    masks = [weak_cover_set(G, v, k) for v in range(G.n)]
+    index = coverer_index(G, k)
     test = strong_test(G, k) if variant == STRONG else None
-    chosen, proof = _least_cover(G, masks, G.full_edge_mask(), test, nodes)
+    chosen, proof = _least_cover(G, _transpose(index, G.n), index,
+                                 G.full_edge_mask(), test, nodes)
     witness = test.witness(chosen, proof) if test else None
     return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
                        SolveStats(nodes[0], time.perf_counter() - start))
@@ -401,8 +418,18 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
 # Greedy heuristics
 # ---------------------------------------------------------------------------
 
+def _transpose(index: Sequence[int], n: int) -> list[int]:
+    """The masks of n sources from their coverer ``index``: mask v holds
+    element e when entry e holds v."""
+    masks = [0] * n
+    for e, c in enumerate(index):
+        for v in _bits(c):
+            masks[v] |= 1 << e
+    return masks
+
+
 def _greedy_weak(G: Graph, k: int, start: float) -> SolveResult:
-    masks = [weak_cover_set(G, v, k) for v in range(G.n)]
+    masks = _transpose(coverer_index(G, k), G.n)
     chosen = _greedy_cover(masks, G.full_edge_mask())
     return SolveResult(WEAK, k, len(chosen), tuple(sorted(chosen)), None,
                        "heuristic",
@@ -437,20 +464,26 @@ def _greedy_pair_gain(
 
     A pair whose union U_p lies in ``cover`` plus the edges gained so far
     adds nothing and is skipped. Any other pair has a path of positive gain
-    and takes the first path of largest gain: its only path, or
-    ``gains.index(max(gains))``.
+    and takes the first path of largest gain. A path gains the edges of
+    U_p not yet taken that it holds; its only path, or the scan stops at
+    the first path that gains all its d edges, since the paths of a pair
+    all have d edges and none gains more.
     """
     taken = cover
     picks = []
     for (u, t, masks), union in zip(pairs, unions):
-        if not union & ~taken:
+        free = union & ~taken
+        if not free:
             continue
-        if len(masks) == 1:
-            i = 0
-        else:
-            free = ~taken
-            gains = [(m & free).bit_count() for m in masks]
-            i = gains.index(max(gains))
+        i = 0
+        if len(masks) > 1:
+            d, best = masks[0].bit_count(), 0
+            for j, m in enumerate(masks):
+                gain = (m & free).bit_count()
+                if gain > best:
+                    i, best = j, gain
+                    if gain == d:
+                        break
         taken |= masks[i]
         picks.append((u, t, masks[i]))
     return taken & ~cover, picks
@@ -641,15 +674,8 @@ def naive_oracle(G: Graph, k: int, variant: str) -> SolveResult:
 
 def _balls(G: Graph, k: int) -> tuple[list[int], int]:
     """The radius-k balls of a connected graph as vertex bitmasks, and its
-    diameter. All balls grow at once: the radius-(r + 1) ball of v is the
-    union of the radius-r balls of v and its neighbours, and the diameter
-    is the first radius at which every ball holds every vertex."""
-    full = (1 << G.n) - 1
-    balls = [[1 << v for v in range(G.n)]]  # balls[r]: the radius-r balls
-    while not all(map(full.__eq__, balls[-1])):
-        last = balls[-1]
-        balls.append([reduce(or_, map(last.__getitem__, a), b)
-                      for b, a in zip(last, G.adj)])
+    diameter, the last radius at which a ball grows (``ball_layers``)."""
+    balls = list(ball_layers(G))  # balls[r]: the radius-r balls
     d = len(balls) - 1
     return balls[min(k, d)], d
 
@@ -659,7 +685,7 @@ def _domination(balls: list[int]) -> int:
     their own coverer index: u lies in v's ball exactly when v lies in
     u's."""
     n = len(balls)
-    return _min_cover(balls, range(n), (1 << n) - 1, index=balls)
+    return len(_min_cover(balls, balls, range(n), (1 << n) - 1))
 
 
 def domination_number(G: Graph, k: int) -> int:

@@ -24,6 +24,7 @@ from pathcover import (
 from pathcover.cover import (
     PairChoices,
     arc_table,
+    coverer_index,
     feasible_from_pairs,
     mask_path,
     path_edge_mask,
@@ -483,6 +484,31 @@ def test_weak_cover_set_matches_geodesic_dag(name, params):
         for k in range(1, 5):
             arcs = geodesic_dag(G, u, k).arcs
             assert weak_cover_set(G, u, k) == G.edge_mask(arcs)
+
+
+def _index_graphs():
+    """(name, graph): the family graphs with up to 20 vertices, seeded
+    random connected graphs, and a disconnected graph (a triangle with a
+    pendant vertex, a path on three vertices and an isolated vertex)."""
+    yield from family_graphs(20)
+    for seed in range(100):
+        yield f"random{seed}", random_connected_graph(random.Random(seed),
+                                                      max_n=14)
+    yield "disconnected", build_graph(
+        8, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (5, 6)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, "n"])
+def test_coverer_index_is_weak_cover_set_transposed(k):
+    """Entry e of ``coverer_index`` holds exactly the sources u whose
+    ``weak_cover_set`` holds edge e, at k = 1 to 4 and at k = n, beyond
+    every diameter."""
+    for name, G in _index_graphs():
+        kk = G.n if k == "n" else k
+        masks = [weak_cover_set(G, u, kk) for u in range(G.n)]
+        assert coverer_index(G, kk) == [
+            sum(1 << u for u, m in enumerate(masks) if m >> e & 1)
+            for e in range(G.m)], name
 
 
 @pytest.mark.parametrize(

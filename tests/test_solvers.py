@@ -25,12 +25,13 @@ from pathcover import (
 )
 from pathcover import cover
 from pathcover.cover import (
+    coverer_index,
     feasible_from_pairs,
     path_edge_mask,
     source_pairs,
     strong_test,
 )
-from pathcover.solve import _least_cover, _min_cover
+from pathcover.solve import _least_cover, _min_cover, _transpose
 from conftest import family, random_connected_graph
 
 
@@ -349,6 +350,12 @@ def _brute_min_cover(masks, allowed, universe, pre):
     return None
 
 
+def _index(masks, universe):
+    """The coverer index of ``masks`` over ``universe``, by definition."""
+    return [sum(1 << i for i, m in enumerate(masks) if (m & universe) >> e & 1)
+            for e in range(universe.bit_length())]
+
+
 def _random_set_systems(count):
     for seed in range(count):
         rng = random.Random(seed)
@@ -369,20 +376,29 @@ def test_min_cover_matches_brute_force(masks, allowed, universe, pre):
     None exactly when the minimum is at least the cap, and otherwise the
     size of some cover below the cap."""
     least = _brute_min_cover(masks, allowed, universe, pre)
+    index = _index(masks, universe)
     for cap in (None, *range(1, len(allowed) + 2)):
-        _check_capped(_min_cover(masks, allowed, universe, pre, cap=cap),
-                      least, cap)
+        got = _min_cover(masks, index, allowed, universe, pre, cap=cap)
+        _check_capped(got, least, cap, masks, allowed, universe, pre)
 
 
-def _check_capped(got, least, cap):
-    """``_min_cover``'s contract: the minimum without a cap; under one,
-    None exactly when no cover is smaller, else some size below it."""
+def _check_capped(got, least, cap, masks, allowed, universe, pre):
+    """``_min_cover``'s contract: a least cover without a cap; under one,
+    None exactly when no cover is smaller, else some cover below it. A
+    cover is distinct indices, ascending, from ``allowed`` whose masks
+    cover what ``pre`` leaves of ``universe``."""
+    if got is not None:
+        assert list(got) == sorted(set(got)), got
+        assert set(got) <= set(allowed), got
+        covered = reduce(or_, map(masks.__getitem__, got), pre)
+        assert covered & universe == universe, got
+    size = None if got is None else len(got)
     if cap is None:
-        assert got == least
+        assert size == least
     elif least is None or least >= cap:
         assert got is None, cap
     else:
-        assert got is not None and least <= got < cap, cap
+        assert got is not None and least <= size < cap, cap
 
 
 def _set_systems_with_twins(count):
@@ -415,21 +431,22 @@ def test_min_cover_two_options_of_one_element(masks):
     search branches on first; found among 200,000 random systems, since a
     search that drops every sibling after the first option misses them."""
     universe = reduce(or_, masks, 0)
-    least = _brute_min_cover(masks, range(len(masks)), universe, 0)
+    allowed = range(len(masks))
+    least = _brute_min_cover(masks, allowed, universe, 0)
     assert least == 2
+    index = _index(masks, universe)
     for cap in (None, 1, 2, 3):
-        _check_capped(_min_cover(masks, range(len(masks)), universe, 0, cap),
-                      least, cap)
+        _check_capped(_min_cover(masks, index, allowed, universe, 0, cap),
+                      least, cap, masks, allowed, universe, 0)
 
 
 def test_min_cover_shared_index_matches_brute_force():
     """Calls sharing one coverer index, as ``_least_cover`` makes them:
     suffixes of the masks, the union of earlier masks as ``pre``, and
-    caps from 1 up or none. Each answer keeps the contract, and the index
-    the calls fill is the coverer index of the masks."""
+    caps from 1 up or none. Each answer keeps the contract."""
     for seed, masks, universe in _set_systems_with_twins(300):
         rng = random.Random(seed)
-        n, index = len(masks), []
+        n, index = len(masks), _index(masks, universe)
         for _ in range(12):
             start = rng.randrange(n + 1)
             pre = 0
@@ -439,12 +456,8 @@ def test_min_cover_shared_index_matches_brute_force():
             allowed = range(start, n)
             cap = rng.choice((None, 1, 2, 3, 4, n))
             least = _brute_min_cover(masks, allowed, universe, pre)
-            got = _min_cover(masks, allowed, universe, pre, cap, None, index)
-            _check_capped(got, least, cap)
-        if index:
-            assert index == [sum(1 << i for i, m in enumerate(masks)
-                                 if (m & universe) >> e & 1)
-                             for e in range(universe.bit_length())], seed
+            got = _min_cover(masks, index, allowed, universe, pre, cap)
+            _check_capped(got, least, cap, masks, allowed, universe, pre)
 
 
 def test_least_cover_matches_brute_force():
@@ -458,8 +471,39 @@ def test_least_cover_matches_brute_force():
                         for combo in combinations(range(n), size)
                         if reduce(or_, map(masks.__getitem__, combo), 0)
                         & universe == universe)
-        chosen, proof = _least_cover(family("path", n), masks, universe)
+        chosen, proof = _least_cover(family("path", n), masks,
+                                     _index(masks, universe), universe)
         assert (chosen, proof) == (expected, ()), seed
+
+
+def _twin_graphs():
+    """Graphs with twin classes: complete bipartite graphs, wheels (all
+    true twins in the 3-wheel, K_4; false twins across the rim of the
+    4-wheel) and crowns."""
+    for m in range(1, 5):
+        for n in range(m, 6):
+            yield f"K{m},{n}", family("complete_bipartite", m, n)
+    for n in range(3, 10):
+        yield f"wheel{n}", family("wheel", n)
+    for n in range(3, 6):
+        yield f"crown{n}", family("crown", n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_least_cover_on_twin_graphs_matches_brute_force(k):
+    """On weak masks of graphs with twins, where the twin rule skips
+    vertices, ``_least_cover`` with its witness shortcut still returns the
+    first weak cover of least size in ``combinations`` order."""
+    for name, G in _twin_graphs():
+        index = coverer_index(G, k)
+        masks = _transpose(index, G.n)
+        universe = G.full_edge_mask()
+        expected = next(combo for size in range(G.n + 1)
+                        for combo in combinations(range(G.n), size)
+                        if reduce(or_, map(masks.__getitem__, combo), 0)
+                        == universe)
+        assert _least_cover(G, masks, index, universe) == (expected, ()), \
+            name
 
 
 class _RefuseFirst:
@@ -495,7 +539,8 @@ def test_least_cover_returns_what_the_test_kept():
     for seed, masks, universe in _set_systems_with_twins(100):
         n = len(masks)
         if not universe:
-            got = _least_cover(family("path", n), masks, universe,
+            got = _least_cover(family("path", n), masks,
+                               _index(masks, universe), universe,
                                _RefuseFirst(0, start=0))
             assert got == ((), ()), seed
         covering = [combo for size in range(1, n + 1)
@@ -506,7 +551,8 @@ def test_least_cover_returns_what_the_test_kept():
             if j >= len(covering):
                 continue
             test = _RefuseFirst(j)
-            got = _least_cover(family("path", n), masks, universe, test)
+            got = _least_cover(family("path", n), masks,
+                               _index(masks, universe), universe, test)
             assert got == (covering[j], ("proof", covering[j])), (seed, j)
             assert test.seen == covering[:j + 1], (seed, j)
 

@@ -9,6 +9,9 @@ apply). The battery:
 - the graphs of ``tests/data/exact_sets.json``, weak and strong
   ``solve_exact`` at k = 1, 2, 3;
 - seeded random connected graphs, the same;
+- weak ``solve_exact`` at k = 1, 2 on seeded random sparse connected
+  graphs with 30 to 40 vertices, the size of the benchmark's weak-exact
+  workload;
 - strong ``solve_greedy`` itself (its set, ``stats.nodes`` and witness),
   and ``strong_feasible`` on the set it returns, for the graphs of the two
   items above at k = 1, 2, 3;
@@ -47,6 +50,10 @@ REGISTRY_MAX_N = 16
 RANDOM_GRAPHS = 400
 RANDOM_MAX_N = 14
 KS = (1, 2, 3)
+SPARSE_GRAPHS = 60
+SPARSE_N = (30, 40)
+SPARSE_EDGES_PER_VERTEX = 1.4
+SPARSE_KS = (1, 2)
 GREEDY_TOPOLOGIES = (
     ("hypercube", (6,)),
     ("butterfly", (4,)),
@@ -79,13 +86,28 @@ def _random_graph(pc, rng: random.Random):
             return G
 
 
+def _sparse_graph(pc, seed: int):
+    """A connected graph on 30 to 40 vertices, by seed, with 1.4 edges per
+    vertex: a random recursive tree plus random chords, under a random
+    vertex numbering."""
+    rng = random.Random(seed)
+    lo, hi = SPARSE_N
+    n = lo + seed % (hi - lo + 1)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < round(SPARSE_EDGES_PER_VERTEX * n):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return pc.build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 def snapshot() -> list[str]:
     import pathcover as pc
 
     lines = []
 
-    def exact(name, G, k):
-        for variant in ("weak", "strong"):
+    def exact(name, G, k, variants=("weak", "strong")):
+        for variant in variants:
             r = pc.solve_exact(G, k, variant)
             lines.append(f"{name} k={k} {variant}\t{r.optimum}\t"
                          f"{list(r.set)}\t{r.stats.nodes}\t"
@@ -122,6 +144,10 @@ def snapshot() -> list[str]:
         for k in KS:
             exact(name, G, k)
             greedy_set(name, G, k)
+    for seed in range(SPARSE_GRAPHS):
+        G = _sparse_graph(pc, seed)
+        for k in SPARSE_KS:
+            exact(f"sparse{seed}", G, k, ("weak",))
     for family, params in GREEDY_TOPOLOGIES:
         G = pc.generate(pc.FamilySpec(family, params))
         greedy(f"topology {family}{params}", G, 2)
