@@ -69,6 +69,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.witness_out and args.variant == WEAK:
+        print("error: --witness-out needs --variant strong: a weak cover "
+              "has no witness", file=sys.stderr)
+        return 1
     G = _load_graph(args.infile)
     method = args.method
     if method == "exact":
@@ -82,10 +86,6 @@ def _cmd_solve(args) -> int:
           f"status={result.status} optimum={result.optimum} set=[{set_text}]")
     print(f"nodes={result.stats.nodes} elapsed_s={result.stats.elapsed_s:.4f}")
     if args.witness_out:
-        if result.witness is None:
-            print("no witness to write (weak variant has none)",
-                  file=sys.stderr)
-            return 1
         Path(args.witness_out).write_text(format_witness(result.witness))
     if args.json:
         record = result_record(G, result)

@@ -183,3 +183,21 @@ def test_solve_methods_agree(tmp_path, capsys):
                      "--variant", "strong", "--method", method]) == 0
     out = capsys.readouterr().out
     assert out.count("optimum=2") == 3
+
+
+@pytest.mark.parametrize("method", ["exact", "greedy", "oracle"])
+def test_weak_witness_out_refused_before_solving(method, tmp_path, capsys):
+    """A weak cover has no witness, so ``--witness-out`` with ``--variant
+    weak`` exits 1 before any solve, and neither file is written."""
+    graph_file = tmp_path / "k3.edges"
+    graph_file.write_text("3 3\n0 1\n0 2\n1 2\n")
+    json_file = tmp_path / "out.json"
+    witness_file = tmp_path / "w.txt"
+    assert main(["solve", "--in", str(graph_file), "--k", "2",
+                 "--variant", "weak", "--method", method,
+                 "--json", str(json_file),
+                 "--witness-out", str(witness_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--witness-out needs --variant strong" in err
+    assert not json_file.exists() and not witness_file.exists()

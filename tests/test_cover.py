@@ -395,16 +395,17 @@ def test_cover_layer_refuses_nonpositive_k(call, k):
 def test_strong_witness_of_keys_paths_by_their_ends():
     """``StrongWitness.of`` rebuilds each pick's path from its mask, fixes
     it for the pick's (source, target) pair and sorts the assignments;
-    ``covered`` is kept as given."""
+    ``covered`` is the union of the pick masks, 0 for no picks."""
     G = family("cycle", 5)
     paths = [(3, 4, 0), (0, 1, 2), (0, 4), (0, 1)]
     picks = [(p[0], p[-1], path_edge_mask(G, p)) for p in paths]
-    witness = StrongWitness.of(G, picks, 0b1011)
+    covered = G.edge_mask([(0, 1), (1, 2), (3, 4), (0, 4)])
+    witness = StrongWitness.of(G, picks)
     assert witness == StrongWitness(
         (((0, 1), (0, 1)), ((0, 2), (0, 1, 2)), ((0, 4), (0, 4)),
-         ((3, 0), (3, 4, 0))), 0b1011)
-    assert StrongWitness.of(G, iter(picks), 0b1011) == witness
-    assert StrongWitness.of(G, (), 0) == StrongWitness((), 0)
+         ((3, 0), (3, 4, 0))), covered)
+    assert StrongWitness.of(G, iter(picks)) == witness
+    assert StrongWitness.of(G, ()) == StrongWitness((), 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
@@ -543,18 +544,22 @@ def _k2_feasibility_case(seed):
 
 
 def test_matching_leaf_agrees_with_oracle():
-    """At k = 2 ``feasible_from_pairs`` decides by matching; the oracle
-    tries every choice of one geodesic per pair. Both must agree, and every
-    witness must check out."""
+    """At k = 2 ``feasible_from_pairs`` decides by one matching over all
+    pairs, and ``strong_feasible`` by the strong test's matching, grown
+    source by source; the oracle tries every choice of one geodesic per
+    pair. All must agree, and every witness must check out."""
     outcomes = {"feasible": 0, "infeasible": 0, "weakly covered": 0}
     for seed in range(400):
         G, S = _k2_feasibility_case(seed)
         pairs = tuple(p for u in S for p in source_pairs(G, u, 2))
         witness = feasible_from_pairs(G, pairs)
-        assert (witness is None) == \
-            (_oracle_strong_feasible(G, list(pairs)) is None), seed
-        if witness is not None:
+        feasible = _oracle_strong_feasible(G, list(pairs)) is not None
+        assert (witness is not None) == feasible, seed
+        walked = strong_feasible(G, S, 2)
+        assert (walked is not None) == feasible, seed
+        if feasible:
             assert verify_strong_witness(G, S, 2, witness), seed
+            assert verify_strong_witness(G, S, 2, walked), seed
             outcomes["feasible"] += 1
         else:
             outcomes["infeasible"] += 1

@@ -15,6 +15,10 @@ apply). The battery:
 - strong ``solve_greedy`` itself (its set, ``stats.nodes`` and witness),
   and ``strong_feasible`` on the set it returns, for the graphs of the two
   items above at k = 1, 2, 3;
+- ``strong_feasible`` on sets that are mostly no strong covers, for the
+  same graphs and k, so that refusals are compared too: greedy's set less
+  its last vertex, and the weak optimum's set wherever the strong optimum
+  is larger;
 - strong ``solve_greedy`` on the ten topologies of the benchmark's
   greedy-scale workload at k = 2, greedy rows only.
 
@@ -107,11 +111,14 @@ def snapshot() -> list[str]:
     lines = []
 
     def exact(name, G, k, variants=("weak", "strong")):
+        results = []
         for variant in variants:
             r = pc.solve_exact(G, k, variant)
             lines.append(f"{name} k={k} {variant}\t{r.optimum}\t"
                          f"{list(r.set)}\t{r.stats.nodes}\t"
                          f"{'-' if r.witness is None else _digest(r.witness)}")
+            results.append(r)
+        return results
 
     def greedy(name, G, k):
         r = pc.solve_greedy(G, k, "strong")
@@ -119,10 +126,9 @@ def snapshot() -> list[str]:
                      f"{r.stats.nodes}\t{_digest(r.witness)}")
         return r.set
 
-    def greedy_set(name, G, k):
-        chosen = greedy(name, G, k)
+    def feasible(name, G, k, kind, chosen):
         w = pc.strong_feasible(G, chosen, k)
-        lines.append(f"{name} k={k} feasible-greedy\t-\t{list(chosen)}\t-\t"
+        lines.append(f"{name} k={k} {kind}\t-\t{list(chosen)}\t-\t"
                      f"{_digest(w)}")
 
     seen = set()
@@ -142,8 +148,12 @@ def snapshot() -> list[str]:
                        _random_graph(pc, random.Random(seed))))
     for name, G in graphs:
         for k in KS:
-            exact(name, G, k)
-            greedy_set(name, G, k)
+            weak, strong = exact(name, G, k)
+            chosen = greedy(name, G, k)
+            feasible(name, G, k, "feasible-greedy", chosen)
+            feasible(name, G, k, "feasible-greedy-less", chosen[:-1])
+            if strong.optimum > weak.optimum:
+                feasible(name, G, k, "feasible-weak", weak.set)
     for seed in range(SPARSE_GRAPHS):
         G = _sparse_graph(pc, seed)
         for k in SPARSE_KS:
