@@ -24,6 +24,7 @@ from .graph import (
     EnumerationCapError,
     Graph,
     VertexRangeError,
+    bfs_distances,
     require_connected,
 )
 
@@ -41,34 +42,17 @@ def _check_source(G: Graph, u: int, k: int) -> None:
         raise VertexRangeError(f"source {u} out of range for n={G.n}")
 
 
-def _distances_within(G: Graph, u: int, k: int) -> dict[int, int]:
-    """d(u, x) for every x within distance k of ``u``, from a BFS that stops
-    at depth k, after ``_check_source``."""
-    _check_source(G, u, k)
-    dist = {u: 0}
-    layer = [u]
-    d = 0
-    while layer and d < k:
-        d += 1
-        nxt = []
-        for x in layer:
-            for y in G.adj[x]:
-                if y not in dist:
-                    dist[y] = d
-                    nxt.append(y)
-        layer = nxt
-    return dist
-
-
 def weak_cover_set(G: Graph, u: int, k: int) -> int:
     """Bitmask of edges coverable from ``u`` at distance ``k`` (weak sense).
 
-    The edges x-y with d(u, y) = d(u, x) + 1 <= k, read from a BFS that
-    stops at depth k: the arcs of ``geodesic_dag(G, u, k)``, at the cost of
-    u's radius-k ball rather than of the whole graph. Answers on any graph,
-    with the coverage within u's component.
+    The edges x-y with d(u, y) = d(u, x) + 1 <= k, read from
+    ``bfs_distances(G, u, k)``, which stops at depth k: the arcs of
+    ``geodesic_dag(G, u, k)``, at the cost of u's radius-k ball rather than
+    of the whole graph. Answers on any graph, with the coverage within u's
+    component.
     """
-    dist = _distances_within(G, u, k)
+    _check_source(G, u, k)
+    dist = bfs_distances(G, u, k)
     mask = 0
     for x, dx in dist.items():
         if dx < k:
@@ -243,7 +227,9 @@ def source_pairs(G: Graph, u: int, k: int,
     found: dict[int, list[int]] = {}
     inner = {u}  # the vertices of the layers before the current one
     layer = [(u, 0)]
-    for d in range(k):
+    for _ in range(k):
+        if not layer:  # the ball ended: any larger k gives the same pairs
+            break
         reach: dict[int, list[int]] = {}
         nxt = []
         for x, mask in layer:
@@ -622,8 +608,8 @@ def verify_strong_witness(
     consistent covered mask, and a path union equal to the edge set.
 
     A path is a geodesic of length <= k when it has d(u, v) + 1 vertices
-    and d(u, v) <= k, so each source's BFS stops at depth k: a target
-    beyond it is rejected whatever its distance.
+    and d(u, v) <= k, so each source's ``bfs_distances`` stops at depth k:
+    a target beyond it is rejected whatever its distance.
     """
     sset = _vertex_set(G, S, k)
     dist_cache: dict[int, dict[int, int]] = {}
@@ -636,7 +622,7 @@ def verify_strong_witness(
         if len(path) < 2 or path[0] != u or path[-1] != v:
             return False
         if u not in dist_cache:
-            dist_cache[u] = _distances_within(G, u, k)
+            dist_cache[u] = bfs_distances(G, u, k)
         d = dist_cache[u].get(v)
         if d is None or len(path) != d + 1:
             return False

@@ -8,11 +8,8 @@ here is a pure function of immutable inputs and safe to share across workers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-UNREACHABLE = -1
 
 # Fixed enumeration caps: raising one is a stated change, not a setting.
 GEODESIC_CAP = 100_000  # geodesics of one pair
@@ -144,35 +141,30 @@ def build_graph(
     return Graph(n, edges, adj, norm_labels)
 
 
-@dataclass(frozen=True)
-class DistanceField:
-    """BFS distances from ``source``; unreachable vertices get UNREACHABLE."""
-
-    source: int
-    dist: tuple[int, ...]
-
-
-def bfs_distances(G: Graph, u: int) -> DistanceField:
-    """Exact unweighted shortest-path distances from ``u``."""
+def bfs_distances(G: Graph, u: int, k: int | None = None) -> dict[int, int]:
+    """``{x: d(u, x)}`` for every x within distance ``k`` of ``u``, from a
+    BFS that stops at depth k; every x that ``u`` reaches when k is None."""
     if not 0 <= u < G.n:
         raise VertexRangeError(f"source {u} out of range for n={G.n}")
-    dist = [UNREACHABLE] * G.n
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        dx = dist[x]
-        for y in G.adj[x]:
-            if dist[y] == UNREACHABLE:
-                dist[y] = dx + 1
-                queue.append(y)
-    return DistanceField(u, tuple(dist))
+    dist = {u: 0}
+    layer = [u]
+    d = 0
+    while layer and (k is None or d < k):
+        d += 1
+        nxt = []
+        for x in layer:
+            for y in G.adj[x]:
+                if y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+        layer = nxt
+    return dist
 
 
 def is_connected(G: Graph) -> bool:
     if G.n <= 1:
         return True
-    return UNREACHABLE not in bfs_distances(G, 0).dist
+    return len(bfs_distances(G, 0)) == G.n
 
 
 def require_connected(G: Graph) -> None:
@@ -185,7 +177,7 @@ def diameter(G: Graph) -> int:
     if G.n < 1:
         raise VertexRangeError("diameter requires at least one vertex")
     require_connected(G)
-    return max(max(bfs_distances(G, u).dist) for u in range(G.n))
+    return max(max(bfs_distances(G, u).values()) for u in range(G.n))
 
 
 @dataclass(frozen=True)
@@ -204,12 +196,12 @@ class GeodesicDag:
 
 def geodesic_dag(G: Graph, u: int, k: int) -> GeodesicDag:
     """Depth-truncated shortest-path DAG from ``u``. ``k = 0`` gives no arcs.
-    The whole-graph reference for ``weak_cover_set``: one full BFS and a
-    scan of every edge, and a disconnected graph is refused."""
-    field = bfs_distances(G, u)
-    if UNREACHABLE in field.dist:
+    The whole-graph reference for ``weak_cover_set``: one ``bfs_distances``
+    with no depth and a scan of every edge, and a disconnected graph is
+    refused."""
+    dist = bfs_distances(G, u)
+    if len(dist) != G.n:
         raise DisconnectedGraphError("geodesic DAG requires a connected graph")
-    dist = field.dist
     arcs = set()
     for x, y in G.edges:
         dx, dy = dist[x], dist[y]
@@ -232,12 +224,12 @@ def enumerate_geodesics(
     cap = GEODESIC_CAP
     if not 0 <= v < G.n:
         raise VertexRangeError(f"target {v} out of range for n={G.n}")
-    du = bfs_distances(G, u).dist
-    if du[v] == UNREACHABLE:
+    du = bfs_distances(G, u)
+    if v not in du:
         raise DisconnectedGraphError(f"{u} and {v} are in different components")
     if u == v:
         return ((u,),)
-    dv = bfs_distances(G, v).dist
+    dv = bfs_distances(G, v)
     out: list[tuple[int, ...]] = []
     path = [u]
     # depth-first over ascending neighbours, one iterator per path vertex
@@ -267,22 +259,17 @@ def count_geodesics(G: Graph, u: int, v: int) -> int:
     """Number of geodesics between ``u`` and ``v`` via layer-by-layer DP."""
     if not 0 <= v < G.n:
         raise VertexRangeError(f"target {v} out of range for n={G.n}")
-    du = bfs_distances(G, u).dist
-    if du[v] == UNREACHABLE:
+    du = bfs_distances(G, u)
+    if v not in du:
         raise DisconnectedGraphError(f"{u} and {v} are in different components")
     counts = [0] * G.n
     counts[u] = 1
-    order = sorted((x for x in range(G.n) if du[x] != UNREACHABLE),
-                   key=lambda x: du[x])
-    for x in order:
-        if du[x] >= du[v]:
-            continue
-        cx = counts[x]
-        if cx == 0:
-            continue
+    for x, dx in du.items():  # BFS order, so layer by layer
+        if dx >= du[v]:
+            break
         for y in G.adj[x]:
-            if du[y] == du[x] + 1:
-                counts[y] += cx
+            if du[y] == dx + 1:
+                counts[y] += counts[x]
     return counts[v]
 
 

@@ -378,12 +378,14 @@ def _clique_lower_bound(G: Graph) -> int:
 
 def _degree_lower_bound(G: Graph, k: int) -> int | None:
     """ceil(m (D-2) / (D ((D-1)^k - 1))) for maximum degree D >= 3; a single
-    source covers at most D ((D-1)^k - 1) / (D-2) edges weakly."""
+    source covers at most D ((D-1)^k - 1) / (D-2) edges weakly. Once
+    2^k > 2m, (D-1)^k - 1 >= 2m and the bound is 1, so the exponent stops
+    at the least such k, m.bit_length() + 1."""
     deg_max = max(G.degree(v) for v in range(G.n))
     if deg_max < 3:
         return None
     num = G.m * (deg_max - 2)
-    den = deg_max * ((deg_max - 1) ** k - 1)
+    den = deg_max * ((deg_max - 1) ** min(k, G.m.bit_length() + 1) - 1)
     return -(-num // den)
 
 
@@ -597,10 +599,9 @@ def solve_greedy(G: Graph, k: int, variant: str) -> SolveResult:
 
 def _oracle_weak_mask(G: Graph, u: int, k: int) -> int:
     """Weak coverage from ``u`` by brute-force geodesic enumeration."""
-    dist = bfs_distances(G, u).dist
     mask = 0
-    for v in range(G.n):
-        if v != u and 1 <= dist[v] <= k:
+    for v, d in bfs_distances(G, u).items():
+        if 1 <= d <= k:
             for path in enumerate_geodesics(G, u, v):
                 mask |= path_edge_mask(G, path)
     return mask

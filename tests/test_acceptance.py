@@ -177,7 +177,7 @@ def test_criterion_1_oracle_equivalence():
 def _brute_force_weak_mask(G, u, k):
     """Weak coverage from scratch: enumerate every simple path of length at
     most k from u and keep those that happen to be geodesics."""
-    dist = bfs_distances(G, u).dist
+    dist = bfs_distances(G, u)
     mask = 0
 
     def walk(path, used, edge_mask):

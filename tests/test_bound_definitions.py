@@ -60,8 +60,8 @@ def _reference(G, k):
     """Radius-k balls, diameter, domination number and clique bound from
     the definitions: BFS rows, a brute-force least cover by the balls, and
     the maximal cliques holding two or more simplicial vertices."""
-    rows = [bfs_distances(G, v).dist for v in range(G.n)]
-    balls = [sum(1 << x for x, d in enumerate(row) if d <= k) for row in rows]
+    rows = [bfs_distances(G, v) for v in range(G.n)]
+    balls = [sum(1 << x for x, d in row.items() if d <= k) for row in rows]
     full = (1 << G.n) - 1
     domination = next(
         size for size in range(G.n + 1)
@@ -70,7 +70,7 @@ def _reference(G, k):
     simp = simplicial_vertices(G)
     clique_lb = sum(max(sum(v in simp for v in clique) - 1, 0)
                     for clique in maximal_cliques(G))
-    return balls, max(map(max, rows)), domination, clique_lb
+    return balls, max(max(row.values()) for row in rows), domination, clique_lb
 
 
 @pytest.mark.parametrize("label,G", CASES, ids=[label for label, _ in CASES])

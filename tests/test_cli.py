@@ -185,6 +185,21 @@ def test_solve_methods_agree(tmp_path, capsys):
     assert out.count("optimum=2") == 3
 
 
+def test_solve_at_huge_k(tmp_path, capsys):
+    """k = 10**9 on a triangle answers at once, as k = 1 (its diameter)."""
+    graph_file = tmp_path / "k3.edges"
+    graph_file.write_text("3 3\n0 1\n0 2\n1 2\n")
+    witness_file = tmp_path / "w.txt"
+    for k in ("1", "1000000000"):
+        assert main(["solve", "--in", str(graph_file), "--k", k,
+                     "--variant", "strong",
+                     "--witness-out", str(witness_file)]) == 0
+        assert main(["verify", "--in", str(graph_file), "--k", k,
+                     "--set", "0", "1", "--witness", str(witness_file)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("optimum=2 set=[0 1]") == 2
+
+
 @pytest.mark.parametrize("method", ["exact", "greedy", "oracle"])
 def test_weak_witness_out_refused_before_solving(method, tmp_path, capsys):
     """A weak cover has no witness, so ``--witness-out`` with ``--variant

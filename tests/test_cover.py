@@ -270,7 +270,7 @@ def _assert_pairs_match_enumeration(G, ks):
     arcs = arc_table(G)
     unfixed = 0
     for u in range(G.n):
-        dist = bfs_distances(G, u).dist
+        dist = bfs_distances(G, u)
         for k in ks:
             pairs = source_pairs(G, u, k)
             assert source_pairs(G, u, k, arcs) == pairs
@@ -322,27 +322,29 @@ def test_source_pairs_cap(monkeypatch):
 
 
 def test_source_pairs_runs_one_bfs(monkeypatch):
-    """The per-source functions take their distances from a BFS that stops
-    at depth k, not from ``bfs_distances`` or a geodesic enumeration."""
-    calls = {"bfs": 0, "geodesics": 0}
+    """``weak_cover_set`` takes its distances from one ``bfs_distances``
+    call that stops at depth k, ``source_pairs`` walks its ball without one,
+    and neither enumerates geodesics."""
+    calls = []
 
-    def counted(key, func):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return func(*args, **kwargs)
-        return wrapper
+    def bfs(G, u, k=None):
+        calls.append(("bfs", u, k))
+        return bfs_distances(G, u, k)
+
+    def geodesics(*args):
+        calls.append(("geodesics",))
+        return enumerate_geodesics(*args)
 
     # raising=False: cover need not import them, but must not call them
     for module in (pathcover.cover, pathcover.graph):
-        monkeypatch.setattr(module, "bfs_distances",
-                            counted("bfs", bfs_distances), raising=False)
-        monkeypatch.setattr(module, "enumerate_geodesics",
-                            counted("geodesics", enumerate_geodesics),
+        monkeypatch.setattr(module, "bfs_distances", bfs, raising=False)
+        monkeypatch.setattr(module, "enumerate_geodesics", geodesics,
                             raising=False)
     G = family("sierpinski", 3)
     assert source_pairs(G, 0, 3)
+    assert calls == []
     assert weak_cover_set(G, 0, 3)
-    assert calls == {"bfs": 0, "geodesics": 0}
+    assert calls == [("bfs", 0, 3)]
 
 
 class _RecordingAdj(tuple):
@@ -358,7 +360,7 @@ def test_source_cost_bounded_by_radius_k_ball():
     adj = _RecordingAdj(base.adj)
     G = Graph(base.n, base.edges, adj, base.labels)
     k = 2
-    dist = bfs_distances(base, 0).dist
+    dist = bfs_distances(base, 0)
     inner = {v for v in range(base.n) if dist[v] <= k - 1}
     assert len(inner) == 3 and base.n == 243
     for per_source in (weak_cover_set, source_pairs):

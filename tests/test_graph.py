@@ -7,7 +7,6 @@ from pathcover import (
     EnumerationCapError,
     GraphError,
     SelfLoopError,
-    UNREACHABLE,
     VertexRangeError,
     bfs_distances,
     build_graph,
@@ -20,7 +19,7 @@ from pathcover import (
     parse_edgelist,
     simplicial_vertices,
 )
-from conftest import family
+from conftest import family, family_graphs
 
 
 def test_build_triangle():
@@ -52,16 +51,40 @@ def test_build_rejects_out_of_range():
 
 
 def test_bfs_cycle5():
-    assert bfs_distances(family("cycle", 5), 0).dist == (0, 1, 2, 2, 1)
+    assert bfs_distances(family("cycle", 5), 0) == {
+        0: 0, 1: 1, 2: 2, 3: 2, 4: 1}
 
 
 def test_bfs_path_endpoint():
-    assert bfs_distances(family("path", 4), 0).dist == (0, 1, 2, 3)
+    assert bfs_distances(family("path", 4), 0) == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def test_bfs_two_components_sentinel():
     G = build_graph(4, [(0, 1), (2, 3)])
-    assert bfs_distances(G, 0).dist == (0, 1, UNREACHABLE, UNREACHABLE)
+    assert bfs_distances(G, 0) == {0: 0, 1: 1}
+
+
+BFS_DEPTH_CASES = [
+    *family_graphs(20),
+    ("two components", build_graph(5, [(0, 1), (1, 2), (3, 4)]))]
+
+
+@pytest.mark.parametrize("label,G", BFS_DEPTH_CASES,
+                         ids=[label for label, _ in BFS_DEPTH_CASES])
+def test_bfs_depth_restricts_the_whole_graph_walk(label, G):
+    """At depth k = 0 .. diameter + 1 (on the disconnected graph, the
+    largest eccentricity in a component), ``bfs_distances`` keeps exactly
+    the vertices the whole-graph walk puts within distance k."""
+    whole = [bfs_distances(G, u) for u in range(G.n)]
+    d = max(max(row.values()) for row in whole)
+    for u, row in enumerate(whole):
+        assert bfs_distances(G, u, 0) == {u: 0}
+        for k in range(d + 2):
+            assert bfs_distances(G, u, k) == {
+                x: dx for x, dx in row.items() if dx <= k}
+    for u in (-1, G.n):
+        with pytest.raises(VertexRangeError):
+            bfs_distances(G, u, 1)
 
 
 def test_diameter_values():

@@ -38,7 +38,7 @@ small_k = st.integers(min_value=1, max_value=3)
 @given(connected_graphs())
 @settings(max_examples=60, deadline=None)
 def test_bfs_distance_symmetry(G):
-    fields = [bfs_distances(G, u).dist for u in range(G.n)]
+    fields = [bfs_distances(G, u) for u in range(G.n)]
     for u in range(G.n):
         assert fields[u][u] == 0
         for v in range(G.n):
@@ -52,7 +52,7 @@ def test_bfs_distance_symmetry(G):
 def test_dag_at_diameter_is_unequal_distance_edges(G):
     d = diameter(G)
     for u in range(G.n):
-        dist = bfs_distances(G, u).dist
+        dist = bfs_distances(G, u)
         arcs = geodesic_dag(G, u, max(d, 1)).arcs
         undirected = {(min(x, y), max(x, y)) for x, y in arcs}
         expected = {(x, y) for x, y in G.edges if dist[x] != dist[y]}
@@ -63,7 +63,7 @@ def test_dag_at_diameter_is_unequal_distance_edges(G):
 @settings(max_examples=40, deadline=None)
 def test_geodesics_increase_distance_and_count_correctly(G, k):
     for u in range(G.n):
-        dist = bfs_distances(G, u).dist
+        dist = bfs_distances(G, u)
         for v in range(G.n):
             if u == v or dist[v] > k:
                 continue

@@ -82,7 +82,7 @@ def test_k2_gadget_distances():
     apex_b = red.names["apex_b"]
     path_ids = [v for v, role in enumerate(red.roles) if role == ROLE_PATH]
     for u in range(G.n):
-        dist = bfs_distances(red.gadget, u).dist
+        dist = bfs_distances(red.gadget, u)
         assert dist[apex_b] == 1
         for p in path_ids:
             if red.gadget.has_edge(u, p):

@@ -1,4 +1,5 @@
 import random
+import time
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -234,6 +235,49 @@ def test_bounds_applicability_flags():
     assert b3.order_diameter_ub == G.n - 3 + 1
     b5 = compute_bounds(G, 5)
     assert b5.order_diameter_ub is None  # k exceeds the diameter
+
+
+HUGE_K = 10**9
+
+
+def _timed(call, *args):
+    """``call(*args)``, which must finish within 1 s."""
+    start = time.perf_counter()
+    out = call(*args)
+    assert time.perf_counter() - start < 1, call.__name__
+    return out
+
+
+def test_degree_bound_at_huge_k():
+    """Past 2^k > 2m the degree bound is 1, so k = 10**9 reads as k = 6 on
+    wheel(5) (m = 10) and builds no huge power."""
+    G = family("wheel", 5)
+    huge = _timed(compute_bounds, G, HUGE_K).as_dict()  # every field but k
+    assert huge == compute_bounds(G, 6).as_dict()
+    assert huge["degree_lb"] == 1
+
+
+HUGE_K_GRAPHS = [("cycle", 6), ("path", 5), ("wheel", 5),
+                 ("generalized_petersen", 5, 2)]
+
+
+@pytest.mark.parametrize("spec", HUGE_K_GRAPHS, ids=str)
+def test_huge_k_acts_as_the_diameter(spec):
+    """Every walk stops where its ball ends, so a k far beyond the diameter
+    finishes at once and answers as k = the diameter does."""
+    G = family(*spec)
+    d = diameter(G)
+    for u in range(G.n):
+        assert _timed(source_pairs, G, u, HUGE_K) == source_pairs(G, u, d)
+    for solve in (solve_exact, solve_greedy):
+        huge = _timed(solve, G, HUGE_K, "strong")
+        at_d = solve(G, d, "strong")
+        assert (huge.optimum, huge.set) == (at_d.optimum, at_d.set)
+        assert verify_strong_witness(G, huge.set, HUGE_K, huge.witness)
+    for S in ([0], solve_exact(G, d, "strong").set):
+        witness = _timed(strong_feasible, G, S, HUGE_K)
+        assert (witness is None) == (strong_feasible(G, S, d) is None)
+        assert witness is None or verify_strong_witness(G, S, HUGE_K, witness)
 
 
 def test_size_limits_enforced():
