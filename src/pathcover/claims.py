@@ -1,9 +1,10 @@
 """Registry of claimed closed-form cover values and the verification sweep.
 
 Each record carries one published closed-form claim (exact value or upper
-bound) for a family at k = 2, together with its parameter domain. The sweep
-solves instances exactly and classifies each comparison; claimed values are
-never trusted and heuristic results are never used for classification.
+bound) for a family at k = 2, together with its parameter domain, a
+predicate over the params. The sweep solves instances exactly and
+classifies each comparison; claimed values are never trusted and heuristic
+results are never used for classification.
 
 Records are grouped by ``claim_id``: a group corresponds to one stated
 result, and results asserting both variants at once (wheel, fan, double fan,
@@ -15,10 +16,16 @@ covers 11 family-claim groups and 13 network-claim groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, product
 from typing import Callable, Iterable, Sequence
 
-from .families import FamilySpec, UnknownFamilyError, expected_size, generate
+from .families import (
+    FamilyParamError,
+    FamilySpec,
+    UnknownFamilyError,
+    expected_size,
+    generate,
+)
 from .solve import STRONG, WEAK, SizeLimitError, solve_exact
 
 KIND_EXACT = "exact"
@@ -47,6 +54,10 @@ def _ceil_div(a: int, b: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ClaimRecord:
+    """One closed-form claim. ``domain`` is a predicate over the family's
+    params, such as ``lambda m, n: 2 <= m <= n``, that admits only params
+    in the family's domain."""
+
     claim_id: str
     topic: str  # "family" or "network"
     family: str
@@ -55,154 +66,127 @@ class ClaimRecord:
     k: int
     formula: Callable[[tuple[int, ...]], int]
     citation: str  # the claim in closed form, with its parameter domain
-    instances: Callable[[int], list[tuple[int, ...]]]
+    domain: Callable[..., bool]
 
     def value(self, params: tuple[int, ...]) -> int:
         return self.formula(params)
 
+    def covers(self, params: tuple[int, ...], max_n: int) -> bool:
+        """Whether ``params`` lie in the family's domain and the claim's,
+        and give a graph of at most ``max_n`` vertices. Params that
+        ``expected_size`` refuses, a non-int among them, are not covered."""
+        try:
+            n = expected_size(self.family, params)[0]
+        except FamilyParamError:
+            return False
+        return self.domain(*params) and n <= max_n
 
-def _single_param(lo: int, family: str) -> Callable[[int], list[tuple]]:
-    def gen(max_n: int) -> list[tuple[int, ...]]:
-        out = []
-        p = lo
-        while expected_size(family, (p,))[0] <= max_n:
-            out.append((p,))
-            p += 1
-        return out
-    return gen
-
-
-def _fixed(family: str, *params: int) -> Callable[[int], list[tuple]]:
-    family_params = tuple(params)
-
-    def gen(max_n: int) -> list[tuple[int, ...]]:
-        if expected_size(family, family_params)[0] <= max_n:
-            return [family_params]
-        return []
-    return gen
-
-
-def _bipartite_instances(max_n: int) -> list[tuple[int, ...]]:
-    out = []
-    for m in range(2, max_n):
-        for n in range(m, max_n - m + 1):
-            out.append((m, n))
-    return out
-
-
-def _friendship_instances(max_n: int) -> list[tuple[int, ...]]:
-    out = []
-    for c in range(4, max_n + 1):
-        for n in range(4, max_n + 1):
-            if expected_size("friendship", (c, n))[0] <= max_n:
-                out.append((c, n))
-    return out
+    def instances(self, max_n: int) -> list[tuple[int, ...]]:
+        """Every covered params with each place in 1..max_n, in
+        lexicographic order; no family has a parameter above its vertex
+        count, so none is left out."""
+        arity = self.domain.__code__.co_argcount
+        return [params
+                for params in product(range(1, max_n + 1), repeat=arity)
+                if self.covers(params, max_n)]
 
 
 def _build_registry() -> tuple[ClaimRecord, ...]:
     records: list[ClaimRecord] = []
 
     def add(claim_id, topic, family, variant, kind, formula, citation,
-            instances):
+            domain):
         records.append(ClaimRecord(claim_id, topic, family, variant, kind, 2,
-                                   formula, citation, instances))
+                                   formula, citation, domain))
 
     # family claims (11 groups)
     add("path", TOPIC_FAMILY, "path", STRONG, KIND_EXACT,
         lambda p: _ceil_div(p[0], 5),
-        "SSPC_2U(P_m) = ceil(m/5), m >= 2", _single_param(2, "path"))
+        "SSPC_2U(P_m) = ceil(m/5), m >= 2", lambda m: m >= 2)
     add("cycle", TOPIC_FAMILY, "cycle", STRONG, KIND_EXACT,
         lambda p: _ceil_div(p[0], 5),
-        "SSPC_2U(C_n) = ceil(n/5), n >= 5", _single_param(5, "cycle"))
+        "SSPC_2U(C_n) = ceil(n/5), n >= 5", lambda n: n >= 5)
     add("complete_bipartite", TOPIC_FAMILY, "complete_bipartite", STRONG,
         KIND_EXACT, lambda p: p[0],
-        "SSPC_2U(K_{m,n}) = m, 2 <= m <= n", _bipartite_instances)
+        "SSPC_2U(K_{m,n}) = m, 2 <= m <= n", lambda m, n: 2 <= m <= n)
     for variant, tag in ((WEAK, "SPC_2U"), (STRONG, "SSPC_2U")):
         add("wheel", TOPIC_FAMILY, "wheel", variant, KIND_EXACT,
             lambda p: _ceil_div(p[0], 5),
-            f"{tag}(W_n) = ceil(n/5), n >= 5", _single_param(5, "wheel"))
+            f"{tag}(W_n) = ceil(n/5), n >= 5", lambda n: n >= 5)
         add("double_wheel", TOPIC_FAMILY, "double_wheel", variant, KIND_EXACT,
             lambda p: 2 * _ceil_div(p[0], 5),
-            f"{tag}(DW_n) = 2 ceil(n/5), n >= 5",
-            _single_param(5, "double_wheel"))
+            f"{tag}(DW_n) = 2 ceil(n/5), n >= 5", lambda n: n >= 5)
         add("fan", TOPIC_FAMILY, "fan", variant, KIND_EXACT,
             lambda p: _ceil_div(p[0], 5),
-            f"{tag}(F_{{1,n}}) = ceil(n/5), n >= 5", _single_param(5, "fan"))
+            f"{tag}(F_{{1,n}}) = ceil(n/5), n >= 5", lambda n: n >= 5)
         add("double_fan", TOPIC_FAMILY, "double_fan", variant, KIND_EXACT,
             lambda p: 1 + _ceil_div(p[0], 5),
-            f"{tag}(DF_n) = 1 + ceil(n/5), n >= 2",
-            _single_param(2, "double_fan"))
+            f"{tag}(DF_n) = 1 + ceil(n/5), n >= 2", lambda n: n >= 2)
     add("crown_weak", TOPIC_FAMILY, "crown", WEAK, KIND_EXACT,
         lambda p: 2,
-        "SPC_2U(H_{n,n}) = 2, n >= 3", _single_param(3, "crown"))
+        "SPC_2U(H_{n,n}) = 2, n >= 3", lambda n: n >= 3)
     add("crown_strong", TOPIC_FAMILY, "crown", STRONG, KIND_EXACT,
         lambda p: p[0] - 1,
-        "SSPC_2U(H_{n,n}) = n - 1, n >= 3", _single_param(3, "crown"))
+        "SSPC_2U(H_{n,n}) = n - 1, n >= 3", lambda n: n >= 3)
     add("petersen", TOPIC_FAMILY, "generalized_petersen", STRONG, KIND_EXACT,
         lambda p: 3,
-        "SSPC_2U(GP(5,2)) = 3", _fixed("generalized_petersen", 5, 2))
+        "SSPC_2U(GP(5,2)) = 3", lambda n, t: (n, t) == (5, 2))
     add("friendship", TOPIC_FAMILY, "friendship", STRONG, KIND_UPPER_BOUND,
         lambda p: 1 + p[1] * _ceil_div(p[0], 5),
         "SSPC_2U(F_{c,n}) <= 1 + n ceil(c/5), c, n >= 4",
-        _friendship_instances)
+        lambda c, n: c >= 4 and n >= 4)
 
     # network claims (13 groups)
     add("butterfly_weak", TOPIC_NETWORK, "butterfly", WEAK, KIND_UPPER_BOUND,
         lambda p: 2 ** (p[0] - 1) if p[0] <= 4 else 2 ** p[0],
         "SPC_2U(BF(r)) <= 2^(r-1) for r <= 4, 2^r for r > 4",
-        _single_param(1, "butterfly"))
+        lambda r: r >= 1)
     add("butterfly_strong", TOPIC_NETWORK, "butterfly", STRONG,
         KIND_UPPER_BOUND,
         lambda p: _ceil_div(p[0], 2) * 2 ** (p[0] - 1),
-        "SSPC_2U(BF(r)) <= ceil(r/2) 2^(r-1), r >= 3",
-        _single_param(3, "butterfly"))
+        "SSPC_2U(BF(r)) <= ceil(r/2) 2^(r-1), r >= 3", lambda r: r >= 3)
     add("augmented_butterfly_dim3", TOPIC_NETWORK, "augmented_butterfly",
         STRONG, KIND_EXACT, lambda p: 12,
-        "SSPC_2U(ABF(3)) = 12", _fixed("augmented_butterfly", 3))
+        "SSPC_2U(ABF(3)) = 12", lambda r: r == 3)
     add("augmented_butterfly_bound", TOPIC_NETWORK, "augmented_butterfly",
         STRONG, KIND_UPPER_BOUND,
         lambda p: p[0] * 2 ** (p[0] - 1),
-        "SSPC_2U(ABF(r)) <= r 2^(r-1), r >= 2",
-        _single_param(2, "augmented_butterfly"))
+        "SSPC_2U(ABF(r)) <= r 2^(r-1), r >= 2", lambda r: r >= 2)
     add("enhanced_butterfly_dim3", TOPIC_NETWORK, "enhanced_butterfly",
         STRONG, KIND_EXACT, lambda p: 12,
-        "SSPC_2U(EBF(3)) = 12", _fixed("enhanced_butterfly", 3))
+        "SSPC_2U(EBF(3)) = 12", lambda r: r == 3)
     add("enhanced_butterfly_bound", TOPIC_NETWORK, "enhanced_butterfly",
         STRONG, KIND_UPPER_BOUND,
         lambda p: p[0] * 2 ** (p[0] - 1),
-        "SSPC_2U(EBF(r)) <= r 2^(r-1), r >= 2",
-        _single_param(2, "enhanced_butterfly"))
+        "SSPC_2U(EBF(r)) <= r 2^(r-1), r >= 2", lambda r: r >= 2)
     add("benes_weak", TOPIC_NETWORK, "benes", WEAK, KIND_EXACT,
         lambda p: 2,
-        "SPC_2U(B(2)) = 2", _fixed("benes", 2))
+        "SPC_2U(B(2)) = 2", lambda r: r == 2)
     add("benes_weak", TOPIC_NETWORK, "benes", WEAK, KIND_UPPER_BOUND,
         lambda p: 2 ** p[0],
-        "SPC_2U(B(r)) <= 2^r, r >= 3", _single_param(3, "benes"))
+        "SPC_2U(B(r)) <= 2^r, r >= 3", lambda r: r >= 3)
     add("benes_strong", TOPIC_NETWORK, "benes", STRONG, KIND_UPPER_BOUND,
         lambda p: _ceil_div(p[0], 2) * 2 ** p[0],
-        "SSPC_2U(B(r)) <= ceil(r/2) 2^r, r >= 1", _single_param(1, "benes"))
+        "SSPC_2U(B(r)) <= ceil(r/2) 2^r, r >= 1", lambda r: r >= 1)
     add("silicate", TOPIC_NETWORK, "silicate", STRONG, KIND_EXACT,
         lambda p: 6 * p[0] * p[0],
-        "SSPC_2U(SL(n)) = 6 n^2, n >= 1", _single_param(1, "silicate"))
+        "SSPC_2U(SL(n)) = 6 n^2, n >= 1", lambda n: n >= 1)
     add("hypercube", TOPIC_NETWORK, "hypercube", STRONG, KIND_UPPER_BOUND,
         lambda p: 2 ** (p[0] - 2),
-        "SSPC_2U(Q_n) <= 2^(n-2), n >= 3 (sharp at n = 3)",
-        _single_param(3, "hypercube"))
+        "SSPC_2U(Q_n) <= 2^(n-2), n >= 3 (sharp at n = 3)", lambda n: n >= 3)
     add("sierpinski", TOPIC_NETWORK, "sierpinski", STRONG, KIND_UPPER_BOUND,
         lambda p: 3 ** (p[0] - 1),
-        "SSPC_2U(S(n,3)) <= 3^(n-1), n >= 2", _single_param(2, "sierpinski"))
+        "SSPC_2U(S(n,3)) <= 3^(n-1), n >= 2", lambda n: n >= 2)
     add("gasket_weak", TOPIC_NETWORK, "sierpinski_gasket", WEAK,
         KIND_UPPER_BOUND, lambda p: 3 ** (p[0] - 2),
-        "SPC_2U(S_n) <= 3^(n-2), n >= 3",
-        _single_param(3, "sierpinski_gasket"))
+        "SPC_2U(S_n) <= 3^(n-2), n >= 3", lambda n: n >= 3)
     add("gasket_weak", TOPIC_NETWORK, "sierpinski_gasket", WEAK, KIND_EXACT,
-        lambda p: 2, "SPC_2U(S_2) = 2", _fixed("sierpinski_gasket", 2))
+        lambda p: 2, "SPC_2U(S_2) = 2", lambda n: n == 2)
     add("gasket_strong", TOPIC_NETWORK, "sierpinski_gasket", STRONG,
         KIND_UPPER_BOUND, lambda p: 6 * 3 ** (p[0] - 3),
-        "SSPC_2U(S_n) <= 6 (3^(n-3)), n >= 3",
-        _single_param(3, "sierpinski_gasket"))
+        "SSPC_2U(S_n) <= 6 (3^(n-3)), n >= 3", lambda n: n >= 3)
     add("gasket_strong", TOPIC_NETWORK, "sierpinski_gasket", STRONG,
-        KIND_EXACT, lambda p: 2, "SSPC_2U(S_2) = 2", _fixed("sierpinski_gasket", 2))
+        KIND_EXACT, lambda p: 2, "SSPC_2U(S_2) = 2", lambda n: n == 2)
 
     return tuple(records)
 
@@ -220,13 +204,15 @@ def claims_registry() -> tuple[ClaimRecord, ...]:
 
 
 def claim_value(family: str, params: Sequence[int], variant: str) -> int:
-    """Claimed value for a family instance; UnknownFamilyError when the
-    registry has no claim for the family/variant combination."""
+    """Claimed value for a family instance. Params that ``expected_size``
+    refuses raise its ``UnknownFamilyError`` or ``FamilyParamError``; params
+    outside every claim's domain for the family and variant raise
+    ``UnknownFamilyError``, as does a family/variant with no claim."""
     params = tuple(params)
+    n = expected_size(family, params)[0]
     for record in _BY_FAMILY.get(family, ()):
-        if record.variant == variant:
-            if params in record.instances(expected_size(family, params)[0]):
-                return record.value(params)
+        if record.variant == variant and record.covers(params, n):
+            return record.value(params)
     raise UnknownFamilyError(
         f"no registered claim for {family}{params} ({variant})")
 
@@ -258,12 +244,12 @@ def _classify(kind: str, claimed: int, computed: int | None) -> str:
 
 def _instance(entry) -> tuple[str, tuple[int, ...]]:
     """One ``verify_claims`` instance as (family, params), or ValueError
-    naming the entry when it is no (family name, sequence of ints) pair."""
+    naming the entry when it is no (family name, sequence of ints) pair; a
+    bool is no int here."""
     try:
         family, params = entry
         params = tuple(params)
-        ok = isinstance(family, str) and all(isinstance(x, int)
-                                             for x in params)
+        ok = isinstance(family, str) and all(type(x) is int for x in params)
     except (TypeError, ValueError):
         ok = False
     if not ok:
@@ -282,13 +268,15 @@ def verify_claims(
     ``families`` filters by a list of family names (None means all; a bare
     string raises ``ValueError``); ``instances`` restricts to an explicit
     (family, params) list, the params any sequence of ints (a bare string,
-    or an entry that is no such pair, raises ``ValueError`` naming it).
-    Only the records of the families asked for, by either argument, list
-    their instances. A family that no registry record carries raises
-    ``UnknownFamilyError``, and a requested instance that no (filtered)
-    record lists at ``max_n`` raises ``ValueError``, which names the
-    ``families`` filter when there is one, so nothing asked for is dropped
-    without a word.
+    or an entry that is no such pair, a bool among its params included,
+    raises ``ValueError`` naming it). Without ``instances`` the records of
+    the families asked for list their instances at ``max_n``; with it no
+    record lists anything, and each requested instance goes to the records
+    that cover it (``ClaimRecord.covers``). A family that no registry
+    record carries raises ``UnknownFamilyError``, and a requested instance
+    that no (filtered) record covers at ``max_n`` raises ``ValueError``,
+    which names the ``families`` filter when there is one, so nothing
+    asked for is dropped without a word.
     Each instance's graph is generated once and solved once per variant.
     Instances over ``solve_exact``'s fixed vertex limits (40 weak, 34
     strong), which it refuses with ``SizeLimitError``, are reported as
@@ -312,12 +300,14 @@ def verify_claims(
         raise UnknownFamilyError(
             f"no registered claim for {', '.join(sorted(unknown))}")
     scope = _BY_FAMILY.keys() if wanted is None else wanted
-    if explicit is not None:
-        scope = {family for family, _ in explicit} & scope
-    todo = [(record, params) for family in scope
-            for record in _BY_FAMILY[family]
-            for params in record.instances(max_n)]
-    if explicit is not None:
+    if explicit is None:
+        todo = [(record, params) for family in scope
+                for record in _BY_FAMILY[family]
+                for params in record.instances(max_n)]
+    else:
+        todo = [(record, params) for family, params in explicit
+                if family in scope for record in _BY_FAMILY[family]
+                if record.covers(params, max_n)]
         missing = explicit - {(record.family, params)
                               for record, params in todo}
         if missing:
@@ -327,8 +317,6 @@ def verify_claims(
                 + f" at max_n={max_n}"
                 + (f" in families {sorted(wanted)}" if wanted is not None
                    else ""))
-        todo = [(record, params) for record, params in todo
-                if (record.family, params) in explicit]
     todo.sort(key=lambda item: (item[0].family, item[1], item[0].variant,
                                 item[0].kind))
     # optimum per (family, params, variant); None when refused for size

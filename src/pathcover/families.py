@@ -1,9 +1,10 @@
 """Deterministic generators for graph families and interconnection networks.
 
-Every generator returns a labeled :class:`~pathcover.graph.Graph` whose vertex
-and edge counts satisfy the closed-form size table in ``SIZE_FORMULAS``
-(checked by the test suite with generator counting). Identical specs always
-produce identical edge lists.
+Each family is one table row: its builder, its closed-form (vertex count,
+edge count) formula, whose parameters give the arity, its domain check and
+the domain as text. Every generator returns a labeled
+:class:`~pathcover.graph.Graph` whose counts satisfy its formula (checked
+by the test suite). Identical specs always produce identical edge lists.
 """
 
 from __future__ import annotations
@@ -134,13 +135,14 @@ def _bf_labels(r: int, levels: int) -> list[str]:
             for w in range(1 << r)]
 
 
-def _butterfly_edges(r: int) -> list[tuple[int, int]]:
+def _butterfly_edges(r: int, bits) -> list[tuple[int, int]]:
+    """Level transition i flips bit ``bits[i]``."""
     edges = []
-    for lvl in range(r):
+    for lvl, bit in enumerate(bits):
         for w in range(1 << r):
             edges.append((_bf_index(r, w, lvl), _bf_index(r, w, lvl + 1)))
             edges.append((_bf_index(r, w, lvl),
-                          _bf_index(r, w ^ (1 << lvl), lvl + 1)))
+                          _bf_index(r, w ^ (1 << bit), lvl + 1)))
     return edges
 
 
@@ -156,12 +158,12 @@ def _butterfly_diamonds(r: int) -> list[tuple[int, int, int]]:
 
 
 def _butterfly(r: int):
-    return (r + 1) * (1 << r), _butterfly_edges(r), _bf_labels(r, r)
+    return (r + 1) * (1 << r), _butterfly_edges(r, range(r)), _bf_labels(r, r)
 
 
 def _augmented_butterfly(r: int):
     # one chord per diamond, joining the antipodal pair in the higher level
-    edges = _butterfly_edges(r)
+    edges = _butterfly_edges(r, range(r))
     for lvl, w, x in _butterfly_diamonds(r):
         edges.append((_bf_index(r, w, lvl + 1), _bf_index(r, x, lvl + 1)))
     return (r + 1) * (1 << r), edges, _bf_labels(r, r)
@@ -169,7 +171,7 @@ def _augmented_butterfly(r: int):
 
 def _enhanced_butterfly(r: int):
     # one new center vertex per diamond, joined to all four diamond corners
-    edges = _butterfly_edges(r)
+    edges = _butterfly_edges(r, range(r))
     base = (r + 1) * (1 << r)
     labels = _bf_labels(r, r)
     for i, (lvl, w, x) in enumerate(_butterfly_diamonds(r)):
@@ -185,13 +187,7 @@ def _enhanced_butterfly(r: int):
 def _benes(r: int):
     # two butterflies sharing level r; transitions past level r mirror the
     # bit order so level 2r matches level 0
-    edges = []
-    for lvl in range(2 * r):
-        bit = lvl if lvl < r else 2 * r - 1 - lvl
-        for w in range(1 << r):
-            edges.append((_bf_index(r, w, lvl), _bf_index(r, w, lvl + 1)))
-            edges.append((_bf_index(r, w, lvl),
-                          _bf_index(r, w ^ (1 << bit), lvl + 1)))
+    edges = _butterfly_edges(r, [*range(r), *reversed(range(r))])
     return (2 * r + 1) * (1 << r), edges, _bf_labels(r, 2 * r)
 
 
@@ -297,29 +293,18 @@ def _sierpinski(n: int):
 
 def _sierpinski_gasket(n: int):
     # contract every edge joining two distinct depth-(n-1) blocks of S(n, 3);
-    # the connecting edges form a matching, so classes have at most 2 words
+    # the connecting edges form a matching, so each class is one word or
+    # two, and takes the name of its smaller word
     grouped = _sierpinski_edges(n)
-    total = 3 ** n
-    parent = list(range(total))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    name = list(range(3 ** n))
     for level in grouped[:-1]:
         for u, v in level:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                if ru > rv:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-    roots = sorted({find(x) for x in range(total)})
+            name[max(u, v)] = min(u, v)
+    roots = sorted(set(name))
     rank = {root: i for i, root in enumerate(roots)}
     edges = set()
     for u, v in grouped[-1]:
-        a, b = rank[find(u)], rank[find(v)]
+        a, b = rank[name[u]], rank[name[v]]
         if a != b:
             edges.add((a, b) if a < b else (b, a))
     labels = [_word_label(root, n) for root in roots]
@@ -328,87 +313,86 @@ def _sierpinski_gasket(n: int):
 
 # --- registry ---------------------------------------------------------------
 
-_FamilyEntry = tuple[int, Callable[..., bool], Callable[..., tuple], str]
-
-_FAMILIES: dict[str, _FamilyEntry] = {
-    "path": (1, lambda m: m >= 1, _path, "m >= 1"),
-    "cycle": (1, lambda n: n >= 3, _cycle, "n >= 3"),
-    "wheel": (1, lambda n: n >= 3, _wheel, "n >= 3"),
-    "double_wheel": (1, lambda n: n >= 3, _double_wheel, "n >= 3"),
-    "fan": (1, lambda n: n >= 1, _fan, "n >= 1"),
-    "double_fan": (1, lambda n: n >= 1, _double_fan, "n >= 1"),
-    "friendship": (2, lambda c, n: c >= 3 and n >= 1, _friendship,
-                   "c >= 3, n >= 1"),
-    "complete_bipartite": (2, lambda m, n: m >= 1 and n >= 1,
-                           _complete_bipartite, "m >= 1, n >= 1"),
-    "crown": (1, lambda n: n >= 3, _crown, "n >= 3"),
-    "generalized_petersen": (2, lambda n, t: n >= 3 and 1 <= t and 2 * t < n,
-                             _generalized_petersen, "n >= 3, 1 <= t < n/2"),
-    "hypercube": (1, lambda r: r >= 1, _hypercube, "r >= 1"),
-    "butterfly": (1, lambda r: r >= 1, _butterfly, "r >= 1"),
-    "augmented_butterfly": (1, lambda r: r >= 1, _augmented_butterfly,
-                            "r >= 1"),
-    "enhanced_butterfly": (1, lambda r: r >= 1, _enhanced_butterfly,
-                           "r >= 1"),
-    "benes": (1, lambda r: r >= 1, _benes, "r >= 1"),
-    "silicate": (1, lambda n: n >= 1, _silicate, "n >= 1"),
-    "sierpinski": (1, lambda n: n >= 1, _sierpinski, "n >= 1"),
-    "sierpinski_gasket": (1, lambda n: n >= 1, _sierpinski_gasket, "n >= 1"),
+# family -> (builder, (vertex count, edge count) formula, domain check, domain
+# text); the formula's parameters are the family's
+_FAMILIES: dict[str, tuple[Callable, Callable, Callable, str]] = {
+    "path": (_path, lambda m: (m, m - 1), lambda m: m >= 1, "m >= 1"),
+    "cycle": (_cycle, lambda n: (n, n), lambda n: n >= 3, "n >= 3"),
+    "wheel": (_wheel, lambda n: (n + 1, 2 * n), lambda n: n >= 3, "n >= 3"),
+    "double_wheel": (_double_wheel, lambda n: (2 * n + 1, 4 * n),
+                     lambda n: n >= 3, "n >= 3"),
+    "fan": (_fan, lambda n: (n + 1, 2 * n - 1), lambda n: n >= 1, "n >= 1"),
+    "double_fan": (_double_fan, lambda n: (n + 2, 3 * n - 1),
+                   lambda n: n >= 1, "n >= 1"),
+    "friendship": (_friendship, lambda c, n: (n * (c - 1) + 1, n * c),
+                   lambda c, n: c >= 3 and n >= 1, "c >= 3, n >= 1"),
+    "complete_bipartite": (_complete_bipartite,
+                           lambda m, n: (m + n, m * n),
+                           lambda m, n: m >= 1 and n >= 1, "m >= 1, n >= 1"),
+    "crown": (_crown, lambda n: (2 * n, n * (n - 1)), lambda n: n >= 3,
+              "n >= 3"),
+    "generalized_petersen": (_generalized_petersen,
+                             lambda n, t: (2 * n, 3 * n),
+                             lambda n, t: n >= 3 and 1 <= t and 2 * t < n,
+                             "n >= 3, 1 <= t < n/2"),
+    "hypercube": (_hypercube, lambda r: (2 ** r, r * 2 ** (r - 1)),
+                  lambda r: r >= 1, "r >= 1"),
+    "butterfly": (_butterfly, lambda r: ((r + 1) * 2 ** r, r * 2 ** (r + 1)),
+                  lambda r: r >= 1, "r >= 1"),
+    "augmented_butterfly": (
+        _augmented_butterfly,
+        lambda r: ((r + 1) * 2 ** r, r * 2 ** (r + 1) + r * 2 ** (r - 1)),
+        lambda r: r >= 1, "r >= 1"),
+    "enhanced_butterfly": (
+        _enhanced_butterfly,
+        lambda r: ((r + 1) * 2 ** r + r * 2 ** (r - 1), r * 2 ** (r + 2)),
+        lambda r: r >= 1, "r >= 1"),
+    "benes": (_benes, lambda r: ((2 * r + 1) * 2 ** r, r * 2 ** (r + 2)),
+              lambda r: r >= 1, "r >= 1"),
+    "silicate": (_silicate, lambda n: (15 * n * n + 3 * n, 36 * n * n),
+                 lambda n: n >= 1, "n >= 1"),
+    "sierpinski": (_sierpinski, lambda n: (3 ** n, 3 * (3 ** n - 1) // 2),
+                   lambda n: n >= 1, "n >= 1"),
+    "sierpinski_gasket": (_sierpinski_gasket,
+                          lambda n: ((3 ** n + 3) // 2, 3 ** n),
+                          lambda n: n >= 1, "n >= 1"),
 }
 
 FAMILY_NAMES: tuple[str, ...] = tuple(sorted(_FAMILIES))
 
-SIZE_FORMULAS: dict[str, Callable[..., tuple[int, int]]] = {
-    "path": lambda m: (m, m - 1),
-    "cycle": lambda n: (n, n),
-    "wheel": lambda n: (n + 1, 2 * n),
-    "double_wheel": lambda n: (2 * n + 1, 4 * n),
-    "fan": lambda n: (n + 1, 2 * n - 1),
-    "double_fan": lambda n: (n + 2, 3 * n - 1),
-    "friendship": lambda c, n: (n * (c - 1) + 1, n * c),
-    "complete_bipartite": lambda m, n: (m + n, m * n),
-    "crown": lambda n: (2 * n, n * (n - 1)),
-    "generalized_petersen": lambda n, t: (2 * n, 3 * n),
-    "hypercube": lambda r: (2 ** r, r * 2 ** (r - 1)),
-    "butterfly": lambda r: ((r + 1) * 2 ** r, r * 2 ** (r + 1)),
-    "augmented_butterfly":
-        lambda r: ((r + 1) * 2 ** r, r * 2 ** (r + 1) + r * 2 ** (r - 1)),
-    "enhanced_butterfly":
-        lambda r: ((r + 1) * 2 ** r + r * 2 ** (r - 1), r * 2 ** (r + 2)),
-    "benes": lambda r: ((2 * r + 1) * 2 ** r, r * 2 ** (r + 2)),
-    "silicate": lambda n: (15 * n * n + 3 * n, 36 * n * n),
-    "sierpinski": lambda n: (3 ** n, 3 * (3 ** n - 1) // 2),
-    "sierpinski_gasket": lambda n: ((3 ** n + 3) // 2, 3 ** n),
-}
 
-
-def _builder(family: str, params: tuple[int, ...]) -> Callable[..., tuple]:
-    """The family's builder, once ``params`` fit its arity and domain."""
+def _builder(family: str, params: tuple[int, ...]):
+    """The family's (builder, size formula), once ``params`` fit its arity,
+    are ints (a bool is refused) and lie in its domain."""
     entry = _FAMILIES.get(family)
     if entry is None:
         raise UnknownFamilyError(f"unknown family {family!r}")
-    arity, check, builder, domain = entry
+    builder, size, check, domain = entry
+    arity = size.__code__.co_argcount
     if len(params) != arity:
         raise FamilyParamError(
             f"{family} takes {arity} parameter(s), got {len(params)}"
+        )
+    if any(type(p) is not int for p in params):
+        raise FamilyParamError(
+            f"{family} takes int parameters, got {params!r}"
         )
     if not check(*params):
         raise FamilyParamError(
             f"{family}{params} outside valid domain ({domain})"
         )
-    return builder
+    return builder, size
 
 
 def expected_size(family: str, params: tuple[int, ...]) -> tuple[int, int]:
     """Closed-form (vertex count, edge count) for a family instance; refuses
     the parameters ``generate`` refuses, with the same errors."""
     params = tuple(params)
-    _builder(family, params)
-    return SIZE_FORMULAS[family](*params)
+    return _builder(family, params)[1](*params)
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph described by ``spec``; deterministic per spec."""
     params = tuple(spec.params)
-    n, edges, labels = _builder(spec.family, params)(*params)
+    n, edges, labels = _builder(spec.family, params)[0](*params)
     return build_graph(n, edges, labels)

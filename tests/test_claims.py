@@ -9,6 +9,7 @@ module as a script from the repository root:
 """
 
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from pathcover.claims import (
     TOPIC_FAMILY,
     TOPIC_NETWORK,
 )
+from pathcover.families import _FAMILIES
 from pathcover.report import claim_record, to_csv
 
 CLAIMS_CSV = Path(__file__).parent / "data" / "claims_max12.csv"
@@ -59,10 +61,39 @@ def test_registry_records_well_formed():
         assert record.kind in (KIND_EXACT, KIND_UPPER_BOUND)
         assert record.variant in ("weak", "strong")
         assert record.citation
-        instances = record.instances(40)
-        for params in instances[:3]:
-            assert record.value(params) >= 1
-            expected_size(record.family, params)  # must be a known family
+        for params in record.instances(40):
+            value = record.value(params)
+            assert type(value) is int and value >= 1, (record.claim_id,
+                                                       params)
+            assert claim_value(record.family, params, record.variant) == \
+                value, (record.claim_id, params)
+
+
+def _family_arity(name):
+    return _FAMILIES[name][1].__code__.co_argcount
+
+
+def test_claim_domains_lie_in_family_domains():
+    # the claim domain takes the family's params, and every params it
+    # admits up to 40 is a valid family instance
+    for record in claims_registry():
+        arity = _family_arity(record.family)
+        assert record.domain.__code__.co_argcount == arity, record.claim_id
+        for params in product(range(1, 41), repeat=arity):
+            if record.domain(*params):
+                expected_size(record.family, params)
+
+
+def test_no_parameter_exceeds_the_vertex_count():
+    # instances(max_n) tries each place in 1..max_n only, which misses
+    # nothing because of this
+    for name in FAMILY_NAMES:
+        for params in product(range(1, 41), repeat=_family_arity(name)):
+            try:
+                n = expected_size(name, params)[0]
+            except FamilyParamError:
+                continue
+            assert max(params) <= n, (name, params)
 
 
 def test_claim_instances_respect_max_n():
@@ -79,6 +110,14 @@ def test_lookup_examples():
     with pytest.raises(FamilyParamError):
         claim_value("path", (1, 2), "strong")
     assert EXCLUDED_CLAIMS[0][0] == "actinia"
+
+
+def test_lookup_refuses_a_non_int_param():
+    # 7.0 == 7, so a membership test alone would admit it
+    with pytest.raises(FamilyParamError):
+        claim_value("path", [7.0], "strong")
+    record = next(r for r in claims_registry() if r.family == "path")
+    assert record.covers((7,), 12) and not record.covers((7.0,), 12)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +172,7 @@ def test_malformed_instance_list_names_the_bad_entry():
             "string 'cycle'")):
         verify_claims(instances="cycle")
     for entry in (("cycle", 5), (5, (5,)), ("cycle", ("5",)),
-                  ("cycle", (5,), 2)):
+                  ("cycle", (5,), 2), ("butterfly", (True,))):
         with pytest.raises(ValueError, match=re.escape(f"got {entry!r}")):
             verify_claims(instances=[entry])
 

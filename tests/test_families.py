@@ -121,6 +121,15 @@ def test_param_out_of_range(name, params):
         expected_size(name, params)
 
 
+@pytest.mark.parametrize("params", [(5.0,), (True,), ("5",)])
+def test_non_int_param_refused(params):
+    # a bool is an int to isinstance, and 5.0 == 5
+    with pytest.raises(FamilyParamError):
+        generate(FamilySpec("cycle", params))
+    with pytest.raises(FamilyParamError):
+        expected_size("path", params)
+
+
 def test_param_arity_checked():
     with pytest.raises(FamilyParamError):
         generate(FamilySpec("cycle", (3, 4)))

@@ -20,7 +20,11 @@ apply). The battery:
   its last vertex, and the weak optimum's set wherever the strong optimum
   is larger;
 - strong ``solve_greedy`` on the ten topologies of the benchmark's
-  greedy-scale workload at k = 2, greedy rows only.
+  greedy-scale workload at k = 2, greedy rows only;
+- catalogue rows, which hold no solver answer: each registry record's
+  ``instances(40)`` with the claimed value of each, and a digest of
+  ``format_edgelist`` and the labels of every family instance with at most
+  64 vertices and of the ten greedy-scale topologies.
 
     python tools/answers.py                # the answers of src/
     python tools/answers.py --src DIR      # the answers of DIR/pathcover
@@ -29,8 +33,9 @@ apply). The battery:
 ``--against`` extracts REV's ``src/`` with ``git archive`` into a temporary
 directory and runs this script on it in a subprocess. It prints the node
 and witness differences grouped by row kind and k, then every differing
-value, and exits 1 when any optimum or set differs: those move only by a
-stated change. The script writes nothing in the repository.
+value, and exits 1 when any optimum or set differs, a catalogue row's
+value (kept in its set field) included: those move only by a stated
+change. The script writes nothing in the repository.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import sys
 import tarfile
 import tempfile
 from io import BytesIO
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +63,8 @@ SPARSE_GRAPHS = 60
 SPARSE_N = (30, 40)
 SPARSE_EDGES_PER_VERTEX = 1.4
 SPARSE_KS = (1, 2)
+CATALOGUE_MAX_N = 40
+CATALOGUE_GRAPH_N = 64
 GREEDY_TOPOLOGIES = (
     ("hypercube", (6,)),
     ("butterfly", (4,)),
@@ -77,6 +84,44 @@ def _digest(witness) -> str:
         return "None"
     text = repr((witness.assignments, witness.covered))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _graph_digest(pc, G) -> str:
+    text = pc.format_edgelist(G) + repr(G.labels)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _catalogue(pc) -> list[str]:
+    """One row per registry record, its instances at ``CATALOGUE_MAX_N``
+    with their claimed values, and one per generated graph, its digest:
+    every family instance with at most ``CATALOGUE_GRAPH_N`` vertices (each
+    family takes one parameter or two), then the greedy-scale topologies.
+    Each value sits in the set field."""
+    lines = []
+    for record in pc.claims_registry():
+        listed = [(params, record.value(params))
+                  for params in record.instances(CATALOGUE_MAX_N)]
+        lines.append(f"catalogue {record.claim_id} {record.variant} "
+                     f"{record.kind}\t-\t{listed}\t-\t-")
+    specs = []
+    for family in pc.FAMILY_NAMES:
+        for arity in (1, 2):
+            for params in product(range(1, CATALOGUE_GRAPH_N + 1),
+                                  repeat=arity):
+                try:
+                    n = pc.expected_size(family, params)[0]
+                except pc.FamilyParamError:
+                    continue
+                if n <= CATALOGUE_GRAPH_N:
+                    specs.append((family, params))
+    for spec in GREEDY_TOPOLOGIES:
+        if spec not in specs:
+            specs.append(spec)
+    for family, params in specs:
+        G = pc.generate(pc.FamilySpec(family, params))
+        lines.append(f"catalogue {family}{params} graph\t-\t"
+                     f"{_graph_digest(pc, G)}\t-\t-")
+    return lines
 
 
 def _random_graph(pc, rng: random.Random):
@@ -161,7 +206,7 @@ def snapshot() -> list[str]:
     for family, params in GREEDY_TOPOLOGIES:
         G = pc.generate(pc.FamilySpec(family, params))
         greedy(f"topology {family}{params}", G, 2)
-    return lines
+    return lines + _catalogue(pc)
 
 
 def _extract(rev: str, into: Path) -> Path:
