@@ -54,9 +54,10 @@ def _ceil_div(a: int, b: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ClaimRecord:
-    """One closed-form claim. ``domain`` is a predicate over the family's
-    params, such as ``lambda m, n: 2 <= m <= n``, that admits only params
-    in the family's domain."""
+    """One closed-form claim. ``formula`` gives the claimed value and
+    ``domain``, a predicate, admits only params in the claim's domain; both
+    take the family's params unpacked and name them alike, such as
+    ``lambda m, n: m`` and ``lambda m, n: 2 <= m <= n``."""
 
     claim_id: str
     topic: str  # "family" or "network"
@@ -64,12 +65,12 @@ class ClaimRecord:
     variant: str
     kind: str  # "exact" or "upper_bound"
     k: int
-    formula: Callable[[tuple[int, ...]], int]
+    formula: Callable[..., int]
     citation: str  # the claim in closed form, with its parameter domain
     domain: Callable[..., bool]
 
     def value(self, params: tuple[int, ...]) -> int:
-        return self.formula(params)
+        return self.formula(*params)
 
     def covers(self, params: tuple[int, ...], max_n: int) -> bool:
         """Whether ``params`` lie in the family's domain and the claim's,
@@ -101,92 +102,92 @@ def _build_registry() -> tuple[ClaimRecord, ...]:
 
     # family claims (11 groups)
     add("path", TOPIC_FAMILY, "path", STRONG, KIND_EXACT,
-        lambda p: _ceil_div(p[0], 5),
+        lambda m: _ceil_div(m, 5),
         "SSPC_2U(P_m) = ceil(m/5), m >= 2", lambda m: m >= 2)
     add("cycle", TOPIC_FAMILY, "cycle", STRONG, KIND_EXACT,
-        lambda p: _ceil_div(p[0], 5),
+        lambda n: _ceil_div(n, 5),
         "SSPC_2U(C_n) = ceil(n/5), n >= 5", lambda n: n >= 5)
     add("complete_bipartite", TOPIC_FAMILY, "complete_bipartite", STRONG,
-        KIND_EXACT, lambda p: p[0],
+        KIND_EXACT, lambda m, n: m,
         "SSPC_2U(K_{m,n}) = m, 2 <= m <= n", lambda m, n: 2 <= m <= n)
     for variant, tag in ((WEAK, "SPC_2U"), (STRONG, "SSPC_2U")):
         add("wheel", TOPIC_FAMILY, "wheel", variant, KIND_EXACT,
-            lambda p: _ceil_div(p[0], 5),
+            lambda n: _ceil_div(n, 5),
             f"{tag}(W_n) = ceil(n/5), n >= 5", lambda n: n >= 5)
         add("double_wheel", TOPIC_FAMILY, "double_wheel", variant, KIND_EXACT,
-            lambda p: 2 * _ceil_div(p[0], 5),
+            lambda n: 2 * _ceil_div(n, 5),
             f"{tag}(DW_n) = 2 ceil(n/5), n >= 5", lambda n: n >= 5)
         add("fan", TOPIC_FAMILY, "fan", variant, KIND_EXACT,
-            lambda p: _ceil_div(p[0], 5),
+            lambda n: _ceil_div(n, 5),
             f"{tag}(F_{{1,n}}) = ceil(n/5), n >= 5", lambda n: n >= 5)
         add("double_fan", TOPIC_FAMILY, "double_fan", variant, KIND_EXACT,
-            lambda p: 1 + _ceil_div(p[0], 5),
+            lambda n: 1 + _ceil_div(n, 5),
             f"{tag}(DF_n) = 1 + ceil(n/5), n >= 2", lambda n: n >= 2)
     add("crown_weak", TOPIC_FAMILY, "crown", WEAK, KIND_EXACT,
-        lambda p: 2,
+        lambda n: 2,
         "SPC_2U(H_{n,n}) = 2, n >= 3", lambda n: n >= 3)
     add("crown_strong", TOPIC_FAMILY, "crown", STRONG, KIND_EXACT,
-        lambda p: p[0] - 1,
+        lambda n: n - 1,
         "SSPC_2U(H_{n,n}) = n - 1, n >= 3", lambda n: n >= 3)
     add("petersen", TOPIC_FAMILY, "generalized_petersen", STRONG, KIND_EXACT,
-        lambda p: 3,
+        lambda n, t: 3,
         "SSPC_2U(GP(5,2)) = 3", lambda n, t: (n, t) == (5, 2))
     add("friendship", TOPIC_FAMILY, "friendship", STRONG, KIND_UPPER_BOUND,
-        lambda p: 1 + p[1] * _ceil_div(p[0], 5),
+        lambda c, n: 1 + n * _ceil_div(c, 5),
         "SSPC_2U(F_{c,n}) <= 1 + n ceil(c/5), c, n >= 4",
         lambda c, n: c >= 4 and n >= 4)
 
     # network claims (13 groups)
     add("butterfly_weak", TOPIC_NETWORK, "butterfly", WEAK, KIND_UPPER_BOUND,
-        lambda p: 2 ** (p[0] - 1) if p[0] <= 4 else 2 ** p[0],
+        lambda r: 2 ** (r - 1) if r <= 4 else 2 ** r,
         "SPC_2U(BF(r)) <= 2^(r-1) for r <= 4, 2^r for r > 4",
         lambda r: r >= 1)
     add("butterfly_strong", TOPIC_NETWORK, "butterfly", STRONG,
         KIND_UPPER_BOUND,
-        lambda p: _ceil_div(p[0], 2) * 2 ** (p[0] - 1),
+        lambda r: _ceil_div(r, 2) * 2 ** (r - 1),
         "SSPC_2U(BF(r)) <= ceil(r/2) 2^(r-1), r >= 3", lambda r: r >= 3)
     add("augmented_butterfly_dim3", TOPIC_NETWORK, "augmented_butterfly",
-        STRONG, KIND_EXACT, lambda p: 12,
+        STRONG, KIND_EXACT, lambda r: 12,
         "SSPC_2U(ABF(3)) = 12", lambda r: r == 3)
     add("augmented_butterfly_bound", TOPIC_NETWORK, "augmented_butterfly",
         STRONG, KIND_UPPER_BOUND,
-        lambda p: p[0] * 2 ** (p[0] - 1),
+        lambda r: r * 2 ** (r - 1),
         "SSPC_2U(ABF(r)) <= r 2^(r-1), r >= 2", lambda r: r >= 2)
     add("enhanced_butterfly_dim3", TOPIC_NETWORK, "enhanced_butterfly",
-        STRONG, KIND_EXACT, lambda p: 12,
+        STRONG, KIND_EXACT, lambda r: 12,
         "SSPC_2U(EBF(3)) = 12", lambda r: r == 3)
     add("enhanced_butterfly_bound", TOPIC_NETWORK, "enhanced_butterfly",
         STRONG, KIND_UPPER_BOUND,
-        lambda p: p[0] * 2 ** (p[0] - 1),
+        lambda r: r * 2 ** (r - 1),
         "SSPC_2U(EBF(r)) <= r 2^(r-1), r >= 2", lambda r: r >= 2)
     add("benes_weak", TOPIC_NETWORK, "benes", WEAK, KIND_EXACT,
-        lambda p: 2,
+        lambda r: 2,
         "SPC_2U(B(2)) = 2", lambda r: r == 2)
     add("benes_weak", TOPIC_NETWORK, "benes", WEAK, KIND_UPPER_BOUND,
-        lambda p: 2 ** p[0],
+        lambda r: 2 ** r,
         "SPC_2U(B(r)) <= 2^r, r >= 3", lambda r: r >= 3)
     add("benes_strong", TOPIC_NETWORK, "benes", STRONG, KIND_UPPER_BOUND,
-        lambda p: _ceil_div(p[0], 2) * 2 ** p[0],
+        lambda r: _ceil_div(r, 2) * 2 ** r,
         "SSPC_2U(B(r)) <= ceil(r/2) 2^r, r >= 1", lambda r: r >= 1)
     add("silicate", TOPIC_NETWORK, "silicate", STRONG, KIND_EXACT,
-        lambda p: 6 * p[0] * p[0],
+        lambda n: 6 * n * n,
         "SSPC_2U(SL(n)) = 6 n^2, n >= 1", lambda n: n >= 1)
     add("hypercube", TOPIC_NETWORK, "hypercube", STRONG, KIND_UPPER_BOUND,
-        lambda p: 2 ** (p[0] - 2),
+        lambda n: 2 ** (n - 2),
         "SSPC_2U(Q_n) <= 2^(n-2), n >= 3 (sharp at n = 3)", lambda n: n >= 3)
     add("sierpinski", TOPIC_NETWORK, "sierpinski", STRONG, KIND_UPPER_BOUND,
-        lambda p: 3 ** (p[0] - 1),
+        lambda n: 3 ** (n - 1),
         "SSPC_2U(S(n,3)) <= 3^(n-1), n >= 2", lambda n: n >= 2)
     add("gasket_weak", TOPIC_NETWORK, "sierpinski_gasket", WEAK,
-        KIND_UPPER_BOUND, lambda p: 3 ** (p[0] - 2),
+        KIND_UPPER_BOUND, lambda n: 3 ** (n - 2),
         "SPC_2U(S_n) <= 3^(n-2), n >= 3", lambda n: n >= 3)
     add("gasket_weak", TOPIC_NETWORK, "sierpinski_gasket", WEAK, KIND_EXACT,
-        lambda p: 2, "SPC_2U(S_2) = 2", lambda n: n == 2)
+        lambda n: 2, "SPC_2U(S_2) = 2", lambda n: n == 2)
     add("gasket_strong", TOPIC_NETWORK, "sierpinski_gasket", STRONG,
-        KIND_UPPER_BOUND, lambda p: 6 * 3 ** (p[0] - 3),
+        KIND_UPPER_BOUND, lambda n: 6 * 3 ** (n - 3),
         "SSPC_2U(S_n) <= 6 (3^(n-3)), n >= 3", lambda n: n >= 3)
     add("gasket_strong", TOPIC_NETWORK, "sierpinski_gasket", STRONG,
-        KIND_EXACT, lambda p: 2, "SSPC_2U(S_2) = 2", lambda n: n == 2)
+        KIND_EXACT, lambda n: 2, "SSPC_2U(S_2) = 2", lambda n: n == 2)
 
     return tuple(records)
 

@@ -6,6 +6,10 @@ length at most k starting at u. Strong coverage fixes one geodesic per
 strong-feasible when some choice of fixed geodesics covers every edge, and
 the feasibility search here plays that benevolent chooser exactly.
 
+Weak coverage is read from the radius-r balls of all vertices at once
+(``ball_layers``): per edge ``coverer_index``, per source ``weak_masks``.
+``weak_cover_set``, one source's depth-k BFS, is the reference definition.
+
 Edge sets are integer bitmasks over the graph's canonical edge indices, and
 so is each geodesic a solver may fix: only the paths a witness keeps are
 rebuilt as vertex sequences (``mask_path``).
@@ -45,11 +49,12 @@ def _check_source(G: Graph, u: int, k: int) -> None:
 def weak_cover_set(G: Graph, u: int, k: int) -> int:
     """Bitmask of edges coverable from ``u`` at distance ``k`` (weak sense).
 
-    The edges x-y with d(u, y) = d(u, x) + 1 <= k, read from
-    ``bfs_distances(G, u, k)``, which stops at depth k: the arcs of
-    ``geodesic_dag(G, u, k)``, at the cost of u's radius-k ball rather than
-    of the whole graph. Answers on any graph, with the coverage within u's
-    component.
+    The reference definition: the edges x-y with d(u, y) = d(u, x) + 1 <=
+    k, read from ``bfs_distances(G, u, k)``, which stops at depth k: the
+    arcs of ``geodesic_dag(G, u, k)``, at the cost of u's radius-k ball
+    rather than of the whole graph. Answers on any graph, with the coverage
+    within u's component. The solvers and checks read the same masks from
+    the balls instead (``weak_masks``, ``coverer_index``).
     """
     _check_source(G, u, k)
     dist = bfs_distances(G, u, k)
@@ -98,6 +103,42 @@ def coverer_index(G: Graph, k: int) -> list[int]:
     return index
 
 
+def weak_masks(G: Graph, k: int) -> list[int]:
+    """Entry v: the ``weak_cover_set`` of v at distance k >= 1, for every v
+    from one pass over the radius-r balls B_r, r < k.
+
+    As v lies in B_r(x) exactly when x lies in B_r(v), ``coverer_index``'s
+    rule says v covers x-y exactly when, for some r < k, one end of x-y lies
+    in B_r(v) and the other does not: the mask is the union over r < k of
+    the edge boundary of B_r(v). A vertex set's boundary is the XOR of its
+    vertices' incidence masks, as an edge with both ends inside cancels, so
+    each shell B_r(v) - B_(r-1)(v) adds its vertices' incidence masks once.
+    """
+    incident = [0] * G.n
+    for e, (x, y) in enumerate(G.edges):
+        incident[x] |= 1 << e
+        incident[y] |= 1 << e
+    masks = [0] * G.n
+    boundary = [0] * G.n
+    inner = [0] * G.n
+    for layer in islice(ball_layers(G), k):
+        for v, ball in enumerate(layer):
+            b = boundary[v]
+            for s in _bits(ball & ~inner[v]):
+                b ^= incident[s]
+            boundary[v] = b
+            masks[v] |= b
+        inner = layer
+    return masks
+
+
+def _weak_cover(G: Graph, sources: set[int], k: int) -> bool:
+    """Whether ``sources``, in range, weakly cover G at distance k >= 1:
+    every entry of ``coverer_index`` meets their bitmask."""
+    smask = sum(1 << u for u in sources)
+    return all(c & smask for c in coverer_index(G, k))
+
+
 def _vertex_set(G: Graph, S: Iterable[int], k: int) -> set[int]:
     """The vertices of S; refuses k < 1, then a vertex out of range."""
     if k < 1:
@@ -110,18 +151,14 @@ def _vertex_set(G: Graph, S: Iterable[int], k: int) -> set[int]:
 
 
 def verify_weak_cover(G: Graph, S: Iterable[int], k: int) -> bool:
-    """True iff the weak cover sets of S jointly cover every edge. As in
+    """True iff the weak cover sets of S jointly cover every edge, read
+    from one ``coverer_index``: every edge has a weak coverer in S. As in
     ``strong_feasible``, an edgeless graph is covered by any S, and a
     disconnected graph with edges is refused when S is not empty."""
     sources = _vertex_set(G, S, k)
-    if G.m == 0:
-        return True
-    if sources:
+    if sources and G.m:
         require_connected(G)
-    mask = 0
-    for u in sources:
-        mask |= weak_cover_set(G, u, k)
-    return mask == G.full_edge_mask()
+    return _weak_cover(G, sources, k)
 
 
 class PairChoices(NamedTuple):
@@ -592,10 +629,18 @@ def strong_feasible(
     ``strong_test`` for the sorted sources given whole. As in
     ``verify_weak_cover``, an edgeless graph is covered by any S (the empty
     witness), and a disconnected graph with edges is refused when S is not
-    empty."""
-    sources = sorted(_vertex_set(G, S, k))
+    empty.
+
+    Every strong cover is a weak cover, so a set that is no weak cover is
+    refused first, before a strong test is built or a geodesic enumerated:
+    at k >= 3, ``feasible_from_pairs``' union pre-check, read from balls.
+    """
+    sources = _vertex_set(G, S, k)
     if sources and G.m:
         require_connected(G)
+    if not _weak_cover(G, sources, k):
+        return None
+    sources = sorted(sources)
     test = strong_test(G, k)
     state = test.whole(sources)
     return None if state is None else test.witness(sources, state)

@@ -28,6 +28,7 @@ from .cover import (
     path_edge_mask,
     source_pairs,
     strong_test,
+    weak_masks,
 )
 from .graph import (
     Graph,
@@ -411,7 +412,7 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     nodes = [0]
     index = coverer_index(G, k)
     test = strong_test(G, k) if variant == STRONG else None
-    chosen, proof = _least_cover(G, _transpose(index, G.n), index,
+    chosen, proof = _least_cover(G, weak_masks(G, k), index,
                                  G.full_edge_mask(), test, nodes)
     witness = test.witness(chosen, proof) if test else None
     return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
@@ -422,18 +423,8 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
 # Greedy heuristics
 # ---------------------------------------------------------------------------
 
-def _transpose(index: Sequence[int], n: int) -> list[int]:
-    """The masks of n sources from their coverer ``index``: mask v holds
-    element e when entry e holds v."""
-    masks = [0] * n
-    for e, c in enumerate(index):
-        for v in _bits(c):
-            masks[v] |= 1 << e
-    return masks
-
-
 def _greedy_weak(G: Graph, k: int, start: float) -> SolveResult:
-    masks = _transpose(coverer_index(G, k), G.n)
+    masks = weak_masks(G, k)
     chosen = _greedy_cover(masks, G.full_edge_mask())
     return SolveResult(WEAK, k, len(chosen), tuple(sorted(chosen)), None,
                        "heuristic",

@@ -29,6 +29,7 @@ from pathcover.cover import (
     mask_path,
     path_edge_mask,
     source_pairs,
+    weak_masks,
 )
 from pathcover.solve import _oracle_strong_feasible
 from conftest import family, family_graphs, random_connected_graph
@@ -483,10 +484,11 @@ def test_weak_cover_set_matches_geodesic_dag(name, params):
     # most of these graphs are many times wider than k, so the depth limit
     # of weak_cover_set's BFS leaves out most of the graph
     G = family(name, *params)
-    for u in range(G.n):
-        for k in range(1, 5):
-            arcs = geodesic_dag(G, u, k).arcs
-            assert weak_cover_set(G, u, k) == G.edge_mask(arcs)
+    for k in range(1, 5):
+        masks = [weak_cover_set(G, u, k) for u in range(G.n)]
+        for u in range(G.n):
+            assert masks[u] == G.edge_mask(geodesic_dag(G, u, k).arcs)
+        assert weak_masks(G, k) == masks
 
 
 def _index_graphs():
@@ -504,14 +506,58 @@ def _index_graphs():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, "n"])
 def test_coverer_index_is_weak_cover_set_transposed(k):
     """Entry e of ``coverer_index`` holds exactly the sources u whose
-    ``weak_cover_set`` holds edge e, at k = 1 to 4 and at k = n, beyond
-    every diameter."""
+    ``weak_cover_set`` holds edge e, and ``weak_masks`` is those sets, at
+    k = 1 to 4 and at k = n, beyond every diameter."""
     for name, G in _index_graphs():
         kk = G.n if k == "n" else k
         masks = [weak_cover_set(G, u, kk) for u in range(G.n)]
         assert coverer_index(G, kk) == [
             sum(1 << u for u, m in enumerate(masks) if m >> e & 1)
             for e in range(G.m)], name
+        assert weak_masks(G, kk) == masks, name
+
+
+def _random_subsets(seed):
+    """(name, graph, S): the connected ``_index_graphs()`` with random
+    vertex subsets of every size from empty to all."""
+    rng = random.Random(seed)
+    for name, G in _index_graphs():
+        if name == "disconnected":
+            continue
+        for size in sorted({0, rng.randint(0, G.n), G.n}):
+            yield name, G, rng.sample(range(G.n), size)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_weak_cover_is_the_union_of_weak_cover_sets(k):
+    """``verify_weak_cover``, one coverer index test, says yes exactly when
+    the ``weak_cover_set`` masks of S cover every edge."""
+    answers = set()
+    for name, G, S in _random_subsets(k):
+        union = 0
+        for u in S:
+            union |= weak_cover_set(G, u, k)
+        expected = union == G.full_edge_mask()
+        assert verify_weak_cover(G, S, k) == expected, (name, S)
+        answers.add(expected)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_strong_feasible_refuses_a_non_weak_cover_without_pairs(
+        k, monkeypatch):
+    """A set that is no weak cover is no strong cover, and
+    ``strong_feasible`` refuses it before it builds a source's pairs."""
+    def refuse(*args):
+        raise AssertionError("source_pairs called")
+
+    monkeypatch.setattr(pathcover.cover, "source_pairs", refuse)
+    refused = 0
+    for name, G, S in _random_subsets(k):
+        if not verify_weak_cover(G, S, k):
+            assert strong_feasible(G, S, k) is None, (name, S)
+            refused += 1
+    assert refused >= 50
 
 
 @pytest.mark.parametrize(

@@ -32,8 +32,19 @@ from pathcover.cover import (
     source_pairs,
     strong_test,
 )
-from pathcover.solve import _least_cover, _min_cover, _transpose
+from pathcover.solve import _least_cover, _min_cover
 from conftest import family, random_connected_graph
+
+
+def _transpose(index, n):
+    """The masks of n sources from their coverer ``index``: mask v holds
+    element e when entry e holds v."""
+    masks = [0] * n
+    for e, c in enumerate(index):
+        for v in range(n):
+            if c >> v & 1:
+                masks[v] |= 1 << e
+    return masks
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,10 @@ apply). The battery:
   is larger;
 - strong ``solve_greedy`` on the ten topologies of the benchmark's
   greedy-scale workload at k = 2, greedy rows only;
+- weak ``solve_greedy`` (its set and ``stats.nodes``) on the exact_sets and
+  random graphs at k = 1, 2, 3 and on the ten topologies at k = 2, each
+  with ``verify_weak_cover`` on the set it returns and on that set less
+  its last vertex; a verdict sits in the optimum field;
 - catalogue rows, which hold no solver answer: each registry record's
   ``instances(40)`` with the claimed value of each, and a digest of
   ``format_edgelist`` and the labels of every family instance with at most
@@ -33,9 +37,11 @@ apply). The battery:
 ``--against`` extracts REV's ``src/`` with ``git archive`` into a temporary
 directory and runs this script on it in a subprocess. It prints the node
 and witness differences grouped by row kind and k, then every differing
-value, and exits 1 when any optimum or set differs, a catalogue row's
-value (kept in its set field) included: those move only by a stated
-change. The script writes nothing in the repository.
+value and every row present on one side only, and exits 1 when any
+optimum or set differs, a catalogue row's value (kept in its set field)
+and a weak verdict included, or when a row is present on one side only:
+those move only by a stated change. The script writes nothing in the
+repository.
 """
 
 from __future__ import annotations
@@ -176,6 +182,15 @@ def snapshot() -> list[str]:
         lines.append(f"{name} k={k} {kind}\t-\t{list(chosen)}\t-\t"
                      f"{_digest(w)}")
 
+    def greedy_weak(name, G, k):
+        r = pc.solve_greedy(G, k, "weak")
+        lines.append(f"{name} k={k} greedy-weak\t{r.optimum}\t"
+                     f"{list(r.set)}\t{r.stats.nodes}\t-")
+        for kind, chosen in (("verify-weak-greedy", r.set),
+                             ("verify-weak-greedy-less", r.set[:-1])):
+            ok = pc.verify_weak_cover(G, chosen, k)
+            lines.append(f"{name} k={k} {kind}\t{ok}\t{list(chosen)}\t-\t-")
+
     seen = set()
     for record in pc.claims_registry():
         for params in record.instances(REGISTRY_MAX_N):
@@ -199,6 +214,7 @@ def snapshot() -> list[str]:
             feasible(name, G, k, "feasible-greedy-less", chosen[:-1])
             if strong.optimum > weak.optimum:
                 feasible(name, G, k, "feasible-weak", weak.set)
+            greedy_weak(name, G, k)
     for seed in range(SPARSE_GRAPHS):
         G = _sparse_graph(pc, seed)
         for k in SPARSE_KS:
@@ -206,6 +222,7 @@ def snapshot() -> list[str]:
     for family, params in GREEDY_TOPOLOGIES:
         G = pc.generate(pc.FamilySpec(family, params))
         greedy(f"topology {family}{params}", G, 2)
+        greedy_weak(f"topology {family}{params}", G, 2)
     return lines + _catalogue(pc)
 
 
@@ -235,13 +252,15 @@ def _kind(name: str) -> str:
 
 def compare(old: list[str], new: list[str], rev: str) -> int:
     """Per field, the results whose value differs from REV's; the node and
-    witness differences per row kind and k; then every differing value.
-    1 when an optimum or a set differs, else 0."""
+    witness differences per row kind and k; then every differing value and
+    every row on one side only. 1 when an optimum or a set differs or a
+    row is on one side only, else 0."""
     before, after = _parse(old), _parse(new)
     common = [name for name in after if name in before]
+    only_old = [name for name in before if name not in after]
+    only_new = [name for name in after if name not in before]
     print(f"{len(common)} results in both; only in {rev}: "
-          f"{len(before.keys() - after.keys())}, only in the tree: "
-          f"{len(after.keys() - before.keys())}")
+          f"{len(only_old)}, only in the tree: {len(only_new)}")
     changed = {f: [n for n in common if before[n][f] != after[n][f]]
                for f in FIELDS}
     for f in FIELDS:
@@ -267,7 +286,11 @@ def compare(old: list[str], new: list[str], rev: str) -> int:
     for f in FIELDS:
         for n in changed[f]:
             print(f"  {f} {n}: {before[n][f]} -> {after[n][f]}")
-    return 1 if changed["optimum"] or changed["set"] else 0
+    for side, names in ((rev, only_old), ("the tree", only_new)):
+        for n in names:
+            print(f"  only in {side}: {n}")
+    return int(bool(changed["optimum"] or changed["set"] or only_old
+                    or only_new))
 
 
 def main(argv: list[str] | None = None) -> int:
