@@ -34,14 +34,12 @@ from .graph import (
     DisconnectedGraphError,
     DuplicateEdgeError,
     EnumerationCapError,
-    GeodesicDag,
     Graph,
     GraphError,
     SelfLoopError,
     VertexRangeError,
     bfs_distances,
     build_graph,
-    count_geodesics,
     diameter,
     enumerate_geodesics,
     format_edgelist,
@@ -49,7 +47,6 @@ from .graph import (
     is_connected,
     maximal_cliques,
     parse_edgelist,
-    simplicial_vertices,
 )
 from .reduction import (
     ReductionCheck,
@@ -84,7 +81,6 @@ __all__ = [
     "FAMILY_NAMES",
     "FamilyParamError",
     "FamilySpec",
-    "GeodesicDag",
     "Graph",
     "GraphError",
     "ReductionCheck",
@@ -103,7 +99,6 @@ __all__ = [
     "claim_value",
     "claims_registry",
     "compute_bounds",
-    "count_geodesics",
     "diameter",
     "domination_number",
     "enumerate_geodesics",
@@ -119,7 +114,6 @@ __all__ = [
     "parse_edgelist",
     "parse_witness",
     "reduce_vc",
-    "simplicial_vertices",
     "solve_exact",
     "solve_greedy",
     "strong_feasible",

@@ -266,11 +266,13 @@ def verify_claims(
 ) -> tuple[DiscrepancyReport, ...]:
     """Solve claim instances exactly and classify each against its claim.
 
-    ``families`` filters by a list of family names (None means all; a bare
-    string raises ``ValueError``); ``instances`` restricts to an explicit
-    (family, params) list, the params any sequence of ints (a bare string,
-    or an entry that is no such pair, a bool among its params included,
-    raises ``ValueError`` naming it). Without ``instances`` the records of
+    ``max_n``, an int (anything else, a bool included, raises
+    ``ValueError``), bounds the vertex count. ``families`` filters by a
+    list of family names (None means all; a bare string raises
+    ``ValueError``); ``instances`` restricts to an explicit (family,
+    params) list, the params any sequence of ints (a bare string, or an
+    entry that is no such pair, a bool among its params included, raises
+    ``ValueError`` naming it). Without ``instances`` the records of
     the families asked for list their instances at ``max_n``; with it no
     record lists anything, and each requested instance goes to the records
     that cover it (``ClaimRecord.covers``). A family that no registry
@@ -286,6 +288,8 @@ def verify_claims(
     ordered by (family, params, variant, kind), and records of one such
     key by registry order.
     """
+    if type(max_n) is not int:
+        raise ValueError(f"max_n must be an int, got {max_n!r}")
     if isinstance(families, str):
         raise ValueError("families must be a list of family names, "
                          f"not the string {families!r}")

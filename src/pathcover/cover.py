@@ -27,7 +27,8 @@ from .graph import (
     GEODESIC_CAP,
     EnumerationCapError,
     Graph,
-    VertexRangeError,
+    _check_k,
+    _check_vertex,
     bfs_distances,
     require_connected,
 )
@@ -37,27 +38,20 @@ def path_edge_mask(G: Graph, path: tuple[int, ...]) -> int:
     return G.edge_mask(zip(path, path[1:]))
 
 
-def _check_source(G: Graph, u: int, k: int) -> None:
-    """Refuses k < 1 first, as the solvers do, then a source out of
-    range."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if not 0 <= u < G.n:
-        raise VertexRangeError(f"source {u} out of range for n={G.n}")
-
-
 def weak_cover_set(G: Graph, u: int, k: int) -> int:
     """Bitmask of edges coverable from ``u`` at distance ``k`` (weak sense).
 
     The reference definition: the edges x-y with d(u, y) = d(u, x) + 1 <=
-    k, read from ``bfs_distances(G, u, k)``, which stops at depth k: the
-    arcs of ``geodesic_dag(G, u, k)``, at the cost of u's radius-k ball
-    rather than of the whole graph. Answers on any graph, with the coverage
-    within u's component. The solvers and checks read the same masks from
-    the balls instead (``weak_masks``, ``coverer_index``).
+    k, read from ``bfs_distances(G, u, k)``, which stops at depth k. These
+    are the edges of the arcs ``geodesic_dag(G, u, k)`` returns, at the
+    cost of u's radius-k ball rather than of the whole graph. Answers on
+    any graph, with the coverage within u's component; k must be an int
+    >= 1 and u a vertex of G. No program path calls it: the solvers and
+    checks read the same masks from the balls (``weak_masks``,
+    ``coverer_index``).
     """
-    _check_source(G, u, k)
-    dist = bfs_distances(G, u, k)
+    _check_k(k)
+    dist = bfs_distances(G, u, k)  # checks the source
     mask = 0
     for x, dx in dist.items():
         if dx < k:
@@ -140,13 +134,11 @@ def _weak_cover(G: Graph, sources: set[int], k: int) -> bool:
 
 
 def _vertex_set(G: Graph, S: Iterable[int], k: int) -> set[int]:
-    """The vertices of S; refuses k < 1, then a vertex out of range."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    """The vertices of S; refuses a bad k, then a bad vertex."""
+    _check_k(k)
     sources = set(S)
     for u in sources:
-        if not 0 <= u < G.n:
-            raise VertexRangeError(f"vertex {u} out of range for n={G.n}")
+        _check_vertex(G, u)
     return sources
 
 
@@ -256,7 +248,8 @@ def source_pairs(G: Graph, u: int, k: int,
     ``enumerate_geodesics``' paths. A path's mask is its prefix's mask plus
     one edge bit, read from the table.
     """
-    _check_source(G, u, k)
+    _check_k(k)
+    _check_vertex(G, u, "source")
     if arcs is None:
         arcs = arc_table(G)
     cap = GEODESIC_CAP

@@ -4,11 +4,11 @@ Vertices are dense integers ``0..n-1``. Edges carry a canonical dense index
 (position in the lexicographically sorted edge list) so that edge subsets can
 be handled as fixed-width integer bitmasks by the cover machinery. Everything
 here is a pure function of immutable inputs and safe to share across workers.
+The k check and the vertex check that every entry point calls live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 # Fixed enumeration caps: raising one is a stated change, not a setting.
@@ -141,11 +141,31 @@ def build_graph(
     return Graph(n, edges, adj, norm_labels)
 
 
+def _check_k(k: int, least: int = 1) -> None:
+    """The distance check of every entry point: refuses, with ValueError, a
+    k that is not an int (a bool included) or is below ``least``."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
+    if k < least:
+        raise ValueError(f"k must be positive, got {k}" if least == 1
+                         else f"k must be at least {least}, got {k}")
+
+
+def _check_vertex(G: Graph, v: int, role: str = "vertex") -> None:
+    """The vertex check of every entry point: refuses, with
+    VertexRangeError, a ``v`` that is not an int (a bool included) or lies
+    outside ``0..n-1``."""
+    if type(v) is not int or not 0 <= v < G.n:
+        raise VertexRangeError(f"{role} {v!r} out of range for n={G.n}")
+
+
 def bfs_distances(G: Graph, u: int, k: int | None = None) -> dict[int, int]:
     """``{x: d(u, x)}`` for every x within distance ``k`` of ``u``, from a
-    BFS that stops at depth k; every x that ``u`` reaches when k is None."""
-    if not 0 <= u < G.n:
-        raise VertexRangeError(f"source {u} out of range for n={G.n}")
+    BFS that stops at depth k, an int >= 0; every x that ``u`` reaches when
+    k is None."""
+    if k is not None:
+        _check_k(k, 0)
+    _check_vertex(G, u, "source")
     dist = {u: 0}
     layer = [u]
     d = 0
@@ -180,25 +200,14 @@ def diameter(G: Graph) -> int:
     return max(max(bfs_distances(G, u).values()) for u in range(G.n))
 
 
-@dataclass(frozen=True)
-class GeodesicDag:
-    """Arcs ``x -> y`` with ``d(source, x) + 1 = d(source, y) <= k``.
-
-    The union of the arcs, read as undirected edges, is exactly the set of
-    edges lying on some geodesic of length at most ``k`` starting at the
-    source; every such geodesic is a path in this DAG.
-    """
-
-    source: int
-    k: int
-    arcs: frozenset[tuple[int, int]]
-
-
-def geodesic_dag(G: Graph, u: int, k: int) -> GeodesicDag:
-    """Depth-truncated shortest-path DAG from ``u``. ``k = 0`` gives no arcs.
-    The whole-graph reference for ``weak_cover_set``: one ``bfs_distances``
-    with no depth and a scan of every edge, and a disconnected graph is
-    refused."""
+def geodesic_dag(G: Graph, u: int, k: int) -> frozenset[tuple[int, int]]:
+    """The arcs ``x -> y`` of the depth-truncated shortest-path DAG from
+    ``u``: those with ``d(u, x) + 1 = d(u, y) <= k``, so ``k = 0`` gives
+    none. Read as undirected edges they are exactly the edges on some
+    geodesic of length at most k from ``u``, and every such geodesic is a
+    path along them. The whole-graph reference for ``weak_cover_set``: one
+    ``bfs_distances`` with no depth and a scan of every edge, and a
+    disconnected graph is refused."""
     dist = bfs_distances(G, u)
     if len(dist) != G.n:
         raise DisconnectedGraphError("geodesic DAG requires a connected graph")
@@ -209,7 +218,7 @@ def geodesic_dag(G: Graph, u: int, k: int) -> GeodesicDag:
             arcs.add((x, y))
         elif dy + 1 == dx and dx <= k:
             arcs.add((y, x))
-    return GeodesicDag(u, k, frozenset(arcs))
+    return frozenset(arcs)
 
 
 def enumerate_geodesics(
@@ -222,8 +231,7 @@ def enumerate_geodesics(
     combinatorial blow-up is an explicit failure rather than a truncation.
     """
     cap = GEODESIC_CAP
-    if not 0 <= v < G.n:
-        raise VertexRangeError(f"target {v} out of range for n={G.n}")
+    _check_vertex(G, v, "target")
     du = bfs_distances(G, u)
     if v not in du:
         raise DisconnectedGraphError(f"{u} and {v} are in different components")
@@ -253,35 +261,6 @@ def enumerate_geodesics(
             stack.pop()
             path.pop()
     return tuple(out)
-
-
-def count_geodesics(G: Graph, u: int, v: int) -> int:
-    """Number of geodesics between ``u`` and ``v`` via layer-by-layer DP."""
-    if not 0 <= v < G.n:
-        raise VertexRangeError(f"target {v} out of range for n={G.n}")
-    du = bfs_distances(G, u)
-    if v not in du:
-        raise DisconnectedGraphError(f"{u} and {v} are in different components")
-    counts = [0] * G.n
-    counts[u] = 1
-    for x, dx in du.items():  # BFS order, so layer by layer
-        if dx >= du[v]:
-            break
-        for y in G.adj[x]:
-            if du[y] == dx + 1:
-                counts[y] += counts[x]
-    return counts[v]
-
-
-def simplicial_vertices(G: Graph) -> frozenset[int]:
-    """Vertices whose neighborhood induces a clique."""
-    out = set()
-    for v in range(G.n):
-        neigh = G.adj[v]
-        if all(G.has_edge(a, b) for i, a in enumerate(neigh)
-               for b in neigh[i + 1:]):
-            out.add(v)
-    return frozenset(out)
 
 
 def maximal_cliques(G: Graph) -> tuple[tuple[int, ...], ...]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cover import strong_feasible
-from .graph import Graph, build_graph
+from .graph import Graph, _check_k, build_graph
 from .solve import (
     WEAK_VERTEX_LIMIT,
     SizeLimitError,
@@ -53,8 +53,7 @@ class ReductionOutput:
 
 def reduce_vc(G: Graph, k: int) -> ReductionOutput:
     """Build the gadget graph for the distance parameter ``k``."""
-    if k < 2:
-        raise ValueError(f"reduction requires k >= 2, got {k}")
+    _check_k(k, 2)
     if G.m == 0:
         raise ValueError("reduction requires an input graph with edges")
     n, m = G.n, G.m

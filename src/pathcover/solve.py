@@ -33,6 +33,7 @@ from .cover import (
 from .graph import (
     Graph,
     VertexRangeError,
+    _check_k,
     bfs_distances,
     enumerate_geodesics,
     require_connected,
@@ -91,12 +92,11 @@ class SolveResult:
 def _check_args(G: Graph, k: int, limit: int | None = None,
                 variant: str = WEAK) -> None:
     """The argument check of every solve entry point. Refuses, in this
-    order: an unknown variant, k < 1, more than ``limit`` vertices (before
-    any graph work), a disconnected graph."""
+    order: an unknown variant, a k that is no int >= 1, more than
+    ``limit`` vertices (before any graph work), a disconnected graph."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     if limit is not None and G.n > limit:
         raise SizeLimitError(f"n={G.n} exceeds the {limit}-vertex limit")
     require_connected(G)

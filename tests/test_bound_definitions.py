@@ -22,10 +22,10 @@ from pathcover import (
     compute_bounds,
     domination_number,
     maximal_cliques,
-    simplicial_vertices,
 )
 from pathcover.solve import _balls
 from conftest import family, random_connected_graph
+from reference import simplicial_vertices
 
 KS = (1, 2, 3, 4)
 

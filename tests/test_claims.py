@@ -177,6 +177,14 @@ def test_malformed_instance_list_names_the_bad_entry():
             verify_claims(instances=[entry])
 
 
+@pytest.mark.parametrize("max_n", [2.5, "5", True])
+def test_non_int_max_n_is_refused(max_n):
+    # a bool is no int here: max_n=True would list no instance at all
+    with pytest.raises(ValueError, match=re.escape(
+            f"max_n must be an int, got {max_n!r}")):
+        verify_claims(max_n=max_n)
+
+
 def test_unlisted_instance_names_the_families_filter():
     # a claim lists cycle(5,); it is the families filter that leaves it out
     with pytest.raises(ValueError,

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -12,10 +13,17 @@ from pathcover import (
     VertexRangeError,
     bfs_distances,
     build_graph,
+    check_reduction,
+    compute_bounds,
+    domination_number,
     enumerate_geodesics,
     format_witness,
     geodesic_dag,
+    naive_oracle,
     parse_witness,
+    reduce_vc,
+    solve_exact,
+    solve_greedy,
     strong_feasible,
     verify_strong_witness,
     verify_weak_cover,
@@ -378,21 +386,68 @@ def test_disconnected_graph_refused():
         strong_feasible(G, {0, 2}, 2)
 
 
-@pytest.mark.parametrize("k", [0, -1])
-@pytest.mark.parametrize("call", [
-    lambda G, k: weak_cover_set(G, 0, k),
-    lambda G, k: source_pairs(G, 0, k),
-    lambda G, k: verify_weak_cover(G, [0], k),
-    lambda G, k: strong_feasible(G, [0], k),
-    lambda G, k: verify_strong_witness(G, [0], k, StrongWitness((), 0)),
-], ids=["weak_cover_set", "source_pairs", "verify_weak_cover",
-        "strong_feasible", "verify_strong_witness"])
-def test_cover_layer_refuses_nonpositive_k(call, k):
-    """The cover layer refuses k < 1 as the solvers do, even where there is
+@pytest.mark.parametrize("k", [0, -1, 2.0, 2.5, 3.5, True, "2"])
+@pytest.mark.parametrize("call, least", [
+    pytest.param(lambda G, k: weak_cover_set(G, 0, k), 1,
+                 id="weak_cover_set"),
+    pytest.param(lambda G, k: source_pairs(G, 0, k), 1, id="source_pairs"),
+    pytest.param(lambda G, k: verify_weak_cover(G, [0], k), 1,
+                 id="verify_weak_cover"),
+    pytest.param(lambda G, k: strong_feasible(G, [0], k), 1,
+                 id="strong_feasible"),
+    pytest.param(lambda G, k: verify_strong_witness(
+        G, [0], k, StrongWitness((), 0)), 1, id="verify_strong_witness"),
+    pytest.param(lambda G, k: solve_exact(G, k, "weak"), 1,
+                 id="solve_exact_weak"),
+    pytest.param(lambda G, k: solve_exact(G, k, "strong"), 1,
+                 id="solve_exact_strong"),
+    pytest.param(lambda G, k: solve_greedy(G, k, "weak"), 1,
+                 id="solve_greedy_weak"),
+    pytest.param(lambda G, k: solve_greedy(G, k, "strong"), 1,
+                 id="solve_greedy_strong"),
+    pytest.param(lambda G, k: naive_oracle(G, k, "strong"), 1,
+                 id="naive_oracle"),
+    pytest.param(compute_bounds, 1, id="compute_bounds"),
+    pytest.param(domination_number, 1, id="domination_number"),
+    pytest.param(reduce_vc, 2, id="reduce_vc"),
+    pytest.param(check_reduction, 2, id="check_reduction"),
+])
+def test_cover_layer_refuses_nonpositive_k(call, least, k):
+    """Every entry point refuses a k that is no int (a bool included) or is
+    below its least value, 1, or 2 for the reduction, even where there is
     no graph work to do: an edgeless graph, or a witness with no path."""
+    if type(k) is not int:
+        message = f"k must be an int, got {k!r}"
+    elif least == 1:
+        message = f"k must be positive, got {k}"
+    else:
+        message = f"k must be at least 2, got {k}"
     for G in (family("cycle", 5), build_graph(1, [])):
-        with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             call(G, k)
+
+
+@pytest.mark.parametrize("v", [True, 0.0, "0"])
+@pytest.mark.parametrize("call", [
+    lambda G, v: bfs_distances(G, v),
+    lambda G, v: bfs_distances(G, v, 1),
+    lambda G, v: enumerate_geodesics(G, v, 1),
+    lambda G, v: enumerate_geodesics(G, 1, v),
+    lambda G, v: weak_cover_set(G, v, 2),
+    lambda G, v: source_pairs(G, v, 2),
+    lambda G, v: verify_weak_cover(G, [v], 2),
+    lambda G, v: strong_feasible(G, [v], 2),
+    lambda G, v: strong_feasible(G, [v, 2], 2),
+    lambda G, v: verify_strong_witness(G, [v], 2, StrongWitness((), 0)),
+], ids=["bfs_distances", "bfs_distances_k", "enumerate_geodesics_source",
+        "enumerate_geodesics_target", "weak_cover_set", "source_pairs",
+        "verify_weak_cover", "strong_feasible", "strong_feasible_pair",
+        "verify_strong_witness"])
+def test_entry_points_refuse_a_non_int_vertex(call, v):
+    """A vertex is an int in 0..n-1: a bool, a float or a string equal to
+    a vertex is refused, not read as that vertex."""
+    with pytest.raises(VertexRangeError, match=re.escape(repr(v))):
+        call(family("cycle", 5), v)
 
 
 def test_strong_witness_of_keys_paths_by_their_ends():
@@ -487,7 +542,7 @@ def test_weak_cover_set_matches_geodesic_dag(name, params):
     for k in range(1, 5):
         masks = [weak_cover_set(G, u, k) for u in range(G.n)]
         for u in range(G.n):
-            assert masks[u] == G.edge_mask(geodesic_dag(G, u, k).arcs)
+            assert masks[u] == G.edge_mask(geodesic_dag(G, u, k))
         assert weak_masks(G, k) == masks
 
 

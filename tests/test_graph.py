@@ -1,5 +1,6 @@
 import pytest
 
+import pathcover
 import pathcover.graph
 from pathcover import (
     DisconnectedGraphError,
@@ -10,16 +11,15 @@ from pathcover import (
     VertexRangeError,
     bfs_distances,
     build_graph,
-    count_geodesics,
     diameter,
     enumerate_geodesics,
     format_edgelist,
     geodesic_dag,
     maximal_cliques,
     parse_edgelist,
-    simplicial_vertices,
 )
 from conftest import family, family_graphs
+from reference import count_geodesics, simplicial_vertices
 
 
 def test_build_triangle():
@@ -87,6 +87,27 @@ def test_bfs_depth_restricts_the_whole_graph_walk(label, G):
             bfs_distances(G, u, 1)
 
 
+@pytest.mark.parametrize("k", [-1, 1.5, 2.0, True, "2"])
+def test_bfs_depth_is_an_int_of_at_least_zero(k):
+    """A depth is an int >= 0: k = 0 keeps only the source, and a negative,
+    fractional, bool or string depth is refused rather than walked."""
+    G = family("cycle", 5)
+    assert bfs_distances(G, 3, 0) == {3: 0}
+    with pytest.raises(ValueError, match="k must be"):
+        bfs_distances(G, 3, k)
+
+
+def test_public_names_resolve_once_without_the_test_only_graph_api():
+    """Every name of ``pathcover.__all__`` resolves and is listed once;
+    the graph functions only tests call live in ``tests/reference.py``,
+    and ``geodesic_dag`` returns its arcs, so none of these is exported."""
+    names = pathcover.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(pathcover, name)] == []
+    for name in ("GeodesicDag", "count_geodesics", "simplicial_vertices"):
+        assert name not in names and not hasattr(pathcover, name)
+
+
 def test_diameter_values():
     assert diameter(family("wheel", 3)) == 1  # K_4
     assert diameter(family("cycle", 6)) == 3
@@ -100,18 +121,18 @@ def test_diameter_rejects_disconnected():
 
 def test_geodesic_dag_cycle5():
     dag = geodesic_dag(family("cycle", 5), 0, 2)
-    assert dag.arcs == {(0, 1), (1, 2), (0, 4), (4, 3)}
+    assert dag == {(0, 1), (1, 2), (0, 4), (4, 3)}
     # the edge (2, 3) appears in no arc
-    assert not any({x, y} == {2, 3} for x, y in dag.arcs)
+    assert not any({x, y} == {2, 3} for x, y in dag)
 
 
 def test_geodesic_dag_path_center_k1():
     dag = geodesic_dag(family("path", 3), 1, 1)
-    assert dag.arcs == {(1, 0), (1, 2)}
+    assert dag == {(1, 0), (1, 2)}
 
 
 def test_geodesic_dag_k0_empty():
-    assert geodesic_dag(family("cycle", 4), 0, 0).arcs == frozenset()
+    assert geodesic_dag(family("cycle", 4), 0, 0) == frozenset()
 
 
 def test_enumerate_geodesics_k23():

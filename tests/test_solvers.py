@@ -16,6 +16,7 @@ from pathcover import (
     diameter,
     domination_number,
     enumerate_geodesics,
+    is_connected,
     naive_oracle,
     solve_exact,
     solve_greedy,
@@ -31,6 +32,7 @@ from pathcover.cover import (
     path_edge_mask,
     source_pairs,
     strong_test,
+    weak_masks,
 )
 from pathcover.solve import _least_cover, _min_cover
 from conftest import family, random_connected_graph
@@ -610,6 +612,75 @@ def test_least_cover_returns_what_the_test_kept():
                                _index(masks, universe), universe, test)
             assert got == (covering[j], ("proof", covering[j])), (seed, j)
             assert test.seen == covering[:j + 1], (seed, j)
+
+
+def _twin_rich_graphs(count):
+    """Random connected graphs on 3 to 6 vertices plus 1 to 3 duplicated
+    vertices, each a false twin (the same neighbours) or a true twin (also
+    joined to the vertex it copies), with the labels shuffled."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        while True:
+            n = rng.randint(3, 6)
+            edges = {e for e in combinations(range(n), 2)
+                     if rng.random() < 0.5}
+            if is_connected(build_graph(n, edges)):
+                break
+        for _ in range(rng.randint(1, 3)):
+            x = rng.randrange(n)
+            edges |= {(w, n) for w in range(n)
+                      if (w, x) in edges or (x, w) in edges}
+            if rng.random() < 0.5:
+                edges.add((x, n))
+            n += 1
+        label = rng.sample(range(n), n)
+        yield seed, build_graph(n, [(label[x], label[y]) for x, y in edges])
+
+
+class _EvenDegreeSum:
+    """A test for ``_least_cover`` that is invariant under automorphisms,
+    as the twin rule needs: it keeps every prefix and refuses a full set
+    whose degree sum is odd. It records each (prefix, left) it is handed."""
+
+    root = ()
+    start = 0
+
+    def __init__(self, G):
+        self.G, self.handed = G, []
+
+    def extend(self, state, v, left):
+        state = (*state, v)
+        self.handed.append((state, left))
+        if not left and sum(map(self.G.degree, state)) % 2:
+            return None
+        return state
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_least_cover_hands_the_test_only_finishable_prefixes(k):
+    """The prune's invariant, which the witness shortcut must keep: every
+    prefix ``_least_cover`` hands ``test.extend`` can still be finished to
+    a cover with at most ``left`` more masks after its last vertex, checked
+    by brute force. A witness spent on a twin-skipped vertex must not serve
+    a later one; the answer alone would not show it, as the last pick
+    always runs its check. The set returned is the first, in (size,
+    lexicographic) order, that covers and that the test keeps."""
+    for seed, G in _twin_rich_graphs(500):
+        masks, index = weak_masks(G, k), coverer_index(G, k)
+        universe = G.full_edge_mask()
+        test = _EvenDegreeSum(G)
+        chosen, _ = _least_cover(G, masks, index, universe, test)
+        for prefix, left in test.handed:
+            cov = reduce(or_, map(masks.__getitem__, prefix))
+            after = range(prefix[-1] + 1, G.n)
+            assert any(reduce(or_, map(masks.__getitem__, rest), cov)
+                       == universe for size in range(left + 1)
+                       for rest in combinations(after, size)), (seed, prefix)
+        assert chosen == next(
+            combo for size in range(G.n + 1)
+            for combo in combinations(range(G.n), size)
+            if reduce(or_, map(masks.__getitem__, combo), 0) == universe
+            and sum(map(G.degree, combo)) % 2 == 0), seed
 
 
 def _dense_graph(seed, n=40, m=78):
