@@ -133,24 +133,25 @@ def _weak_cover(G: Graph, sources: set[int], k: int) -> bool:
     return all(c & smask for c in coverer_index(G, k))
 
 
-def _vertex_set(G: Graph, S: Iterable[int], k: int) -> set[int]:
-    """The vertices of S; refuses a bad k, then a bad vertex."""
+def _sources(G: Graph, S: Iterable[int], k: int) -> set[int]:
+    """The vertices of S, by the source policy of the three cover checks
+    (``verify_weak_cover``, ``strong_feasible``, ``verify_strong_witness``):
+    refuses a bad k, then a bad vertex, then a disconnected G when S is not
+    empty and G has an edge. So an edgeless graph is covered by any S."""
     _check_k(k)
     sources = set(S)
     for u in sources:
         _check_vertex(G, u)
+    if sources and G.m:
+        require_connected(G)
     return sources
 
 
 def verify_weak_cover(G: Graph, S: Iterable[int], k: int) -> bool:
     """True iff the weak cover sets of S jointly cover every edge, read
-    from one ``coverer_index``: every edge has a weak coverer in S. As in
-    ``strong_feasible``, an edgeless graph is covered by any S, and a
-    disconnected graph with edges is refused when S is not empty."""
-    sources = _vertex_set(G, S, k)
-    if sources and G.m:
-        require_connected(G)
-    return _weak_cover(G, sources, k)
+    from one ``coverer_index``: every edge has a weak coverer in S. S is
+    read by ``_sources``."""
+    return _weak_cover(G, _sources(G, S, k), k)
 
 
 class PairChoices(NamedTuple):
@@ -436,15 +437,12 @@ def feasible_from_pairs(
     pair, so deep searches need no recursion.
 
     Both ways the witness is deterministic, and covers the full edge mask.
+
+    ``pairs`` are a weak cover's, as ``strong_feasible`` and ``_least_cover``
+    hand no other. Pairs that cover less still give None: the matching leaf
+    leaves a deficiency, the backtracking search an edge with no candidate.
     """
-    full = G.full_edge_mask()
     ones, base, choice = split_pairs(pairs)
-    potential = base
-    for p in choice:
-        for m in p.masks:
-            potential |= m
-    if potential != full:
-        return None
     gain = [max((m & ~base).bit_count() for m in p.masks) for p in choice]
 
     # every k on a diameter-2 graph: solve_exact(double_fan(15), 3, "strong")
@@ -619,18 +617,14 @@ def strong_feasible(
     G: Graph, S: Iterable[int], k: int
 ) -> StrongWitness | None:
     """Witness that S is a k-strong cover, or None: the state of
-    ``strong_test`` for the sorted sources given whole. As in
-    ``verify_weak_cover``, an edgeless graph is covered by any S (the empty
-    witness), and a disconnected graph with edges is refused when S is not
-    empty.
+    ``strong_test`` for the sorted sources given whole. S is read by
+    ``_sources``; on an edgeless graph the witness is empty.
 
     Every strong cover is a weak cover, so a set that is no weak cover is
-    refused first, before a strong test is built or a geodesic enumerated:
-    at k >= 3, ``feasible_from_pairs``' union pre-check, read from balls.
+    refused first, read from balls, before a strong test is built or a
+    geodesic enumerated; the strong test is handed only weak covers.
     """
-    sources = _vertex_set(G, S, k)
-    if sources and G.m:
-        require_connected(G)
+    sources = _sources(G, S, k)
     if not _weak_cover(G, sources, k):
         return None
     sources = sorted(sources)
@@ -647,9 +641,10 @@ def verify_strong_witness(
 
     A path is a geodesic of length <= k when it has d(u, v) + 1 vertices
     and d(u, v) <= k, so each source's ``bfs_distances`` stops at depth k:
-    a target beyond it is rejected whatever its distance.
+    a target beyond it is rejected whatever its distance. S is read by
+    ``_sources``.
     """
-    sset = _vertex_set(G, S, k)
+    sset = _sources(G, S, k)
     dist_cache: dict[int, dict[int, int]] = {}
     seen: set[tuple[int, int]] = set()
     union = 0

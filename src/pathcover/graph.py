@@ -111,14 +111,16 @@ def build_graph(
     """Validate an edge list and return the normalized :class:`Graph`.
 
     Self-loops, duplicate edges (in either orientation) and endpoints outside
-    ``0..n-1`` are each rejected with a distinct exception type.
+    ``0..n-1`` are each rejected with a distinct exception type. ``n`` and
+    every endpoint follow the vertex rule, ``_is_index``.
     """
-    if n < 0:
-        raise VertexRangeError(f"vertex count must be non-negative, got {n}")
+    if not _is_index(n):
+        raise VertexRangeError(f"vertex count must be an int >= 0, got {n!r}")
     seen: set[tuple[int, int]] = set()
     for u, v in edge_list:
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise VertexRangeError(f"edge ({u}, {v}) out of range for n={n}")
+        if not (_is_index(u, n) and _is_index(v, n)):
+            raise VertexRangeError(
+                f"edge ({u!r}, {v!r}) out of range for n={n}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         e = (u, v) if u < v else (v, u)
@@ -151,11 +153,16 @@ def _check_k(k: int, least: int = 1) -> None:
                          else f"k must be at least {least}, got {k}")
 
 
+def _is_index(x, stop: int | None = None) -> bool:
+    """The vertex rule: ``x`` is an int (a bool is not), at least 0 and,
+    when ``stop`` is given, below it."""
+    return type(x) is int and 0 <= x and (stop is None or x < stop)
+
+
 def _check_vertex(G: Graph, v: int, role: str = "vertex") -> None:
     """The vertex check of every entry point: refuses, with
-    VertexRangeError, a ``v`` that is not an int (a bool included) or lies
-    outside ``0..n-1``."""
-    if type(v) is not int or not 0 <= v < G.n:
+    VertexRangeError, a ``v`` that ``_is_index`` refuses for ``0..n-1``."""
+    if not _is_index(v, G.n):
         raise VertexRangeError(f"{role} {v!r} out of range for n={G.n}")
 
 

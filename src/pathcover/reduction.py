@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cover import strong_feasible
+from .cover import coverer_index, strong_feasible, weak_masks
 from .graph import Graph, _check_k, build_graph
 from .solve import (
     WEAK_VERTEX_LIMIT,
@@ -128,9 +128,9 @@ def vertex_cover_exact(G: Graph) -> tuple[int, tuple[int, ...]]:
     if G.n > WEAK_VERTEX_LIMIT:
         raise SizeLimitError(
             f"n={G.n} exceeds the {WEAK_VERTEX_LIMIT}-vertex limit")
-    masks = [G.edge_mask((v, w) for w in G.adj[v]) for v in range(G.n)]
-    ends = [1 << x | 1 << y for x, y in G.edges]  # an edge's coverers
-    chosen, _ = _least_cover(G, masks, ends, G.full_edge_mask())
+    # a source's k = 1 weak coverage is its own edges
+    chosen, _ = _least_cover(G, weak_masks(G, 1), coverer_index(G, 1),
+                             G.full_edge_mask())
     return len(chosen), chosen
 
 

@@ -423,12 +423,8 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
 # Greedy heuristics
 # ---------------------------------------------------------------------------
 
-def _greedy_weak(G: Graph, k: int, start: float) -> SolveResult:
-    masks = weak_masks(G, k)
-    chosen = _greedy_cover(masks, G.full_edge_mask())
-    return SolveResult(WEAK, k, len(chosen), tuple(sorted(chosen)), None,
-                       "heuristic",
-                       SolveStats(len(chosen), time.perf_counter() - start))
+def _greedy_weak(G: Graph, k: int) -> tuple[list[int], None]:
+    return _greedy_cover(weak_masks(G, k), G.full_edge_mask()), None
 
 
 def _greedy_source(
@@ -493,7 +489,7 @@ def _greedy_bound(star: int, tails: list[tuple[int, int]], cover: int) -> int:
         min(d, (union & off_star).bit_count()) for d, union in tails)
 
 
-def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
+def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
     """Greedy over sources, each assigning one path per pair greedily. The
     assignments cover every edge, so they are the witness. The loop ends:
     a chosen vertex's length-1 pairs cover all its edges, so an uncovered
@@ -566,10 +562,7 @@ def _greedy_strong(G: Graph, k: int, start: float) -> SolveResult:
             version[w] += 1
             _, star, tails = sources[w]
             heappush(heap, (-_greedy_bound(star, tails, cover), w, version[w]))
-    witness = StrongWitness.of(G, assigned)
-    return SolveResult(STRONG, k, len(chosen), tuple(sorted(chosen)), witness,
-                       "heuristic",
-                       SolveStats(len(chosen), time.perf_counter() - start))
+    return chosen, StrongWitness.of(G, assigned)
 
 
 def solve_greedy(G: Graph, k: int, variant: str) -> SolveResult:
@@ -577,9 +570,11 @@ def solve_greedy(G: Graph, k: int, variant: str) -> SolveResult:
     the exact optimum, often equal on the small instances here."""
     _check_args(G, k, variant=variant)
     start = time.perf_counter()
-    if variant == WEAK:
-        return _greedy_weak(G, k, start)
-    return _greedy_strong(G, k, start)
+    greedy = _greedy_weak if variant == WEAK else _greedy_strong
+    chosen, witness = greedy(G, k)
+    return SolveResult(variant, k, len(chosen), tuple(sorted(chosen)),
+                       witness, "heuristic",
+                       SolveStats(len(chosen), time.perf_counter() - start))
 
 
 # ---------------------------------------------------------------------------

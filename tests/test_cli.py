@@ -73,6 +73,21 @@ def test_verify_refuses_nonpositive_k(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_verify_witness_refuses_a_disconnected_graph(tmp_path, capsys):
+    """``verify --witness`` reads the set as ``verify`` does: on 2K2 a
+    witness covering both edges is refused, not reported valid."""
+    graph_file = tmp_path / "2k2.edges"
+    witness_file = tmp_path / "2k2.witness"
+    graph_file.write_text("4 2\n0 1\n2 3\n")
+    witness_file.write_text("0 1 : 0 1\n2 3 : 2 3\n")
+    for witness in ([], ["--witness", str(witness_file)]):
+        assert main(["verify", "--in", str(graph_file), "--k", "1",
+                     "--set", "0,2", *witness]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: operation requires a connected graph\n"
+        assert captured.out == ""
+
+
 def test_bounds_smoke(tmp_path, capsys):
     graph_file = tmp_path / "q3.edges"
     main(["gen", "--family", "hypercube", "--params", "3",

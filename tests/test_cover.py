@@ -379,11 +379,19 @@ def test_source_cost_bounded_by_radius_k_ball():
 
 
 def test_disconnected_graph_refused():
+    """The three cover checks read S by one source policy: on 2K2 a
+    non-empty S is refused by each, a witness whose paths cover every edge
+    included."""
     G = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedGraphError):
-        verify_weak_cover(G, {0, 2}, 2)
-    with pytest.raises(DisconnectedGraphError):
-        strong_feasible(G, {0, 2}, 2)
+    witness = parse_witness(G, "0 1 : 0 1\n2 3 : 2 3\n")
+    assert witness.covered == G.full_edge_mask()
+    for k in (1, 2):
+        with pytest.raises(DisconnectedGraphError):
+            verify_weak_cover(G, {0, 2}, k)
+        with pytest.raises(DisconnectedGraphError):
+            strong_feasible(G, {0, 2}, k)
+        with pytest.raises(DisconnectedGraphError):
+            verify_strong_witness(G, {0, 2}, k, witness)
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.0, 2.5, 3.5, True, "2"])
@@ -669,4 +677,59 @@ def test_matching_leaf_agrees_with_oracle():
             if verify_weak_cover(G, S, 2):
                 outcomes["weakly covered"] += 1
     # both answers occur, and some refusals are not read off the weak cover
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_feasible_from_pairs_is_handed_only_weak_covers(k, monkeypatch):
+    """``feasible_from_pairs`` makes no union pre-check: it is handed the
+    pairs of a weak cover. ``solve_exact`` (its strong test) and
+    ``strong_feasible`` keep to that on every family graph up to 12
+    vertices, for the optimum, the optimum less a vertex and a random set,
+    many of them no weak cover."""
+    real = pathcover.cover.feasible_from_pairs
+    handed = []
+
+    def guarded(G, pairs):
+        union = 0
+        for p in pairs:
+            for m in p.masks:
+                union |= m
+        assert union == G.full_edge_mask()
+        handed.append(G)
+        return real(G, pairs)
+
+    monkeypatch.setattr(pathcover.cover, "feasible_from_pairs", guarded)
+    rng = random.Random(k)
+    refused = 0
+    for name, G in family_graphs(12):
+        found = solve_exact(G, k, "strong").set
+        for S in (found, found[:-1],
+                  rng.sample(range(G.n), rng.randint(0, G.n))):
+            if strong_feasible(G, S, k) is None:
+                refused += 1
+    assert len(handed) >= 100 and refused >= 100, (len(handed), refused)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_feasible_from_pairs_agrees_with_oracle_on_non_covers(k):
+    """Called directly, with no weak cover check before it,
+    ``feasible_from_pairs`` agrees with the oracle on the pairs of random
+    sets of random graphs of at most 9 vertices, and its witnesses check
+    out; pairs that cover less than the edge set give None."""
+    rng = random.Random(k)
+    outcomes = {"feasible": 0, "no weak cover": 0}
+    for _ in range(300):
+        G = random_connected_graph(rng, max_n=9,
+                                   edge_prob=rng.choice((0.3, 0.5)))
+        S = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
+        pairs = tuple(p for u in S for p in source_pairs(G, u, k))
+        witness = feasible_from_pairs(G, pairs)
+        feasible = _oracle_strong_feasible(G, list(pairs)) is not None
+        assert (witness is not None) == feasible, (G.edges, S)
+        if feasible:
+            assert verify_strong_witness(G, S, k, witness), (G.edges, S)
+            outcomes["feasible"] += 1
+        elif not verify_weak_cover(G, S, k):
+            outcomes["no weak cover"] += 1
     assert min(outcomes.values()) >= 30, outcomes

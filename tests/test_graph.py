@@ -50,6 +50,20 @@ def test_build_rejects_out_of_range():
         build_graph(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("n, edges", [
+    (3, [(True, 2), (0, 1)]),
+    (3, [(0.0, 1)]),
+    (True, []),
+    (2.0, []),
+    ("3", []),
+], ids=["bool-endpoint", "float-endpoint", "bool-n", "float-n", "str-n"])
+def test_build_applies_the_vertex_rule(n, edges):
+    """``n`` and every endpoint are ints, a bool not, as ``_check_vertex``
+    asks of a vertex; anything else is refused with VertexRangeError."""
+    with pytest.raises(VertexRangeError):
+        build_graph(n, edges)
+
+
 def test_bfs_cycle5():
     assert bfs_distances(family("cycle", 5), 0) == {
         0: 0, 1: 1, 2: 2, 3: 2, 4: 1}
