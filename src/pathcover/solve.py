@@ -11,7 +11,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import reduce
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import combinations
 from operator import or_
 from typing import Iterable, Sequence
@@ -112,17 +112,32 @@ def _greedy_cover(masks: Sequence[int], universe: int,
                   most: int | None = None) -> list[int] | None:
     """Indices picked by taking, until ``universe`` is covered, the first
     mask with the largest new coverage; the masks must jointly cover
-    ``universe``. None when that takes more than ``most`` picks."""
+    ``universe``. None when that takes more than ``most`` picks.
+
+    Lazy greedy (Minoux 1978): a heap holds one entry per unpicked mask i,
+    with g its gain when the entry was made. A gain only falls as the
+    cover grows, so every g is at least the mask's gain now. A top entry
+    whose g is stale is replaced by the gain now; once the top's g is
+    current, no mask gains more, and no lower index gains as much, as its
+    entry would sort first. So the top is the scan's pick. An entry is the
+    int i - g * n, n the number of masks, so entries sort by falling g,
+    then by rising i, and i is the entry mod n.
+    """
+    n = len(masks)
+    heap = [i - (m & universe).bit_count() * n for i, m in enumerate(masks)]
+    heapify(heap)
     chosen: list[int] = []
-    cover = 0
-    while cover & universe != universe:
+    rem = universe
+    while rem:
         if len(chosen) == most:
             return None
-        rem = universe & ~cover
-        gains = [(m & rem).bit_count() for m in masks]
-        i = gains.index(max(gains))
+        i = heap[0] % n
+        while (entry := i - (masks[i] & rem).bit_count() * n) != heap[0]:
+            heapreplace(heap, entry)
+            i = heap[0] % n
+        heappop(heap)
         chosen.append(i)
-        cover |= masks[i]
+        rem &= ~masks[i]
     return chosen
 
 
@@ -429,71 +444,81 @@ def _greedy_weak(G: Graph, k: int) -> tuple[list[int], None]:
 
 def _greedy_source(
     pairs: tuple[PairChoices, ...]
-) -> tuple[list[int], int, list[tuple[int, int]]]:
+) -> tuple[int, list[tuple[int, tuple[int, ...], int, int]]]:
     """What strong greedy derives from one source's pairs, once per solve:
-    per pair U_p, the union of its path masks; the star, the edges at the
-    source; and (d - 1, U_p) per pair at distance d >= 2, d the number of
-    edges of each of its paths."""
-    unions = [reduce(or_, p.masks) for p in pairs]
-    star = 0
-    tails = []
-    for p, union in zip(pairs, unions):
-        d = p.masks[0].bit_count()
-        if d == 1:
-            star |= union
+    F, the union of the masks of its one-path pairs, and per choice pair
+    (a pair with more than one geodesic), in target order, the union of
+    the one-path masks before it, its masks, U_p, the union of those, and
+    d, the number of edges of each of its paths."""
+    forced = 0
+    choice = []
+    for _, _, masks in pairs:
+        if len(masks) == 1:
+            forced |= masks[0]
         else:
-            tails.append((d - 1, union))
-    return unions, star, tails
+            choice.append((forced, masks, reduce(or_, masks),
+                           masks[0].bit_count()))
+    return forced, choice
+
+
+def _best_path(masks: tuple[int, ...], free: int, d: int) -> int:
+    """The index of the first of ``masks``, paths of d edges each, with the
+    most edges in ``free``. The scan stops at a path with all d edges
+    there, as no path gains more."""
+    i, best = 0, 0
+    for j, m in enumerate(masks):
+        gain = (m & free).bit_count()
+        if gain > best:
+            i, best = j, gain
+            if gain == d:
+                break
+    return i
 
 
 def _greedy_pair_gain(
-    pairs: tuple[PairChoices, ...], unions: list[int], cover: int
+    pairs: tuple[PairChoices, ...], cover: int
 ) -> tuple[int, list]:
     """The edges outside ``cover`` that greedily assigning one path per
-    pair gains, and the picks (source, target, mask) that gain them; pairs
-    that would add nothing get no path.
-
-    A pair whose union U_p lies in ``cover`` plus the edges gained so far
-    adds nothing and is skipped. Any other pair has a path of positive gain
-    and takes the first path of largest gain. A path gains the edges of
-    U_p not yet taken that it holds; its only path, or the scan stops at
-    the first path that gains all its d edges, since the paths of a pair
-    all have d edges and none gains more.
-    """
+    pair gains, and the picks (source, target, mask) that gain them. The
+    pairs are walked in target order. A pair whose paths all lie in
+    ``cover`` plus the edges taken so far adds nothing and gets no path;
+    any other pair takes ``_best_path`` of the edges it can add."""
     taken = cover
     picks = []
-    for (u, t, masks), union in zip(pairs, unions):
-        free = union & ~taken
-        if not free:
-            continue
-        i = 0
-        # greedy-scale: 2.2% fewer requests/s without this test (2-core Xeon)
-        if len(masks) > 1:
-            d, best = masks[0].bit_count(), 0
-            for j, m in enumerate(masks):
-                gain = (m & free).bit_count()
-                if gain > best:
-                    i, best = j, gain
-                    if gain == d:
-                        break
-        taken |= masks[i]
-        picks.append((u, t, masks[i]))
+    for u, t, masks in pairs:
+        free = reduce(or_, masks) & ~taken
+        if free:
+            m = masks[_best_path(masks, free, masks[0].bit_count())]
+            taken |= m
+            picks.append((u, t, m))
     return taken & ~cover, picks
 
 
-def _greedy_bound(star: int, tails: list[tuple[int, int]], cover: int) -> int:
+def _greedy_gain(forced: int, choice: list, cover: int) -> int:
+    """The edges ``_greedy_pair_gain`` gains outside ``cover``, read from
+    ``_greedy_source``'s F and choice pairs (see ``_greedy_strong``)."""
+    taken = cover
+    for pre, masks, union, d in choice:
+        free = union & ~(taken | pre)
+        if free:
+            taken |= masks[_best_path(masks, free, d)]
+    return (taken | forced) & ~cover
+
+
+def _greedy_bound(forced: int, choice: list, cover: int) -> int:
     """ub(v, cover): an upper bound on v's greedy gain outside ``cover``,
-    from ``_greedy_source``'s star and tails (see ``_greedy_strong``)."""
-    off_star = ~(cover | star)
-    return (star & ~cover).bit_count() + sum(
-        min(d, (union & off_star).bit_count()) for d, union in tails)
+    from ``_greedy_source``'s F and choice pairs (see ``_greedy_strong``)."""
+    off = ~(cover | forced)
+    return (forced & ~cover).bit_count() + sum(
+        min(d - 1, (union & off).bit_count()) for _, _, union, d in choice)
 
 
 def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
-    """Greedy over sources, each assigning one path per pair greedily. The
-    assignments cover every edge, so they are the witness. The loop ends:
-    a chosen vertex's length-1 pairs cover all its edges, so an uncovered
-    edge has two unchosen endpoints, each with a positive gain.
+    """Greedy over sources, each assigning one path per pair greedily
+    (``_greedy_pair_gain``). The assignments cover every edge, so they are
+    the witness. The loop ends: a chosen vertex's length-1 pairs cover all
+    its edges, so an uncovered edge has two unchosen endpoints, each with a
+    positive gain.
 
     Each round picks the vertex of largest gain outside ``cover``, the
     lowest on ties, as a scan of every vertex would. The gains come lazily
@@ -501,23 +526,37 @@ def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
     when v has one, and an upper bound on its gain when it has none, so an
     entry needs no flag to say which it is.
 
+    - Choice pairs. In ``_greedy_pair_gain`` a one-path pair either takes
+      its only path, or that path already lies in the edges taken: either
+      way the edges taken after it are those before it plus its path. So
+      when a choice pair is reached, the edges taken are ``cover``, the
+      union P of the one-path masks before it and the paths the choice
+      pairs before it took, and the path it takes, if any, depends on
+      these alone. The edges gained in all are F, the union of every
+      one-path mask, plus the paths the choice pairs took, outside
+      ``cover``. ``_greedy_gain`` walks only the choice pairs, each with
+      its P, so it scores exactly ``_greedy_pair_gain``'s gain; a source
+      with no choice pair gains F outside ``cover``. The walk that also
+      gives the picks for the witness runs only for the vertex picked, and
+      by the next point it gains what the vertex's kept gain says.
     - Kept gains. A vertex keeps ``gained``, the edges outside ``cover``
-      that ``_greedy_pair_gain`` gives it, and its picks, until a pick
-      covers one of those edges. Until then ``gained`` stays outside
-      ``cover``, so picking the vertex covers exactly ``gained``. And the
-      kept result is what a fresh call would give, since
-      ``_greedy_pair_gain`` reads ``cover`` only through the edges taken
-      so far. Take the pairs in order, with those edges as before plus the
-      newly covered ones: the path a pair took adds only edges of
-      ``gained``, which the new ones miss, so it keeps its gain, and every
-      other path's gain can only fall; so the pair takes the same first
-      path of largest gain, or none when all were 0.
-    - The bound. ub(v, cover) is the number of edges of star(v) outside
-      ``cover`` plus, over v's pairs at distance d >= 2, the sum of
-      min(d - 1, number of edges of U_p - star(v) outside ``cover``), where
-      U_p is the union of the pair's paths (``_greedy_bound``). A path from
-      v starts with an edge of star(v), and its other d - 1 edges avoid v,
-      so they lie in U_p - star(v). So ub is at least the gain, and it only
+      that ``_greedy_gain`` gives it, until a pick covers one of those
+      edges. Until then ``gained`` stays outside ``cover``, so picking the
+      vertex covers exactly ``gained``. And the kept result is what a fresh
+      walk would give, since ``_greedy_pair_gain`` reads ``cover`` only
+      through the edges taken so far. Take the pairs in order, with those
+      edges as before plus the newly covered ones: the path a pair took
+      adds only edges of ``gained``, which the new ones miss, so it keeps
+      its gain, and every other path's gain can only fall; so the pair
+      takes the same first path of largest gain, or none when all were 0.
+    - The bound. ub(v, cover) is the number of edges of F outside
+      ``cover`` plus, over v's choice pairs, the sum of min(d - 1, number
+      of edges of U_p - F outside ``cover``), where U_p is the union of the
+      pair's paths, each of d >= 2 edges (``_greedy_bound``). The gain is
+      F outside ``cover`` plus, per choice pair that takes a path, that
+      path's edges outside ``cover`` and F. A path from v starts with an
+      edge at v, the path of a one-path pair at distance 1, so in F; its
+      other d - 1 edges lie in U_p. So ub is at least the gain, and it only
       falls as ``cover`` grows: a bound pushed in an earlier round holds.
     - The heap tie-break. Every unchosen vertex has exactly one current
       entry, and its key is at least the vertex's gain. So when the top
@@ -534,10 +573,10 @@ def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
     arcs = arc_table(G)
     pairs_by_source = [source_pairs(G, v, k, arcs) for v in range(G.n)]
     sources = [_greedy_source(pairs) for pairs in pairs_by_source]
-    kept: dict[int, tuple[int, list]] = {}  # v -> (gained, picks)
+    kept: dict[int, int] = {}  # v -> gained
     version = [0] * G.n
-    heap = [(-_greedy_bound(star, tails, 0), v, 0)
-            for v, (_, star, tails) in enumerate(sources)]
+    heap = [(-_greedy_bound(forced, choice, 0), v, 0)
+            for v, (forced, choice) in enumerate(sources)]
     heapify(heap)
     chosen = []
     assigned = []
@@ -547,21 +586,20 @@ def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
         if ver != version[v]:
             continue
         if v not in kept:
-            gained, picks = _greedy_pair_gain(pairs_by_source[v],
-                                              sources[v][0], cover)
-            kept[v] = gained, picks
+            kept[v] = gained = _greedy_gain(*sources[v], cover)
             heappush(heap, (-gained.bit_count(), v, ver))
             continue
-        gained, picks = kept.pop(v)
+        del kept[v]
         version[v] += 1
+        gained, picks = _greedy_pair_gain(pairs_by_source[v], cover)
         chosen.append(v)
         cover |= gained
         assigned.extend(picks)
-        for w in [w for w, (other, _) in kept.items() if other & gained]:
+        for w in [w for w, other in kept.items() if other & gained]:
             del kept[w]
             version[w] += 1
-            _, star, tails = sources[w]
-            heappush(heap, (-_greedy_bound(star, tails, cover), w, version[w]))
+            heappush(heap, (-_greedy_bound(*sources[w], cover), w,
+                            version[w]))
     return chosen, StrongWitness.of(G, assigned)
 
 

@@ -1,5 +1,5 @@
-"""Whole-graph reference functions that only tests call, kept beside the
-tests that compare the program against them."""
+"""Reference functions that only tests call, kept beside the tests that
+compare the program against them."""
 
 from pathcover.graph import (
     DisconnectedGraphError,
@@ -36,3 +36,21 @@ def simplicial_vertices(G: Graph) -> frozenset[int]:
                for b in neigh[i + 1:]):
             out.add(v)
     return frozenset(out)
+
+
+def greedy_cover_scan(masks, universe, most=None):
+    """Indices picked by scanning every mask each round and taking the
+    first one with the largest new coverage, until ``universe`` is covered;
+    the masks must jointly cover it. None when that takes more than
+    ``most`` picks."""
+    chosen = []
+    cover = 0
+    while cover & universe != universe:
+        if len(chosen) == most:
+            return None
+        rem = universe & ~cover
+        gains = [(m & rem).bit_count() for m in masks]
+        i = gains.index(max(gains))
+        chosen.append(i)
+        cover |= masks[i]
+    return chosen

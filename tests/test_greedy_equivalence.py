@@ -1,4 +1,4 @@
-"""Strong greedy against a full-rescan reference.
+"""Strong and weak greedy against full-rescan references.
 
 ``_reference_greedy_strong`` is the strong greedy as it was before the
 heap: every round re-scores each vertex whose kept gain was invalidated,
@@ -9,12 +9,19 @@ from ``enumerate_geodesics``, not from the solver's rebuild of a mask.
 ``tests/data/greedy_sets.json`` reaches only 20 vertices and pins no
 witness, so the benchmark's topologies are checked here too.
 
-The bound test checks the upper bound the heap orders unscored vertices
-by: it is never below a vertex's exact gain, and never rises as the cover
-grows.
+The scoring tests check what the heap orders vertices by: the gain read
+from a source's choice pairs alone is exactly the gain of the walk over
+every pair, and the upper bound is never below it, never rises as the
+cover grows, and is never above the bound over every pair at distance
+d >= 2.
+
+The weak greedy ``_greedy_cover`` is lazy; it must pick what
+``greedy_cover_scan``, a scan of every mask each round, picks.
 """
 
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -23,9 +30,16 @@ from pathcover import (
     solve_greedy,
     verify_strong_witness,
 )
-from pathcover.cover import PairChoices, source_pairs
-from pathcover.solve import _greedy_bound, _greedy_pair_gain, _greedy_source
+from pathcover.cover import PairChoices, source_pairs, weak_masks
+from pathcover.solve import (
+    _greedy_bound,
+    _greedy_cover,
+    _greedy_gain,
+    _greedy_pair_gain,
+    _greedy_source,
+)
 from conftest import family, random_connected_graph
+from reference import greedy_cover_scan
 
 # The topologies of the benchmark's greedy-scale workload, plus crown(12)
 GREEDY_TOPOLOGIES = (
@@ -119,21 +133,43 @@ def test_greedy_gain_can_rise_as_the_cover_grows():
     Edges 0..3 as bits; the first pair has paths {0, 1} and {2, 3}, the
     second one path {0, 1}. With nothing covered the first pair takes
     {0, 1} and the second adds nothing: gain 2. Once edge 0 is covered the
-    first pair takes {2, 3} and the second adds edge 1: gain 3."""
+    first pair takes {2, 3} and the second adds edge 1: gain 3. The
+    choice-pair scoring reads the same gains."""
     pairs = (PairChoices(0, 1, (0b0011, 0b1100)),
              PairChoices(0, 4, (0b0011,)))
-    unions, _, _ = _greedy_source(pairs)
-    gained, picks = _greedy_pair_gain(pairs, unions, 0)
+    forced, choice = _greedy_source(pairs)
+    gained, picks = _greedy_pair_gain(pairs, 0)
     assert (gained, picks) == (0b0011, [(0, 1, 0b0011)])
-    gained, picks = _greedy_pair_gain(pairs, unions, 0b0001)
+    assert _greedy_gain(forced, choice, 0) == 0b0011
+    gained, picks = _greedy_pair_gain(pairs, 0b0001)
     assert gained == 0b1110
     assert picks == [(0, 1, 0b1100), (0, 4, 0b0011)]
+    assert _greedy_gain(forced, choice, 0b0001) == 0b1110
+
+
+def _all_pairs_bound(pairs, cover):
+    """The bound over every pair: the edges at the source outside
+    ``cover`` plus, per pair at distance d >= 2, min(d - 1, the edges of
+    its paths' union outside ``cover`` and away from the source)."""
+    star = 0
+    tails = []
+    for p in pairs:
+        union = reduce(or_, p.masks)
+        d = p.masks[0].bit_count()
+        if d == 1:
+            star |= union
+        else:
+            tails.append((d - 1, union))
+    off_star = ~(cover | star)
+    return (star & ~cover).bit_count() + sum(
+        min(d, (union & off_star).bit_count()) for d, union in tails)
 
 
 def test_greedy_bound_holds_and_never_rises():
     """Covers grow from random vertices' random paths; at every step the
     bound of each unchosen vertex is at least its exact gain outside the
-    cover, and at most its bound at the step before."""
+    cover, at most its bound at the step before, and at most the bound
+    over every pair at distance d >= 2."""
     checked = 0
     for seed in range(60):
         rng = random.Random(seed)
@@ -149,12 +185,12 @@ def test_greedy_bound_holds_and_never_rises():
             for w in range(G.n):
                 if w in chosen:
                     continue
-                unions, star, tails = sources[w]
-                gained, _ = _greedy_pair_gain(pairs_by_source[w], unions,
-                                              cover)
-                bound = _greedy_bound(star, tails, cover)
+                gained, _ = _greedy_pair_gain(pairs_by_source[w], cover)
+                bound = _greedy_bound(*sources[w], cover)
                 assert not gained & cover
                 assert bound >= gained.bit_count(), (seed, w)
+                assert bound <= _all_pairs_bound(pairs_by_source[w],
+                                                 cover), (seed, w)
                 if last[w] is not None:
                     assert bound <= last[w], (seed, w)
                 last[w] = bound
@@ -164,3 +200,65 @@ def test_greedy_bound_holds_and_never_rises():
                 if rng.random() < 0.5:
                     cover |= rng.choice(p.masks)
     assert checked > 1000
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_greedy_choice_pair_scoring_equals_the_full_walk(k):
+    """On random covers, each a random subset of the edges, the gain read
+    from a source's one-path union and choice pairs is exactly the gain of
+    the walk over every pair, on random graphs and on graphs where most
+    pairs have a choice of paths."""
+    graphs = [family("crown", 6), family("hypercube", 4),
+              family("complete_bipartite", 3, 4)]
+    rng = random.Random(k)
+    for _ in range(40):
+        graphs.append(random_connected_graph(
+            rng, max_n=rng.randint(4, 16),
+            edge_prob=rng.choice((0.2, 0.35, 0.5))))
+    choices = 0
+    for G in graphs:
+        for v in range(G.n):
+            pairs = source_pairs(G, v, k)
+            forced, choice = _greedy_source(pairs)
+            choices += len(choice)
+            for _ in range(5):
+                cover = rng.getrandbits(G.m) & rng.getrandbits(G.m)
+                assert _greedy_gain(forced, choice, cover) == \
+                    _greedy_pair_gain(pairs, cover)[0], (G, v, cover)
+    assert (choices > 100) == (k > 1)  # at k = 1 every pair is one edge
+
+
+def _random_masks(rng):
+    """A mask list over a small universe with many equal gains, zero masks
+    and masks reaching outside the universe, and a universe they cover."""
+    width = rng.randint(1, 10)
+    masks = [rng.getrandbits(width) & rng.getrandbits(width)
+             for _ in range(rng.randint(1, 14))]
+    masks += [0] * rng.randint(0, 3)
+    masks += rng.sample(masks, rng.randint(0, len(masks)))
+    rng.shuffle(masks)
+    union = reduce(or_, masks)
+    return masks, union & rng.getrandbits(width + 1)
+
+
+def test_lazy_greedy_cover_equals_the_scan():
+    for seed in range(2000):
+        rng = random.Random(seed)
+        masks, universe = _random_masks(rng)
+        picks = greedy_cover_scan(masks, universe)
+        assert _greedy_cover(masks, universe) == picks, seed
+        for most in range(len(picks) + 2):
+            assert _greedy_cover(masks, universe, most) == \
+                greedy_cover_scan(masks, universe, most), (seed, most)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize(
+    "name, params", GREEDY_TOPOLOGIES,
+    ids=[f"{f}{p}" for f, p in GREEDY_TOPOLOGIES])
+def test_greedy_weak_matches_scan_on_topologies(name, params, k):
+    G = family(name, *params)
+    result = solve_greedy(G, k, "weak")
+    picks = greedy_cover_scan(weak_masks(G, k), G.full_edge_mask())
+    assert (result.set, result.stats.nodes) == (tuple(sorted(picks)),
+                                                len(picks))

@@ -20,9 +20,9 @@ apply). The battery:
   its last vertex, and the weak optimum's set wherever the strong optimum
   is larger;
 - strong ``solve_greedy`` on the ten topologies of the benchmark's
-  greedy-scale workload at k = 2, greedy rows only;
+  greedy-scale workload at k = 2, 3, greedy rows only;
 - weak ``solve_greedy`` (its set and ``stats.nodes``) on the exact_sets and
-  random graphs at k = 1, 2, 3 and on the ten topologies at k = 2, each
+  random graphs at k = 1, 2, 3 and on the ten topologies at k = 2, 3, each
   with ``verify_weak_cover`` on the set it returns and on that set less
   its last vertex; a verdict sits in the optimum field;
 - catalogue rows, which hold no solver answer: each registry record's
@@ -221,8 +221,9 @@ def snapshot() -> list[str]:
             exact(f"sparse{seed}", G, k, ("weak",))
     for family, params in GREEDY_TOPOLOGIES:
         G = pc.generate(pc.FamilySpec(family, params))
-        greedy(f"topology {family}{params}", G, 2)
-        greedy_weak(f"topology {family}{params}", G, 2)
+        for k in (2, 3):
+            greedy(f"topology {family}{params}", G, k)
+            greedy_weak(f"topology {family}{params}", G, k)
     return lines + _catalogue(pc)
 
 
