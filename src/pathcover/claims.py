@@ -26,7 +26,7 @@ from .families import (
     expected_size,
     generate,
 )
-from .solve import STRONG, WEAK, SizeLimitError, solve_exact
+from .solve import STRONG, WEAK, exact_vertex_limit, solve_exact
 
 KIND_EXACT = "exact"
 KIND_UPPER_BOUND = "upper_bound"
@@ -280,13 +280,15 @@ def verify_claims(
     that no (filtered) record covers at ``max_n`` raises ``ValueError``,
     which names the ``families`` filter when there is one, so nothing
     asked for is dropped without a word.
-    Each instance's graph is generated once and solved once per variant.
-    Instances over ``solve_exact``'s fixed vertex limits (40 weak, 34
-    strong), which it refuses with ``SizeLimitError``, are reported as
-    skipped, never guessed; that is the only skip rule, and every other
-    instance is solved, however long that takes. Reports are
-    ordered by (family, params, variant, kind), and records of one such
-    key by registry order.
+    An instance over ``solve_exact``'s fixed vertex limit for a variant
+    (``exact_vertex_limit``: 40 weak, 34 strong), which it would refuse
+    with ``SizeLimitError``, is reported as skipped for that variant,
+    never guessed; that is the only skip rule, and every other instance is
+    solved, however long that takes. Reports take n and m from
+    ``expected_size``. An instance's graph is generated only when some
+    variant is within its limit, then once, and solved once per such
+    variant. Reports are ordered by (family, params, variant, kind), and
+    records of one such key by registry order.
     """
     if type(max_n) is not int:
         raise ValueError(f"max_n must be an int, got {max_n!r}")
@@ -324,22 +326,21 @@ def verify_claims(
                    else ""))
     todo.sort(key=lambda item: (item[0].family, item[1], item[0].variant,
                                 item[0].kind))
-    # optimum per (family, params, variant); None when refused for size
-    optima: dict[tuple[str, tuple[int, ...], str], int | None] = {}
     reports: list[DiscrepancyReport] = []
     for (family, params), group in groupby(
             todo, key=lambda item: (item[0].family, item[1])):
-        G = generate(FamilySpec(family, params))
+        n, m = expected_size(family, params)
+        G = None
+        optima: dict[str, int] = {}  # per variant within its limit
         for record, _ in group:
-            key = (family, params, record.variant)
-            if key not in optima:
-                try:
-                    optima[key] = solve_exact(G, record.k,
-                                              record.variant).optimum
-                except SizeLimitError:
-                    optima[key] = None
+            variant = record.variant
+            if variant not in optima and n <= exact_vertex_limit(variant):
+                if G is None:
+                    G = generate(FamilySpec(family, params))
+                optima[variant] = solve_exact(G, record.k, variant).optimum
+            computed = optima.get(variant)  # None when refused for size
             claimed = record.value(params)
             reports.append(DiscrepancyReport(
-                record, params, G.n, G.m, claimed, optima[key],
-                _classify(record.kind, claimed, optima[key])))
+                record, params, n, m, claimed, computed,
+                _classify(record.kind, claimed, computed)))
     return tuple(reports)

@@ -46,8 +46,8 @@ def weak_cover_set(G: Graph, u: int, k: int) -> int:
     are the edges of the arcs ``geodesic_dag(G, u, k)`` returns, at the
     cost of u's radius-k ball rather than of the whole graph. Answers on
     any graph, with the coverage within u's component; k must be an int
-    >= 1 and u a vertex of G. No program path calls it: the solvers and
-    checks read the same masks from the balls (``weak_masks``,
+    >= 1 and u a vertex of G. Only ``naive_oracle`` calls it: the solvers
+    and checks read the same masks from the balls (``weak_masks``,
     ``coverer_index``).
     """
     _check_k(k)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from functools import reduce
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -25,17 +25,15 @@ from .cover import (
     arc_table,
     ball_layers,
     coverer_index,
-    path_edge_mask,
     source_pairs,
     strong_test,
+    weak_cover_set,
     weak_masks,
 )
 from .graph import (
     Graph,
     VertexRangeError,
     _check_k,
-    bfs_distances,
-    enumerate_geodesics,
     require_connected,
 )
 
@@ -53,6 +51,11 @@ ORACLE_VERTEX_LIMIT = 12  # naive_oracle
 
 class SizeLimitError(RuntimeError):
     """Instance exceeds the vertex limit of an exponential-time solver."""
+
+
+def exact_vertex_limit(variant: str) -> int:
+    """The vertex limit of ``solve_exact`` for ``variant``."""
+    return STRONG_VERTEX_LIMIT if variant == STRONG else WEAK_VERTEX_LIMIT
 
 
 @dataclass(frozen=True)
@@ -421,8 +424,7 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     one simplicial vertex of each such clique; and the degree bound counts
     the edges one source covers weakly.
     """
-    _check_args(G, k, STRONG_VERTEX_LIMIT if variant == STRONG
-                else WEAK_VERTEX_LIMIT, variant)
+    _check_args(G, k, exact_vertex_limit(variant), variant)
     start = time.perf_counter()
     nodes = [0]
     index = coverer_index(G, k)
@@ -616,20 +618,11 @@ def solve_greedy(G: Graph, k: int, variant: str) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Naive oracle: exhaustive subset enumeration in ascending size, with strong
-# feasibility decided by exhaustive per-pair geodesic choice enumeration.
-# Deliberately a different algorithmic skeleton from solve_exact.
+# Naive oracle: exhaustive subset enumeration in ascending size, with weak
+# coverage from the reference definition and strong feasibility decided by
+# exhaustive per-pair geodesic choice enumeration. Deliberately a different
+# algorithmic skeleton from solve_exact.
 # ---------------------------------------------------------------------------
-
-def _oracle_weak_mask(G: Graph, u: int, k: int) -> int:
-    """Weak coverage from ``u`` by brute-force geodesic enumeration."""
-    mask = 0
-    for v, d in bfs_distances(G, u).items():
-        if 1 <= d <= k:
-            for path in enumerate_geodesics(G, u, v):
-                mask |= path_edge_mask(G, path)
-    return mask
-
 
 def _oracle_strong_feasible(
     G: Graph, pair_list: list[PairChoices]
@@ -662,37 +655,35 @@ def _oracle_strong_feasible(
 
 
 def naive_oracle(G: Graph, k: int, variant: str) -> SolveResult:
-    """Reference optimum by exhaustive enumeration; hard-limited in size."""
+    """Reference optimum by exhaustive enumeration; hard-limited in size.
+    One walk over the subsets, by ascending size in ``combinations`` order,
+    returns the first the variant accepts: weak, when the sources'
+    ``weak_cover_set`` masks cover every edge; strong, when
+    ``_oracle_strong_feasible`` finds a geodesic per pair of its sources."""
     _check_args(G, k, ORACLE_VERTEX_LIMIT, variant)
     start = time.perf_counter()
-    universe = G.full_edge_mask()
-    tried = 0
     if variant == WEAK:
-        masks = [_oracle_weak_mask(G, v, k) for v in range(G.n)]
-        for size in range(G.n + 1):
-            for combo in combinations(range(G.n), size):
-                tried += 1
-                mask = 0
-                for v in combo:
-                    mask |= masks[v]
-                if mask == universe:
-                    return SolveResult(
-                        WEAK, k, size, combo, None, "exact",
-                        SolveStats(tried, time.perf_counter() - start))
+        masks = [weak_cover_set(G, v, k) for v in range(G.n)]
+        universe = G.full_edge_mask()
+
+        def accept(combo: tuple) -> tuple[bool, None]:
+            mask = reduce(or_, map(masks.__getitem__, combo), 0)
+            return mask == universe, None
     else:
         arcs = arc_table(G)
         pairs_by_source = [source_pairs(G, v, k, arcs) for v in range(G.n)]
-        for size in range(G.n + 1):
-            for combo in combinations(range(G.n), size):
-                tried += 1
-                pair_list: list[PairChoices] = []
-                for v in combo:
-                    pair_list.extend(pairs_by_source[v])
-                witness = _oracle_strong_feasible(G, pair_list)
-                if witness is not None:
-                    return SolveResult(
-                        STRONG, k, size, combo, witness, "exact",
-                        SolveStats(tried, time.perf_counter() - start))
+
+        def accept(combo: tuple) -> tuple[bool, StrongWitness | None]:
+            witness = _oracle_strong_feasible(
+                G, [p for v in combo for p in pairs_by_source[v]])
+            return witness is not None, witness
+    subsets = chain.from_iterable(combinations(range(G.n), size)
+                                  for size in range(G.n + 1))
+    for tried, combo in enumerate(subsets, 1):
+        covers, witness = accept(combo)
+        if covers:
+            return SolveResult(variant, k, len(combo), combo, witness, "exact",
+                               SolveStats(tried, time.perf_counter() - start))
     raise AssertionError("the full vertex set always covers")
 
 

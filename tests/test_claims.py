@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import pathcover.claims
 from pathcover import (
     FAMILY_NAMES,
     FamilyParamError,
@@ -240,6 +241,43 @@ def test_never_classifies_with_heuristics():
     big = [r for r in reports if r.params == (2,)]
     assert big and big[0].status == STATUS_SKIPPED
     assert big[0].computed is None
+
+
+def _count_generate(monkeypatch):
+    """(family, params) of each graph the sweep generates, in call order."""
+    generated = []
+    real = pathcover.claims.generate
+
+    def counting(spec):
+        generated.append((spec.family, tuple(spec.params)))
+        return real(spec)
+
+    monkeypatch.setattr(pathcover.claims, "generate", counting)
+    return generated
+
+
+def test_no_graph_generated_for_an_instance_every_variant_refuses(
+        monkeypatch):
+    # wheel(n) has n + 1 vertices and both variants have a wheel claim: at
+    # 36 vertices only weak is solved, at 41 neither
+    generated = _count_generate(monkeypatch)
+    reports = verify_claims(instances=[("wheel", (40,)), ("wheel", (35,)),
+                                       ("wheel", (5,))], max_n=41)
+    assert generated == [("wheel", (5,)), ("wheel", (35,))]
+    got = {(r.params, r.claim.variant): (r.n, r.m, r.computed, r.status)
+           for r in reports}
+    assert got[(40,), "weak"] == got[(40,), "strong"] == \
+        (41, 80, None, STATUS_SKIPPED)
+    assert got[(35,), "strong"] == (36, 70, None, STATUS_SKIPPED)
+    assert got[(35,), "weak"][2] is not None
+
+
+def test_sweep_generates_each_admitted_instance_once(monkeypatch):
+    # at max_n 12 every instance is within both limits
+    generated = _count_generate(monkeypatch)
+    reports = verify_claims(max_n=12)
+    instances = {(r.claim.family, r.params) for r in reports}
+    assert sorted(generated) == sorted(instances) and len(instances) == 80
 
 
 def test_report_ordering_is_canonical():

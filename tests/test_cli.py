@@ -5,6 +5,7 @@ import pytest
 from pathcover.cli import main
 from pathcover.families import FAMILY_NAMES
 from pathcover.report import to_csv
+from test_graph import BAD_EDGELISTS
 
 SMALLEST = {
     "path": (2,),
@@ -168,6 +169,37 @@ def test_exit_code_invalid_input(tmp_path, capsys):
                  "--out", str(tmp_path / "x.edges")]) == 1
     assert main(["solve", "--in", str(tmp_path / "missing.edges"),
                  "--k", "2", "--variant", "weak"]) == 1
+
+
+@pytest.mark.parametrize("text, message", BAD_EDGELISTS)
+def test_solve_refuses_a_bad_edge_list(text, message, tmp_path, capsys):
+    graph_file = tmp_path / "bad.edges"
+    graph_file.write_text(text)
+    assert main(["solve", "--in", str(graph_file), "--k", "2",
+                 "--variant", "weak"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
+def test_claims_of_every_family_names_the_permanent_skip(capsys):
+    assert main(["claims", "--max-n", "5"]) == 0
+    assert ("-- permanently skipped: actinia [SSPC_2U(A(m,n)) = ceil(n/5)]: "
+            "graph construction undefined") in capsys.readouterr().out
+    assert main(["claims", "--family", "cycle", "--max-n", "5"]) == 0
+    assert "permanently skipped" not in capsys.readouterr().out
+
+
+def test_reduce_check_skips_the_optimum_of_a_large_gadget(tmp_path, capsys):
+    # P4 at k = 2: a gadget of 18 vertices, above the 17-vertex exact check
+    graph_file = tmp_path / "p4.edges"
+    main(["gen", "--family", "path", "--params", "4",
+          "--out", str(graph_file)])
+    assert main(["reduce", "--in", str(graph_file), "--k", "2", "--check",
+                 "--out", str(tmp_path / "gadget.edges")]) == 0
+    out = capsys.readouterr().out
+    assert "gadget: 18 vertices" in out
+    assert "exact optimum: skipped (gadget above exact check limit)" in out
 
 
 def test_exit_code_size_limit(tmp_path, capsys):

@@ -130,6 +130,26 @@ def test_witness_source_outside_set_rejected():
     assert not verify_strong_witness(G, [0], 2, witness)
 
 
+def test_witness_non_edge_hop_rejected():
+    # (0, 3, 2) has d(0, 2) + 1 vertices and the pair's ends, but C5 has
+    # no edge 0-3
+    G = family("cycle", 5)
+    bad = StrongWitness((((0, 2), (0, 3, 2)),), G.edge_mask([(2, 3)]))
+    assert not verify_strong_witness(G, [0], 2, bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1 0 1\n", "bad witness line '0 1 0 1'"),
+    ("0 x : 0 1\n", "bad witness line '0 x : 0 1': invalid literal"),
+    ("0 1 : 0 y\n", "bad witness line '0 1 : 0 y': invalid literal"),
+    ("0 1 2 : 0 1\n", "bad witness line '0 1 2 : 0 1': too many values"),
+    ("0 2 : 0 3 2\n", "witness path for (0, 2) uses non-edge (0, 3)"),
+])
+def test_parse_witness_refusals_name_the_line(text, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        parse_witness(family("cycle", 5), text)
+
+
 def _witness(G, assignments):
     covered = 0
     for _, path in assignments:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import pathcover
@@ -240,3 +242,29 @@ def test_edgelist_ignores_comments_and_blanks():
 def test_edgelist_header_mismatch():
     with pytest.raises(GraphError):
         parse_edgelist("3 2\n0 1\n")
+
+
+# (document, the start of its GraphError message); test_cli reads these too
+BAD_EDGELISTS = [
+    ("", "empty edge-list document"),
+    ("# a comment only\n\n", "empty edge-list document"),
+    ("3\n", "bad header '3', expected 'n m'"),
+    ("3 2 1\n0 1\n", "bad header '3 2 1', expected 'n m'"),
+    ("3 x\n", "bad header '3 x': invalid literal"),
+    ("2.0 1\n0 1\n", "bad header '2.0 1': invalid literal"),
+    ("3 1\n0 1\n1 2\n", "header declares 1 edges, found 2"),
+    ("3 1\n0 1 2\n", "bad edge line '0 1 2'"),
+    ("3 1\n0\n", "bad edge line '0'"),
+    ("3 1\n0 b\n", "bad edge line '0 b': invalid literal"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_EDGELISTS)
+def test_edgelist_refusals_name_the_fault(text, message):
+    with pytest.raises(GraphError, match="^" + re.escape(message)):
+        parse_edgelist(text)
+
+
+def test_wrong_number_of_labels_refused():
+    with pytest.raises(VertexRangeError, match="expected 3 labels, got 2"):
+        build_graph(3, [(0, 1)], labels=["a", "b"])

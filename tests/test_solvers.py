@@ -1,7 +1,9 @@
 import random
+import re
 import time
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import or_
 
 import pytest
@@ -98,6 +100,12 @@ def test_exact_and_oracle_sets_agree(rng):
                 b = naive_oracle(G, k, variant)
                 assert a.optimum == b.optimum
                 assert a.set == b.set  # both lexicographically least
+                # the oracle counts the subsets before its set, by size and
+                # then in combinations order, and the set itself
+                size = len(b.set)
+                assert b.stats.nodes == sum(
+                    comb(G.n, s) for s in range(size)) + 1 + list(
+                        combinations(range(G.n), size)).index(b.set)
 
 
 def twin_classes(G):
@@ -327,6 +335,13 @@ def test_bounds_of_empty_graph_refused_as_vertex_range():
 def test_domination_number_rejects_nonpositive_k(k):
     with pytest.raises(ValueError):
         domination_number(family("cycle", 6), k)
+
+
+@pytest.mark.parametrize("solve", [solve_exact, solve_greedy, naive_oracle])
+def test_unknown_variant_refused(solve):
+    with pytest.raises(ValueError, match=re.escape(
+            "variant must be one of ('weak', 'strong'), got 'Strong'")):
+        solve(family("cycle", 5), 2, "Strong")
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -8,6 +8,8 @@ apply). The battery:
   ``solve_exact`` at the registry's k;
 - the graphs of ``tests/data/exact_sets.json``, weak and strong
   ``solve_exact`` at k = 1, 2, 3;
+- weak and strong ``naive_oracle`` at k = 1, 2, 3 on the exact_sets
+  graphs with at most 9 vertices (all of them, up to 12, take minutes);
 - seeded random connected graphs, the same;
 - weak ``solve_exact`` at k = 1, 2 on seeded random sparse connected
   graphs with 30 to 40 vertices, the size of the benchmark's weak-exact
@@ -65,6 +67,7 @@ REGISTRY_MAX_N = 16
 RANDOM_GRAPHS = 400
 RANDOM_MAX_N = 14
 KS = (1, 2, 3)
+ORACLE_MAX_N = 9
 SPARSE_GRAPHS = 60
 SPARSE_N = (30, 40)
 SPARSE_EDGES_PER_VERTEX = 1.4
@@ -161,13 +164,16 @@ def snapshot() -> list[str]:
 
     lines = []
 
+    def row(name, r, kind):
+        lines.append(f"{name} k={r.k} {kind}\t{r.optimum}\t{list(r.set)}\t"
+                     f"{r.stats.nodes}\t"
+                     f"{'-' if r.witness is None else _digest(r.witness)}")
+
     def exact(name, G, k, variants=("weak", "strong")):
         results = []
         for variant in variants:
             r = pc.solve_exact(G, k, variant)
-            lines.append(f"{name} k={k} {variant}\t{r.optimum}\t"
-                         f"{list(r.set)}\t{r.stats.nodes}\t"
-                         f"{'-' if r.witness is None else _digest(r.witness)}")
+            row(name, r, variant)
             results.append(r)
         return results
 
@@ -209,6 +215,10 @@ def snapshot() -> list[str]:
     for name, G in graphs:
         for k in KS:
             weak, strong = exact(name, G, k)
+            if name.startswith("exact_sets") and G.n <= ORACLE_MAX_N:
+                for variant in ("weak", "strong"):
+                    row(name, pc.naive_oracle(G, k, variant),
+                        f"oracle-{variant}")
             chosen = greedy(name, G, k)
             feasible(name, G, k, "feasible-greedy", chosen)
             feasible(name, G, k, "feasible-greedy-less", chosen[:-1])
