@@ -18,7 +18,7 @@ rebuilt as vertex sequences (``mask_path``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from itertools import accumulate, islice
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -44,7 +44,7 @@ def weak_cover_set(G: Graph, u: int, k: int) -> int:
     The reference definition: the edges x-y with d(u, y) = d(u, x) + 1 <=
     k, read from ``bfs_distances(G, u, k)``, which stops at depth k. These
     are the edges of the arcs ``geodesic_dag(G, u, k)`` returns, at the
-    cost of u's radius-k ball rather than of the whole graph. Answers on
+    cost of u's radius-k ball rather than of all of G. Answers on
     any graph, with the coverage within u's component; k must be an int
     >= 1 and u a vertex of G. Only ``naive_oracle`` calls it: the solvers
     and checks read the same masks from the balls (``weak_masks``,
@@ -171,21 +171,12 @@ def mask_path(G: Graph, u: int, v: int, mask: int) -> tuple[int, ...]:
     """The geodesic from ``u`` to ``v`` whose edges are ``mask``.
 
     A geodesic is a simple path, so at each of its vertices at most two of
-    its edges meet. One edge is (u, v) itself. Of two, either one joins
-    u or v to the middle vertex, its other end. A longer one is walked
-    from u, each step along the one edge of ``mask`` at the vertex that
-    does not lead back.
+    its edges meet. It is walked from u, each step along the one edge of
+    ``mask`` at the vertex that does not lead back.
     """
-    d = mask.bit_count()
-    # greedy-scale: 1.8% fewer requests/s without these two (2-core Xeon)
-    if d == 1:
-        return u, v
-    if d == 2:
-        a, b = G.edges[(mask & -mask).bit_length() - 1]
-        return u, b if a == u or a == v else a, v
     path = [u]
     prev, x = -1, u
-    for _ in range(d - 1):
+    for _ in range(mask.bit_count() - 1):
         for y in G.adj[x]:
             if y != prev and mask >> G.edge_id(x, y) & 1:
                 break
@@ -521,9 +512,8 @@ class _MatchingTest:
     - Leaf test: at ``left`` = 0 the cut is 0, so a full set is kept
       exactly when it is a strong cover; its state gives the ``witness``.
 
-    The caps are computed on first use: ``whole`` grows the matching
-    without a cut, so a set given whole never reads them; walking
-    ``extend`` instead read greedy-scale p50 1.4% higher (2-core Xeon).
+    ``maxcap[s]`` is the largest cap(v) over v >= s, with cap(v) =
+    |B_2(v)| - 1 read from the radius-2 balls.
     """
 
     def __init__(self, G: Graph):
@@ -532,18 +522,10 @@ class _MatchingTest:
         self.arcs = arc_table(G)
         self.sources: dict[int, tuple[int, list[int], list]] = {}
         self.root: tuple[int, dict[int, int], int] = (0, {}, 0)
-
-    @cached_property
-    def maxcap(self) -> list[int]:
-        """maxcap[s], the largest cap(v) over v >= s; cap(v) is
-        |B_2(v)| - 1, read from the radius-2 balls."""
-        *_, radius2 = islice(ball_layers(self.G), 3)
+        *_, radius2 = islice(ball_layers(G), 3)
         caps = [ball.bit_count() - 1 for ball in radius2]
-        return list(accumulate(reversed(caps), max, initial=0))[::-1]
-
-    @cached_property
-    def start(self) -> int:
-        return -(-self.G.m // self.maxcap[0]) if self.G.m else 0
+        self.maxcap = list(accumulate(reversed(caps), max, initial=0))[::-1]
+        self.start = -(-G.m // self.maxcap[0]) if G.m else 0
 
     def _source(self, v: int) -> tuple[int, list[int], list]:
         """v's forced mask, choice pair ids and one-path pairs' picks."""
@@ -559,18 +541,6 @@ class _MatchingTest:
         forced, ids, _ = self._source(v)
         return self.matching.extend(state, forced, ids,
                                     left * self.maxcap[v + 1])
-
-    def whole(self, sources: Sequence[int]):
-        """The state of ``sources``, ascending, or None when they are no
-        strong cover: the states ``extend`` gives, with no cut but the
-        last. Its cuts fire only on sets that hold no strong cover, so
-        without them the answer, and a state kept, are the same."""
-        state = self.root
-        for v in sources:
-            forced, ids, _ = self._source(v)
-            state = self.matching.extend(state, forced, ids, self.G.m)
-        base, _, held = state
-        return state if base | held == self.matching.full else None
 
     def witness(self, chosen: Sequence[int], state) -> StrongWitness:
         """The one-path pairs' picks of ``chosen``, then ``state``'s."""
@@ -589,11 +559,10 @@ class _PairTest:
 
     def extend(self, state: tuple[int, ...], v: int, left: int):
         chosen = (*state, v)
-        return chosen if left else self.whole(chosen)
-
-    def whole(self, sources: Sequence[int]) -> StrongWitness | None:
+        if left:
+            return chosen
         return feasible_from_pairs(
-            self.G, tuple(p for u in sources for p in self.pairs(u)))
+            self.G, tuple(p for u in chosen for p in self.pairs(u)))
 
     def witness(self, chosen: Sequence[int], state) -> StrongWitness:
         # the root: G is edgeless
@@ -601,36 +570,32 @@ class _PairTest:
 
 
 def strong_test(G: Graph, k: int) -> _MatchingTest | _PairTest:
-    """The strong cover test ``solve_exact`` and ``strong_feasible`` share,
-    grown one source at a time, ascending. Sets below ``start`` are no
-    strong covers; ``root`` is the empty set's state; ``extend(state, v,
-    left)`` adds v, or is None when no strong cover holds the set and
-    ``left`` more vertices above v, so a state it returns at ``left`` 0 is
-    a strong cover, which ``witness(chosen, state)`` witnesses.
-    ``whole(sources)`` is the state or None that ``extend`` gives at
-    ``left`` 0 once ``sources`` are added to the root, ascending, but read
-    without a cut before the last: a set given whole reads no bound."""
+    """The strong cover test of ``solve_exact``, grown one source at a
+    time, ascending. Sets below ``start`` are no strong covers; ``root`` is
+    the empty set's state; ``extend(state, v, left)`` adds v, or is None
+    when no strong cover holds the set and ``left`` more vertices above v,
+    so a state it returns at ``left`` 0 is a strong cover, which
+    ``witness(chosen, state)`` witnesses."""
     return _MatchingTest(G) if k == 2 else _PairTest(G, k)
 
 
 def strong_feasible(
     G: Graph, S: Iterable[int], k: int
 ) -> StrongWitness | None:
-    """Witness that S is a k-strong cover, or None: the state of
-    ``strong_test`` for the sorted sources given whole. S is read by
+    """Witness that S is a k-strong cover, or None: ``feasible_from_pairs``
+    over the ``source_pairs`` of the sorted sources. S is read by
     ``_sources``; on an edgeless graph the witness is empty.
 
     Every strong cover is a weak cover, so a set that is no weak cover is
-    refused first, read from balls, before a strong test is built or a
-    geodesic enumerated; the strong test is handed only weak covers.
+    refused first, read from balls, before a geodesic is enumerated;
+    ``feasible_from_pairs`` is handed only weak covers.
     """
     sources = _sources(G, S, k)
     if not _weak_cover(G, sources, k):
         return None
-    sources = sorted(sources)
-    test = strong_test(G, k)
-    state = test.whole(sources)
-    return None if state is None else test.witness(sources, state)
+    arcs = arc_table(G)
+    return feasible_from_pairs(G, tuple(
+        p for u in sorted(sources) for p in source_pairs(G, u, k, arcs)))
 
 
 def verify_strong_witness(

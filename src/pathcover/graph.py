@@ -212,7 +212,7 @@ def geodesic_dag(G: Graph, u: int, k: int) -> frozenset[tuple[int, int]]:
     ``u``: those with ``d(u, x) + 1 = d(u, y) <= k``, so ``k = 0`` gives
     none. Read as undirected edges they are exactly the edges on some
     geodesic of length at most k from ``u``, and every such geodesic is a
-    path along them. The whole-graph reference for ``weak_cover_set``: one
+    path along them. The full-graph reference for ``weak_cover_set``: one
     ``bfs_distances`` with no depth and a scan of every edge, and a
     disconnected graph is refused."""
     dist = bfs_distances(G, u)

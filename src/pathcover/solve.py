@@ -146,13 +146,12 @@ def _greedy_cover(masks: Sequence[int], universe: int,
 
 def _branch_coverers(sets: Iterable[int], left: int) -> int | None:
     """The fewest coverers of an element, from ``sets``, the live coverer
-    bitmasks of the elements a node leaves; or None when no cover within
-    ``left`` more picks exists there: an element has no coverer, or more
-    than ``left`` elements, gathered fewest coverers first, have pairwise
-    disjoint coverers."""
+    bitmasks of the elements a node leaves; or None when more than
+    ``left`` elements, gathered fewest coverers first, have pairwise
+    disjoint coverers, so no cover within ``left`` more picks exists
+    there. An element with no live coverer needs no test of its own: it
+    comes first and gives 0, no options, so the node fails."""
     order = sorted(sets, key=int.bit_count)
-    if not order[0]:
-        return None
     used = count = 0
     for c in order:
         if not c & used:
@@ -412,7 +411,7 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     """Provably optimal cover of the requested variant: ``_least_cover``
     over the per-vertex weak coverage masks, so the lexicographically least
     optimum: weak the first covering set, strong the first one
-    ``cover.strong_test`` keeps, witnessed as ``strong_feasible`` does.
+    ``cover.strong_test`` keeps, witnessed from the test's state.
 
     Strong sizes ascend from the weak optimum: a strong cover is a weak
     cover, so no smaller size can succeed, or from the test's ``start``

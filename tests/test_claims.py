@@ -113,6 +113,19 @@ def test_lookup_examples():
     assert EXCLUDED_CLAIMS[0][0] == "actinia"
 
 
+@pytest.mark.parametrize("family, params, variant", [
+    ("path", (1,), "strong"),
+    ("cycle", (3,), "strong"),
+    ("wheel", (3,), "weak"),
+    ("path", (7,), "weak"),
+])
+def test_lookup_refuses_params_outside_every_claim(family, params, variant):
+    # valid family params, but no claim of the family and variant holds them
+    expected_size(family, params)
+    with pytest.raises(UnknownFamilyError, match="no registered claim"):
+        claim_value(family, params, variant)
+
+
 def test_lookup_refuses_a_non_int_param():
     # 7.0 == 7, so a membership test alone would admit it
     with pytest.raises(FamilyParamError):

@@ -1,10 +1,14 @@
 import json
+import runpy
+import sys
 
 import pytest
 
+from pathcover import format_edgelist
 from pathcover.cli import main
 from pathcover.families import FAMILY_NAMES
 from pathcover.report import to_csv
+from conftest import family
 from test_graph import BAD_EDGELISTS
 
 SMALLEST = {
@@ -50,6 +54,20 @@ def test_gen_solve_verify_round_trip(name, tmp_path):
     vertex_set = [str(v) for v in record["set"]]
     assert main(["verify", "--in", str(graph_file), "--k", "2",
                  "--set", *vertex_set, "--witness", str(witness_file)]) == 0
+
+
+def test_python_m_pathcover_runs_the_cli(tmp_path, monkeypatch, capsys):
+    """``python -m pathcover`` runs ``main`` on the command line and exits
+    with its code; run in-process, so the module's lines are traced."""
+    graph_file = tmp_path / "p4.edges"
+    monkeypatch.setattr(sys, "argv", ["pathcover", "gen", "--family", "path",
+                                      "--params", "4",
+                                      "--out", str(graph_file)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("pathcover", run_name="__main__")
+    assert stop.value.code == 0
+    assert graph_file.read_text() == format_edgelist(family("path", 4))
+    assert "wrote 4 vertices, 3 edges" in capsys.readouterr().out
 
 
 def test_verify_weak_mode(tmp_path, capsys):

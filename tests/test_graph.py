@@ -135,6 +135,14 @@ def test_diameter_rejects_disconnected():
         diameter(build_graph(3, [(0, 1)]))
 
 
+def test_geodesic_walks_refuse_a_disconnected_pair():
+    G = build_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedGraphError):
+        geodesic_dag(G, 0, 2)
+    with pytest.raises(DisconnectedGraphError):
+        enumerate_geodesics(G, 0, 3)
+
+
 def test_geodesic_dag_cycle5():
     dag = geodesic_dag(family("cycle", 5), 0, 2)
     assert dag == {(0, 1), (1, 2), (0, 4), (4, 3)}

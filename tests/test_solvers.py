@@ -877,10 +877,14 @@ def _registry_graphs(max_n):
 
 
 def test_strong_feasible_gives_the_solver_witness():
-    """``solve_exact`` and ``strong_feasible`` prove a set with one strong
-    test, so at k = 1, 2, 3 ``strong_feasible`` on a strong optimum returns
-    the solver's witness: over the registry instances to 12 vertices and
-    seeded random graphs."""
+    """``strong_feasible`` proves a set by ``feasible_from_pairs`` over its
+    pairs, as ``solve_exact``'s strong test does at k = 1, 3, so there
+    ``strong_feasible`` on a strong optimum returns the solver's witness. At
+    k = 2 the solver proves the set by the matching it grew source by
+    source, so the witnesses may differ: ``strong_feasible`` accepts the
+    set, both witnesses verify, and it returns ``feasible_from_pairs`` on
+    the set's pairs. Over the registry instances to 12 vertices and seeded
+    random graphs."""
     rng = random.Random(3)
     graphs = _registry_graphs(12) + [
         (f"random{i}", random_connected_graph(rng, max_n=12))
@@ -888,5 +892,13 @@ def test_strong_feasible_gives_the_solver_witness():
     for name, G in graphs:
         for k in (1, 2, 3):
             result = solve_exact(G, k, "strong")
-            assert strong_feasible(G, result.set, k) == result.witness, \
-                (name, k)
+            witness = strong_feasible(G, result.set, k)
+            if k != 2:
+                assert witness == result.witness, (name, k)
+                continue
+            assert witness is not None, name
+            assert verify_strong_witness(G, result.set, k, witness), name
+            assert verify_strong_witness(G, result.set, k,
+                                         result.witness), name
+            assert witness == feasible_from_pairs(G, tuple(
+                p for u in result.set for p in source_pairs(G, u, k))), name

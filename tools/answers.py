@@ -20,7 +20,9 @@ apply). The battery:
 - ``strong_feasible`` on sets that are mostly no strong covers, for the
   same graphs and k, so that refusals are compared too: greedy's set less
   its last vertex, and the weak optimum's set wherever the strong optimum
-  is larger;
+  is larger. A ``strong_feasible`` row's optimum field holds the verdict
+  of ``verify_strong_witness`` on its witness, "-" when it is None, so a
+  moved witness is shown to be valid;
 - strong ``solve_greedy`` on the ten topologies of the benchmark's
   greedy-scale workload at k = 2, 3, greedy rows only;
 - weak ``solve_greedy`` (its set and ``stats.nodes``) on the exact_sets and
@@ -41,9 +43,9 @@ directory and runs this script on it in a subprocess. It prints the node
 and witness differences grouped by row kind and k, then every differing
 value and every row present on one side only, and exits 1 when any
 optimum or set differs, a catalogue row's value (kept in its set field)
-and a weak verdict included, or when a row is present on one side only:
-those move only by a stated change. The script writes nothing in the
-repository.
+and a weak or strong verdict included, or when a row is present on one
+side only: those move only by a stated change. The script writes nothing
+in the repository.
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ def snapshot() -> list[str]:
 
     def feasible(name, G, k, kind, chosen):
         w = pc.strong_feasible(G, chosen, k)
-        lines.append(f"{name} k={k} {kind}\t-\t{list(chosen)}\t-\t"
+        ok = "-" if w is None else pc.verify_strong_witness(G, chosen, k, w)
+        lines.append(f"{name} k={k} {kind}\t{ok}\t{list(chosen)}\t-\t"
                      f"{_digest(w)}")
 
     def greedy_weak(name, G, k):
