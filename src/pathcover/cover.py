@@ -625,9 +625,10 @@ def verify_strong_witness(
         if d is None or len(path) != d + 1:
             return False
         for x, y in zip(path, path[1:]):
-            if not G.has_edge(x, y):
+            try:
+                union |= 1 << G.edge_id(x, y)
+            except KeyError:
                 return False
-            union |= 1 << G.edge_id(x, y)
     if witness.covered != union:
         return False
     return union == G.full_edge_mask()
@@ -661,10 +662,12 @@ def parse_witness(G: Graph, text: str) -> StrongWitness:
         except ValueError as exc:
             raise ValueError(f"bad witness line {raw!r}: {exc}") from None
         for x, y in zip(path, path[1:]):
-            if not G.has_edge(x, y):
+            try:
+                covered |= 1 << G.edge_id(x, y)
+            except KeyError:
                 raise ValueError(
-                    f"witness path for ({u}, {v}) uses non-edge ({x}, {y})")
-            covered |= 1 << G.edge_id(x, y)
+                    f"witness path for ({u}, {v}) uses non-edge ({x}, {y})"
+                ) from None
         assignments.append(((u, v), path))
     assignments.sort()
     return StrongWitness(tuple(assignments), covered)

@@ -10,7 +10,7 @@ by the test suite). Identical specs always produce identical edge lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations
 from typing import Callable
 
 from .graph import Graph, build_graph
@@ -193,11 +193,13 @@ def _benes(r: int):
 
 # --- silicate ---------------------------------------------------------------
 #
-# Built from the hexagonal honeycomb HC(n) (6n^2 vertices, 9n^2 - 3n edges):
-# every honeycomb vertex becomes a K_4 of one center plus three corner slots,
-# and the corner slots of adjacent honeycomb vertices are merged along each
-# honeycomb edge. Exact integer coordinates (x doubled, y in half-root-three
-# units) keep corner identification deterministic.
+# Built from the hexagonal honeycomb HC(n) (6n^2 vertices, 9n^2 - 3n edges,
+# every degree 2 or 3): each honeycomb vertex v becomes a K_4 of its center
+# v and three corners. Adjacent K_4s share one corner per honeycomb edge e,
+# the slot hc_n + e, and a vertex of degree 2 gets one free corner of its
+# own, numbered after every shared slot in vertex order. Exact integer
+# coordinates (x doubled, y in half-root-three units) keep the honeycomb's
+# numbering deterministic.
 
 _HEX_CORNERS = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
 
@@ -221,69 +223,45 @@ def _honeycomb(n: int):
 
 def _silicate(n: int):
     hc_n, hc_edges = _honeycomb(n)
-    deg = [0] * hc_n
-    incident: list[list[int]] = [[] for _ in range(hc_n)]
-    for i, (a, b) in enumerate(hc_edges):
-        deg[a] += 1
-        deg[b] += 1
-        incident[a].append(i)
-        incident[b].append(i)
-    if any(d < 2 or d > 3 for d in deg):
-        raise AssertionError("honeycomb degrees outside {2, 3}")
-    centers = list(range(hc_n))
-    shared_base = hc_n
-    free_base = shared_base + len(hc_edges)
-    labels = [f"center:{v}" for v in centers]
+    members = [[v] for v in range(hc_n)]
+    for e, (a, b) in enumerate(hc_edges):
+        members[a].append(hc_n + e)
+        members[b].append(hc_n + e)
+    labels = [f"center:{v}" for v in range(hc_n)]
     labels += [f"shared:{a}-{b}" for a, b in hc_edges]
-    free_id = {}
-    nxt = free_base
-    for v in range(hc_n):
-        for _ in range(3 - deg[v]):
-            free_id[v] = nxt
+    for v, k4 in enumerate(members):
+        if len(k4) == 3:
+            k4.append(len(labels))
             labels.append(f"corner:{v}")
-            nxt += 1
-    edges = []
-    for v in range(hc_n):
-        members = [centers[v]]
-        members += [shared_base + e for e in incident[v]]
-        if v in free_id:
-            members.append(free_id[v])
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                edges.append((a, b))
-    return nxt, edges, labels
+    edges = [e for k4 in members for e in combinations(k4, 2)]
+    return len(labels), edges, labels
 
 
 # --- Sierpinski graphs ------------------------------------------------------
-
-def _word_index(word: tuple[int, ...]) -> int:
-    idx = 0
-    for d in word:
-        idx = idx * 3 + d
-    return idx
-
+#
+# S(n, 3)'s vertices are the words of length n over {0, 1, 2}, numbered as
+# base-3 indices with the first letter most significant. S(n, 3) is three
+# copies of S(n - 1, 3), copy a the block of indices a * 3^(n-1) onward,
+# with copy a's corner b joined to copy b's corner a (Klavzar & Milutinovic
+# 1997). Corner c of a copy of size s (the word c...c) is c * (s - 1) / 2
+# within its block.
 
 def _sierpinski_edges(n: int):
-    """Edges of S(n, 3) grouped by prefix length, words as base-3 indices."""
-    grouped: list[list[tuple[int, int]]] = []
+    """Edges of S(n, 3) grouped by prefix length i, whose edges join the
+    three copies of size s = 3^(n-i-1) under each prefix p."""
+    grouped = []
     for i in range(n):
-        level = []
-        for prefix in product(range(3), repeat=i):
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    u = prefix + (a,) + (b,) * (n - i - 1)
-                    v = prefix + (b,) + (a,) * (n - i - 1)
-                    level.append((_word_index(u), _word_index(v)))
-        grouped.append(level)
+        s = 3 ** (n - i - 1)
+        corner = [c * (s - 1) // 2 for c in range(3)]
+        grouped.append([(p * 3 * s + a * s + corner[b],
+                         p * 3 * s + b * s + corner[a])
+                        for p in range(3 ** i)
+                        for a, b in combinations(range(3), 2)])
     return grouped
 
 
 def _word_label(idx: int, n: int) -> str:
-    digits = []
-    for _ in range(n):
-        digits.append(str(idx % 3))
-        idx //= 3
-    return "".join(reversed(digits))
+    return "".join(str(idx // 3 ** j % 3) for j in reversed(range(n)))
 
 
 def _sierpinski(n: int):

@@ -70,6 +70,22 @@ def test_python_m_pathcover_runs_the_cli(tmp_path, monkeypatch, capsys):
     assert "wrote 4 vertices, 3 edges" in capsys.readouterr().out
 
 
+def test_python_m_pathcover_cli_runs_main(tmp_path, monkeypatch, capsys):
+    """``python -m pathcover.cli`` runs ``main`` too, in-process; the
+    imported module leaves ``sys.modules`` for the run, as it would in a
+    fresh interpreter."""
+    monkeypatch.delitem(sys.modules, "pathcover.cli")
+    graph_file = tmp_path / "c4.edges"
+    monkeypatch.setattr(sys, "argv", ["pathcover.cli", "gen", "--family",
+                                      "cycle", "--params", "4",
+                                      "--out", str(graph_file)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("pathcover.cli", run_name="__main__")
+    assert stop.value.code == 0
+    assert graph_file.read_text() == format_edgelist(family("cycle", 4))
+    assert "wrote 4 vertices, 4 edges" in capsys.readouterr().out
+
+
 def test_verify_weak_mode(tmp_path, capsys):
     graph_file = tmp_path / "c5.edges"
     main(["gen", "--family", "cycle", "--params", "5",

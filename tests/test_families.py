@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from pathcover import (
@@ -8,7 +10,7 @@ from pathcover import (
     generate,
     is_connected,
 )
-from pathcover.families import FAMILY_NAMES
+from pathcover.families import FAMILY_NAMES, _honeycomb
 from conftest import family
 
 SWEEP = {
@@ -101,6 +103,70 @@ def test_silicate1_structure():
     assert (G.n, G.m) == (18, 36)
     degrees = sorted({G.degree(v) for v in range(G.n)})
     assert degrees == [3, 6]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sierpinski_blocks_are_shifted_copies(n):
+    # copy a of S(n, 3) is the block a * 3^(n-1) onward, a copy of S(n-1, 3)
+    G, sub = family("sierpinski", n), family("sierpinski", n - 1)
+    s = 3 ** (n - 1)
+    for a in range(3):
+        inside = sorted((u - a * s, v - a * s) for u, v in G.edges
+                        if a * s <= u < (a + 1) * s
+                        and a * s <= v < (a + 1) * s)
+        assert tuple(inside) == sub.edges
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sierpinski_copies_join_corner_to_corner(n):
+    # copy a's corner b is joined to copy b's corner a; corner c of a copy
+    # of size s is c * (s - 1) / 2 within its block
+    G = family("sierpinski", n)
+    s = 3 ** (n - 1)
+
+    def corner(copy, c):
+        return copy * s + c * (s - 1) // 2
+
+    between = {(u, v) for u, v in G.edges if u // s != v // s}
+    assert between == {(corner(a, b), corner(b, a))
+                       for a, b in ((0, 1), (0, 2), (1, 2))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sierpinski_degrees(n):
+    G = family("sierpinski", n)
+    extremes = {0, (3 ** n - 1) // 2, 3 ** n - 1}
+    assert all(G.degree(v) == (2 if v in extremes else 3)
+               for v in range(G.n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sierpinski_gasket_degrees_and_growth(n):
+    G = family("sierpinski_gasket", n)
+    counts = Counter(G.degree(v) for v in range(G.n))
+    assert counts[2] == 3 and set(counts) <= {2, 4}
+    assert family("sierpinski_gasket", n + 1).n == 3 * G.n - 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_honeycomb_degrees(n):
+    hc_n, hc_edges = _honeycomb(n)
+    degree = [0] * hc_n
+    for a, b in hc_edges:
+        degree[a] += 1
+        degree[b] += 1
+    assert set(degree) <= {2, 3}
+    assert degree.count(2) == 6 * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_silicate_degrees(n):
+    # centers and free corners lie in one K_4, shared slots in two
+    G = family("silicate", n)
+    assert Counter(G.degree(v) for v in range(G.n)) == {
+        3: 6 * n * n + 6 * n, 6: 9 * n * n - 3 * n}
+    assert all(G.degree(v) == (6 if label.startswith("shared:") else 3)
+               for v, label in enumerate(G.labels))
 
 
 def test_unknown_family():

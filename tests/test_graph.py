@@ -37,6 +37,15 @@ def test_build_normalizes_orientation_and_order():
     assert G.edge_id(3, 1) == 1
 
 
+def test_graphs_equal_by_vertex_count_and_edge_set():
+    G = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    H = build_graph(4, [(3, 2), (1, 0), (2, 1)])
+    assert G == H and hash(G) == hash(H)
+    assert G != build_graph(5, [(0, 1), (1, 2), (2, 3)])
+    assert (G == 1) is False
+    assert repr(G) == "Graph(n=4, m=3)"
+
+
 def test_build_rejects_self_loop():
     with pytest.raises(SelfLoopError):
         build_graph(2, [(0, 0)])
@@ -216,6 +225,10 @@ def test_simplicial_vertices():
 
 def test_maximal_cliques_triangle():
     assert maximal_cliques(family("cycle", 3)) == ((0, 1, 2),)
+
+
+def test_maximal_cliques_of_the_empty_graph():
+    assert maximal_cliques(build_graph(0, [])) == ()
 
 
 def test_maximal_cliques_bipartite_edges():

@@ -32,7 +32,10 @@ apply). The battery:
 - catalogue rows, which hold no solver answer: each registry record's
   ``instances(40)`` with the claimed value of each, and a digest of
   ``format_edgelist`` and the labels of every family instance with at most
-  64 vertices and of the ten greedy-scale topologies.
+  64 vertices, of the ten greedy-scale topologies and of the deeper
+  Sierpinski and silicate instances, ``sierpinski(6)``, ``sierpinski(7)``,
+  ``sierpinski_gasket(6)``, ``sierpinski_gasket(7)``, ``silicate(4)`` and
+  ``silicate(5)``.
 
     python tools/answers.py                # the answers of src/
     python tools/answers.py --src DIR      # the answers of DIR/pathcover
@@ -88,6 +91,14 @@ GREEDY_TOPOLOGIES = (
     ("generalized_petersen", (50, 7)),
     ("crown", (20,)),
 )
+DEEP_TOPOLOGIES = (
+    ("sierpinski", (6,)),
+    ("sierpinski", (7,)),
+    ("sierpinski_gasket", (6,)),
+    ("sierpinski_gasket", (7,)),
+    ("silicate", (4,)),
+    ("silicate", (5,)),
+)
 
 
 def _digest(witness) -> str:
@@ -106,8 +117,8 @@ def _catalogue(pc) -> list[str]:
     """One row per registry record, its instances at ``CATALOGUE_MAX_N``
     with their claimed values, and one per generated graph, its digest:
     every family instance with at most ``CATALOGUE_GRAPH_N`` vertices (each
-    family takes one parameter or two), then the greedy-scale topologies.
-    Each value sits in the set field."""
+    family takes one parameter or two), then the greedy-scale and the deep
+    topologies. Each value sits in the set field."""
     lines = []
     for record in pc.claims_registry():
         listed = [(params, record.value(params))
@@ -125,7 +136,7 @@ def _catalogue(pc) -> list[str]:
                     continue
                 if n <= CATALOGUE_GRAPH_N:
                     specs.append((family, params))
-    for spec in GREEDY_TOPOLOGIES:
+    for spec in GREEDY_TOPOLOGIES + DEEP_TOPOLOGIES:
         if spec not in specs:
             specs.append(spec)
     for family, params in specs:
