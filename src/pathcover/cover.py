@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, islice
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import (
     GEODESIC_CAP,
@@ -154,19 +154,6 @@ def verify_weak_cover(G: Graph, S: Iterable[int], k: int) -> bool:
     return _weak_cover(G, _sources(G, S, k), k)
 
 
-class PairChoices(NamedTuple):
-    """Candidate fixed geodesics for one (source, target) pair, as the edge
-    masks of its geodesics in the lexicographic order of their vertex
-    sequences. A named tuple, so immutable and cheap to build:
-    ``source_pairs`` makes one per pair of every source it is asked for. A
-    path is rebuilt from its mask only when a witness keeps it
-    (``mask_path``)."""
-
-    source: int
-    target: int
-    masks: tuple[int, ...]
-
-
 def mask_path(G: Graph, u: int, v: int, mask: int) -> tuple[int, ...]:
     """The geodesic from ``u`` to ``v`` whose edges are ``mask``.
 
@@ -214,21 +201,19 @@ class StrongWitness:
         return cls(tuple(sorted(assignments)), covered)
 
 
-def arc_table(G: Graph) -> list:
-    """An empty arc table of G for ``source_pairs``: row x, filled on first
-    use, lists (y, bit of the edge x-y) for the neighbours y of x,
-    ascending. One table serves every source of a solve, so each row is
-    built once, and a lone source fills only the rows of its ball."""
-    return [None] * G.n
-
-
 def source_pairs(G: Graph, u: int, k: int,
-                 arcs: list | None = None) -> tuple[PairChoices, ...]:
-    """Geodesic choice sets for every pair (u, v) with 1 <= d(u, v) <= k,
-    in ascending target order, from one walk of u's radius-k ball, layer by
-    layer, over the rows of ``arcs`` (an ``arc_table`` of G, a fresh one
-    when None), so a source costs as much as its radius-k ball. Answers on
-    any graph, with the pairs within u's component.
+                 arcs: list | None = None) -> tuple[tuple, ...]:
+    """Geodesic choice sets for every pair (u, v) with 1 <= d(u, v) <= k:
+    one (source, target, masks) triple per target, ascending, with the
+    edge masks of its geodesics in the lexicographic order of their paths.
+    Answers on any graph, with the pairs within u's component.
+
+    One walk of u's radius-k ball, layer by layer, reads the rows of
+    ``arcs``, an arc table of G: row x, filled on first use, lists (y, bit
+    of the edge x-y) for the neighbours y of x, ascending. A solve builds
+    one, ``[None] * G.n``, and passes it to every call, so each row is
+    built once and a source costs as much as its radius-k ball; a fresh
+    table is used when None.
 
     Layer d holds every geodesic of length d from u, as (last vertex,
     mask). A path of layer d - 1 extends along each arc x-y to a y in no
@@ -243,7 +228,7 @@ def source_pairs(G: Graph, u: int, k: int,
     _check_k(k)
     _check_vertex(G, u, "source")
     if arcs is None:
-        arcs = arc_table(G)
+        arcs = [None] * G.n
     cap = GEODESIC_CAP
     eidx = G._eidx
     found: dict[int, list[int]] = {}
@@ -275,7 +260,7 @@ def source_pairs(G: Graph, u: int, k: int,
         found.update(reach)
         inner.update(reach)
         layer = nxt
-    return tuple(PairChoices(u, v, tuple(found[v])) for v in sorted(found))
+    return tuple((u, v, tuple(found[v])) for v in sorted(found))
 
 
 def _bits(x: int):
@@ -286,14 +271,15 @@ def _bits(x: int):
         x ^= low
 
 
-def split_pairs(pairs: Iterable[PairChoices]) -> tuple[list, int, list]:
+def split_pairs(pairs: Iterable[tuple]) -> tuple[list, int, list]:
     """The picks (source, target, mask) of the one-path pairs, the union of
     their masks, and the pairs with a choice of paths."""
     ones, forced, choice = [], 0, []
     for p in pairs:
-        if len(p.masks) == 1:
-            ones.append((p.source, p.target, p.masks[0]))
-            forced |= p.masks[0]
+        u, t, masks = p
+        if len(masks) == 1:
+            ones.append((u, t, masks[0]))
+            forced |= masks[0]
         else:
             choice.append(p)
     return ones, forced, choice
@@ -346,7 +332,7 @@ class Matching:
     the deficiency, the edges outside ``base | held``, is m minus that.
     The pairs are feasible exactly when it is 0, with the forced paths and
     each matched edge's first path from its pair as witness; a tip keeps
-    that path's mask, and its pair the ends.
+    that path's pick (source, target, mask).
 
     ``extend`` keeps the matching maximum. The edges a new forced mask
     covers leave it, and augmenting starts only at the pairs this frees and
@@ -358,18 +344,17 @@ class Matching:
     def __init__(self, G: Graph):
         self.G = G
         self.full = G.full_edge_mask()
-        self.pairs: list[PairChoices] = []
-        self.tips: list[dict[int, int]] = []
+        self.tips: list[dict[int, tuple[int, int, int]]] = []
 
-    def add(self, choice: Iterable[PairChoices], forced: int) -> list[int]:
+    def add(self, choice: Iterable[tuple], forced: int) -> list[int]:
         """The ids of the choice pairs, tips read beyond ``forced``."""
         first = len(self.tips)
-        for p in choice:
-            tip: dict[int, int] = {}
-            for m in p.masks:
+        for u, t, masks in choice:
+            tip: dict[int, tuple[int, int, int]] = {}
+            for m in masks:
+                pick = (u, t, m)
                 for e in _bits(m & ~forced):
-                    tip.setdefault(e, m)
-            self.pairs.append(p)
+                    tip.setdefault(e, pick)
             self.tips.append(tip)
         return list(range(first, len(self.tips)))
 
@@ -392,15 +377,12 @@ class Matching:
     def witness(self, picks: list[tuple[int, int, int]],
                 state) -> StrongWitness:
         """``picks`` and, per matched edge of ``state``, its pair's path."""
-        owner = state[1]
-        pairs = self.pairs
         return StrongWitness.of(self.G, picks + [
-            (pairs[q].source, pairs[q].target, self.tips[q][e])
-            for e, q in owner.items()])
+            self.tips[q][e] for e, q in state[1].items()])
 
 
 def feasible_from_pairs(
-    G: Graph, pairs: tuple[PairChoices, ...]
+    G: Graph, pairs: tuple[tuple, ...]
 ) -> StrongWitness | None:
     """Exact search for a covering choice of one geodesic per pair.
 
@@ -434,7 +416,8 @@ def feasible_from_pairs(
     leaves a deficiency, the backtracking search an edge with no candidate.
     """
     ones, base, choice = split_pairs(pairs)
-    gain = [max((m & ~base).bit_count() for m in p.masks) for p in choice]
+    gain = [max((m & ~base).bit_count() for m in masks)
+            for _, _, masks in choice]
 
     # every k on a diameter-2 graph: solve_exact(double_fan(15), 3, "strong")
     # took 0.002 s with this branch and 36 s without it (2-core Xeon VM)
@@ -448,15 +431,15 @@ def feasible_from_pairs(
 
 
 def _backtrack(
-    G: Graph, base: int, choice: Sequence[PairChoices], gain: list[int]
+    G: Graph, base: int, choice: Sequence[tuple], gain: list[int]
 ) -> list[tuple[int, int, int]] | None:
     """The picks (source, target, mask) of the first covering assignment,
     or None; ``feasible_from_pairs`` states the search."""
     full = G.full_edge_mask()
     # candidates per edge: (choice index, mask), lexicographic
     cands: list[list[tuple[int, int]]] = [[] for _ in range(G.m)]
-    for ci, p in enumerate(choice):
-        for m in p.masks:
+    for ci, (_, _, masks) in enumerate(choice):
+        for m in masks:
             for e in _bits(m):
                 cands[e].append((ci, m))
 
@@ -489,7 +472,8 @@ def _backtrack(
     picks = []
     for frame in frames:
         ci, m = frame[3][frame[4] - 1]
-        picks.append((choice[ci].source, choice[ci].target, m))
+        u, t, _ = choice[ci]
+        picks.append((u, t, m))
     return picks
 
 
@@ -519,7 +503,7 @@ class _MatchingTest:
     def __init__(self, G: Graph):
         self.G = G
         self.matching = Matching(G)
-        self.arcs = arc_table(G)
+        self.arcs = [None] * G.n
         self.sources: dict[int, tuple[int, list[int], list]] = {}
         self.root: tuple[int, dict[int, int], int] = (0, {}, 0)
         *_, radius2 = islice(ball_layers(G), 3)
@@ -554,7 +538,7 @@ class _PairTest:
 
     def __init__(self, G: Graph, k: int):
         self.G, self.start, self.root = G, min(G.m, 1), ()
-        arcs = arc_table(G)
+        arcs = [None] * G.n
         self.pairs = cache(lambda u: source_pairs(G, u, k, arcs))
 
     def extend(self, state: tuple[int, ...], v: int, left: int):
@@ -593,7 +577,7 @@ def strong_feasible(
     sources = _sources(G, S, k)
     if not _weak_cover(G, sources, k):
         return None
-    arcs = arc_table(G)
+    arcs = [None] * G.n
     return feasible_from_pairs(G, tuple(
         p for u in sorted(sources) for p in source_pairs(G, u, k, arcs)))
 

@@ -17,12 +17,10 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .cover import (
-    PairChoices,
     StrongWitness,
     _bits,
     _MatchingTest,
     _PairTest,
-    arc_table,
     ball_layers,
     coverer_index,
     source_pairs,
@@ -444,7 +442,7 @@ def _greedy_weak(G: Graph, k: int) -> tuple[list[int], None]:
 
 
 def _greedy_source(
-    pairs: tuple[PairChoices, ...]
+    pairs: tuple[tuple, ...]
 ) -> tuple[int, list[tuple[int, tuple[int, ...], int, int]]]:
     """What strong greedy derives from one source's pairs, once per solve:
     F, the union of the masks of its one-path pairs, and per choice pair
@@ -477,7 +475,7 @@ def _best_path(masks: tuple[int, ...], free: int, d: int) -> int:
 
 
 def _greedy_pair_gain(
-    pairs: tuple[PairChoices, ...], cover: int
+    pairs: tuple[tuple, ...], cover: int
 ) -> tuple[int, list]:
     """The edges outside ``cover`` that greedily assigning one path per
     pair gains, and the picks (source, target, mask) that gain them. The
@@ -571,7 +569,7 @@ def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
       that adds more, leaving edges for later pairs), so it is no bound.
     """
     universe = G.full_edge_mask()
-    arcs = arc_table(G)
+    arcs = [None] * G.n
     pairs_by_source = [source_pairs(G, v, k, arcs) for v in range(G.n)]
     sources = [_greedy_source(pairs) for pairs in pairs_by_source]
     kept: dict[int, int] = {}  # v -> gained
@@ -624,7 +622,7 @@ def solve_greedy(G: Graph, k: int, variant: str) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 def _oracle_strong_feasible(
-    G: Graph, pair_list: list[PairChoices]
+    G: Graph, pair_list: list[tuple]
 ) -> StrongWitness | None:
     """Try every combination of one geodesic per pair, in pair order, with
     memoization on (pair index, covered mask) only."""
@@ -639,9 +637,9 @@ def _oracle_strong_feasible(
             return False
         if (idx, mask) in seen:
             return False
-        p = pair_list[idx]
-        for pmask in p.masks:
-            chosen.append((p.source, p.target, pmask))
+        u, t, masks = pair_list[idx]
+        for pmask in masks:
+            chosen.append((u, t, pmask))
             if walk(idx + 1, mask | pmask):
                 return True
             chosen.pop()
@@ -669,7 +667,7 @@ def naive_oracle(G: Graph, k: int, variant: str) -> SolveResult:
             mask = reduce(or_, map(masks.__getitem__, combo), 0)
             return mask == universe, None
     else:
-        arcs = arc_table(G)
+        arcs = [None] * G.n
         pairs_by_source = [source_pairs(G, v, k, arcs) for v in range(G.n)]
 
         def accept(combo: tuple) -> tuple[bool, StrongWitness | None]:

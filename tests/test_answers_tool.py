@@ -39,3 +39,25 @@ def test_compare_fails_a_moved_optimum_or_set():
     compare = _answers().compare
     assert compare(ROWS, ["g k=2 weak\t2\t[0, 4]\t7\t-", ROWS[1]], "REV") == 1
     assert compare(ROWS, ["g k=2 weak\t3\t[0, 3]\t7\t-", ROWS[1]], "REV") == 1
+
+
+def test_pairs_digest_reads_pairs_whatever_type_holds_them(monkeypatch):
+    """The ``pairs`` catalogue rows compare pair content and order across
+    trees, so a named-tuple pair and a plain triple digest alike, and
+    masks in another order (the two geodesics between opposite vertices of
+    C_6 at k = 3) change the digest."""
+    from collections import namedtuple
+
+    import pathcover as pc
+
+    digest = _answers()._pairs_digest
+    G = pc.generate(pc.FamilySpec("cycle", (6,)))
+    plain = digest(pc, G, 3)
+    real = pc.cover.source_pairs
+    Named = namedtuple("Named", "source target masks")
+    monkeypatch.setattr(pc.cover, "source_pairs", lambda G, u, k: tuple(
+        Named(*p) for p in real(G, u, k)))
+    assert digest(pc, G, 3) == plain
+    monkeypatch.setattr(pc.cover, "source_pairs", lambda G, u, k: tuple(
+        (s, t, masks[::-1]) for s, t, masks in real(G, u, k)))
+    assert digest(pc, G, 3) != plain

@@ -30,8 +30,6 @@ from pathcover import (
     weak_cover_set,
 )
 from pathcover.cover import (
-    PairChoices,
-    arc_table,
     coverer_index,
     feasible_from_pairs,
     mask_path,
@@ -239,7 +237,7 @@ def _ladder(rungs):
     G = build_graph(2 * rungs, edges)
 
     def pair(u, v, *paths):
-        return PairChoices(u, v, tuple(path_edge_mask(G, p) for p in paths))
+        return u, v, tuple(path_edge_mask(G, p) for p in paths)
 
     pairs = []
     for i in range(rungs):
@@ -296,22 +294,21 @@ def _assert_pairs_match_enumeration(G, ks):
     the path not fixed by its ends; it returns how many such masks it
     checked. Calls alone and calls that share one arc table give the same
     pairs."""
-    arcs = arc_table(G)
+    arcs = [None] * G.n
     unfixed = 0
     for u in range(G.n):
         dist = bfs_distances(G, u)
         for k in ks:
             pairs = source_pairs(G, u, k)
             assert source_pairs(G, u, k, arcs) == pairs
-            assert [p.target for p in pairs] == [
+            assert [t for _, t, _ in pairs] == [
                 v for v in range(G.n) if 1 <= dist[v] <= k]
-            for p in pairs:
-                paths = enumerate_geodesics(G, u, p.target)
-                assert p.source == u
-                assert p.masks == tuple(path_edge_mask(G, path)
-                                        for path in paths)
-                assert tuple(mask_path(G, u, p.target, m)
-                             for m in p.masks) == paths
+            for source, t, masks in pairs:
+                paths = enumerate_geodesics(G, u, t)
+                assert source == u
+                assert masks == tuple(path_edge_mask(G, path)
+                                      for path in paths)
+                assert tuple(mask_path(G, u, t, m) for m in masks) == paths
                 if len(paths) > 1 and len(paths[0]) > 3:
                     unfixed += len(paths)
     return unfixed
@@ -322,20 +319,13 @@ def test_source_pairs_match_per_pair_enumeration(G):
     _assert_pairs_match_enumeration(G, range(1, 5))
 
 
-def test_pair_choices_fields_and_immutability():
-    assert PairChoices._fields == ("source", "target", "masks")
+def test_source_pairs_are_plain_triples():
+    """A pair is a plain (source, target, masks) tuple, no subclass."""
     G = family("cycle", 5)
     p = source_pairs(G, 0, 2)[1]
-    assert (p.source, p.target, p.masks) == \
-        (0, 2, (path_edge_mask(G, (0, 1, 2)),))
-    assert mask_path(G, p.source, p.target, p.masks[0]) == (0, 1, 2)
-    assert PairChoices(0, 2, p.masks) == p
-    assert PairChoices(source=0, target=2, masks=p.masks) == p
-    for field in PairChoices._fields:
-        with pytest.raises(AttributeError):
-            setattr(p, field, None)
-    with pytest.raises(AttributeError):
-        p.extra = None
+    assert type(p) is tuple
+    assert p == (0, 2, (path_edge_mask(G, (0, 1, 2)),))
+    assert mask_path(G, 0, 2, p[2][0]) == (0, 1, 2)
 
 
 def test_source_pairs_cap(monkeypatch):
@@ -346,8 +336,8 @@ def test_source_pairs_cap(monkeypatch):
         source_pairs(G, 0, 2)
     assert err.value.cap == 4
     monkeypatch.setattr(pathcover.cover, "GEODESIC_CAP", 5)
-    pairs = {p.target: p for p in source_pairs(G, 0, 2)}
-    assert len(pairs[1].masks) == 5
+    by_target = {t: masks for _, t, masks in source_pairs(G, 0, 2)}
+    assert len(by_target[1]) == 5
 
 
 def test_source_pairs_runs_one_bfs(monkeypatch):
@@ -537,7 +527,7 @@ def test_single_source_coverage_of_disconnected_graph():
     G = build_graph(4, [(0, 1), (2, 3)])
     assert weak_cover_set(G, 0, 2) == 1 << G.edge_id(0, 1)
     pairs = source_pairs(G, 0, 2)
-    assert pairs == (PairChoices(0, 1, (1 << G.edge_id(0, 1),)),)
+    assert pairs == ((0, 1, (1 << G.edge_id(0, 1),)),)
 
 
 # The 15 topologies of the benchmark's greedy-scale and weak-exact workloads
@@ -710,8 +700,8 @@ def test_feasible_from_pairs_is_handed_only_weak_covers(k, monkeypatch):
 
     def guarded(G, pairs):
         union = 0
-        for p in pairs:
-            for m in p.masks:
+        for _, _, masks in pairs:
+            for m in masks:
                 union |= m
         assert union == G.full_edge_mask()
         handed.append(G)

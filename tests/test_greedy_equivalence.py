@@ -30,7 +30,7 @@ from pathcover import (
     solve_greedy,
     verify_strong_witness,
 )
-from pathcover.cover import PairChoices, source_pairs, weak_masks
+from pathcover.cover import source_pairs, weak_masks
 from pathcover.solve import (
     _greedy_bound,
     _greedy_cover,
@@ -61,16 +61,16 @@ RANDOM_GRAPHS = 100
 def _reference_pair_gain(G, pairs, cover):
     gained = 0
     picks = []
-    for p in pairs:
+    for u, t, masks in pairs:
         best_i, best_gain = -1, 0
-        for i, m in enumerate(p.masks):
+        for i, m in enumerate(masks):
             gain = (m & ~(cover | gained)).bit_count()
             if gain > best_gain:
                 best_i, best_gain = i, gain
         if best_i >= 0:
-            gained |= p.masks[best_i]
-            path = enumerate_geodesics(G, p.source, p.target)[best_i]
-            picks.append(((p.source, p.target), path))
+            gained |= masks[best_i]
+            path = enumerate_geodesics(G, u, t)[best_i]
+            picks.append(((u, t), path))
     return gained, picks
 
 
@@ -135,8 +135,8 @@ def test_greedy_gain_can_rise_as_the_cover_grows():
     {0, 1} and the second adds nothing: gain 2. Once edge 0 is covered the
     first pair takes {2, 3} and the second adds edge 1: gain 3. The
     choice-pair scoring reads the same gains."""
-    pairs = (PairChoices(0, 1, (0b0011, 0b1100)),
-             PairChoices(0, 4, (0b0011,)))
+    pairs = ((0, 1, (0b0011, 0b1100)),
+             (0, 4, (0b0011,)))
     forced, choice = _greedy_source(pairs)
     gained, picks = _greedy_pair_gain(pairs, 0)
     assert (gained, picks) == (0b0011, [(0, 1, 0b0011)])
@@ -153,9 +153,9 @@ def _all_pairs_bound(pairs, cover):
     its paths' union outside ``cover`` and away from the source)."""
     star = 0
     tails = []
-    for p in pairs:
-        union = reduce(or_, p.masks)
-        d = p.masks[0].bit_count()
+    for _, _, masks in pairs:
+        union = reduce(or_, masks)
+        d = masks[0].bit_count()
         if d == 1:
             star |= union
         else:
@@ -196,9 +196,9 @@ def test_greedy_bound_holds_and_never_rises():
                 last[w] = bound
                 checked += 1
             chosen.add(v)
-            for p in pairs_by_source[v]:
+            for _, _, masks in pairs_by_source[v]:
                 if rng.random() < 0.5:
-                    cover |= rng.choice(p.masks)
+                    cover |= rng.choice(masks)
     assert checked > 1000
 
 

@@ -99,15 +99,15 @@ def test_strong_coverage_within_weak_and_equality_when_unique(G, k):
         weak = weak_cover_set(G, u, k)
         pairs = source_pairs(G, u, k)
         union = 0
-        for p in pairs:
-            for mask in p.masks:
+        for _, _, masks in pairs:
+            for mask in masks:
                 union |= mask
                 assert mask & weak == mask  # each geodesic stays inside weak
         assert union == weak
-        if all(len(p.masks) == 1 for p in pairs):
+        if all(len(masks) == 1 for _, _, masks in pairs):
             forced = 0
-            for p in pairs:
-                forced |= p.masks[0]
+            for _, _, masks in pairs:
+                forced |= masks[0]
             assert forced == weak
 
 

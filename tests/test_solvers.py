@@ -732,8 +732,8 @@ def _max_strong_coverage(pairs):
     of one path per pair (an omitted pair would add nothing); pairs with
     one path come first, which keeps the set of distinct unions small."""
     unions = {0}
-    for p in sorted(pairs, key=lambda p: len(p.masks)):
-        unions = {u | m for u in unions for m in p.masks}
+    for _, _, masks in sorted(pairs, key=lambda p: len(p[2])):
+        unions = {u | m for u in unions for m in masks}
     return max(map(int.bit_count, unions))
 
 
@@ -764,9 +764,8 @@ def test_deficiency_is_edges_the_best_choice_leaves():
             pairs = [p for u in order[:i + 1] for p in source_pairs(G, u, 2)]
             assert deficiency(state) == G.m - _max_strong_coverage(pairs), \
                 (seed, order[:i + 1])
-            paths = {(p.source, p.target): enumerate_geodesics(G, p.source,
-                                                               p.target)
-                     for p in pairs}
+            paths = {(u, t): enumerate_geodesics(G, u, t)
+                     for u, t, _ in pairs}
             witness = bound.witness(order[:i + 1], state)
             union = 0
             for pair, path in witness.assignments:

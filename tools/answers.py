@@ -35,7 +35,11 @@ apply). The battery:
   64 vertices, of the ten greedy-scale topologies and of the deeper
   Sierpinski and silicate instances, ``sierpinski(6)``, ``sierpinski(7)``,
   ``sierpinski_gasket(6)``, ``sierpinski_gasket(7)``, ``silicate(4)`` and
-  ``silicate(5)``.
+  ``silicate(5)``; and, per graph of ``tests/data/exact_sets.json`` and per
+  greedy-scale topology at k = 1, 2, 3, a digest of every source's
+  ``source_pairs`` (its targets and the masks in order, read as plain
+  ints), so that the geodesic choice sets every strong solver reads are
+  compared too.
 
     python tools/answers.py                # the answers of src/
     python tools/answers.py --src DIR      # the answers of DIR/pathcover
@@ -113,12 +117,22 @@ def _graph_digest(pc, G) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _pairs_digest(pc, G, k: int) -> str:
+    """A digest of ``source_pairs(G, u, k)`` for every source u, each pair
+    unpacked into ints and a tuple of masks, whatever type holds it."""
+    text = repr([[(u, t, tuple(masks))
+                  for u, t, masks in pc.cover.source_pairs(G, v, k)]
+                 for v in range(G.n)])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _catalogue(pc) -> list[str]:
     """One row per registry record, its instances at ``CATALOGUE_MAX_N``
-    with their claimed values, and one per generated graph, its digest:
-    every family instance with at most ``CATALOGUE_GRAPH_N`` vertices (each
+    with their claimed values; one per generated graph, its digest: every
+    family instance with at most ``CATALOGUE_GRAPH_N`` vertices (each
     family takes one parameter or two), then the greedy-scale and the deep
-    topologies. Each value sits in the set field."""
+    topologies; and one per exact_sets graph and greedy-scale topology and
+    k in ``KS``, its ``_pairs_digest``. Each value sits in the set field."""
     lines = []
     for record in pc.claims_registry():
         listed = [(params, record.value(params))
@@ -143,6 +157,16 @@ def _catalogue(pc) -> list[str]:
         G = pc.generate(pc.FamilySpec(family, params))
         lines.append(f"catalogue {family}{params} graph\t-\t"
                      f"{_graph_digest(pc, G)}\t-\t-")
+    graphs = [(f"exact_sets {inst['name']}",
+               pc.build_graph(inst["n"], [tuple(e) for e in inst["edges"]]))
+              for inst in json.loads(EXACT_SETS.read_text())["instances"]]
+    graphs += [(f"topology {family}{params}",
+                pc.generate(pc.FamilySpec(family, params)))
+               for family, params in GREEDY_TOPOLOGIES]
+    for name, G in graphs:
+        for k in KS:
+            lines.append(f"catalogue {name} k={k} pairs\t-\t"
+                         f"{_pairs_digest(pc, G, k)}\t-\t-")
     return lines
 
 
