@@ -523,7 +523,8 @@ def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
     lowest on ties, as a scan of every vertex would. The gains come lazily
     from one heap of entries (-key, v, version). The key is v's kept gain
     when v has one, and an upper bound on its gain when it has none, so an
-    entry needs no flag to say which it is.
+    entry needs no flag to say which it is. The bound is v's weak-mask
+    count until v's pairs are built, and ub(v, cover) after.
 
     - Choice pairs. In ``_greedy_pair_gain`` a one-path pair either takes
       its only path, or that path already lies in the edges taken: either
@@ -557,34 +558,68 @@ def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
       edge at v, the path of a one-path pair at distance 1, so in F; its
       other d - 1 edges lie in U_p. So ub is at least the gain, and it only
       falls as ``cover`` grows: a bound pushed in an earlier round holds.
+    - The weak-mask bound. Every entry starts from the number of edges of
+      v's weak mask (``weak_masks``) outside ``cover``, read from the balls
+      with no geodesic walk. Every path a pair of v takes is a geodesic from
+      v of at most k edges, so each of its edges joins distances r and r + 1
+      from v for some r < k and lies in v's weak mask. So the gain lies
+      there too: the count is at least the gain, and it only falls as
+      ``cover`` grows. v's pairs are built (``source_pairs``,
+      ``_greedy_source``) only when this count, fresh, is the top key; a
+      vertex never picked may never build them.
+    - Refreshing a popped bound. A popped entry that is not a kept gain is
+      first replaced by v's fresh bound, the weak-mask count or ub(v,
+      cover), when that is lower: a bound only falls as ``cover`` grows, so
+      the fresh one still holds, and it goes back in the heap. Only when it
+      equals the popped key, so no other key is higher, does v go on: to
+      build its pairs, or, once built, to be scored by ``_greedy_gain``.
+      When v's pairs are just built, ub(v, cover) is compared with the
+      popped key in the same way; ub may exceed the weak-mask count, and v
+      is then scored at once.
     - The heap tie-break. Every unchosen vertex has exactly one current
       entry, and its key is at least the vertex's gain. So when the top
       entry is a kept gain, no vertex gains more and no lower vertex gains
       as much: ordering by (-key, v) picks the largest gain and the lowest
-      vertex on ties. A bound on top is replaced by the gain, computed then.
+      vertex on ties. A bound on top is replaced by a fresh bound or by the
+      gain, either way by one entry with a key at least the gain.
     - Invalidation. When a pick covers an edge of a kept ``gained``, it
       is dropped and the vertex's version is bumped, so its entry goes
       stale, and a fresh bound is pushed. The old gain is not pushed again:
       gains can rise (a pair whose best path was spent may switch to one
       that adds more, leaving edges for later pairs), so it is no bound.
+
+    A source whose pairs are never built cannot raise
+    ``EnumerationCapError`` (more than ``GEODESIC_CAP`` geodesics between
+    two vertices). So the greedy may answer on a graph where building every
+    source's pairs would raise, and never raises where that would answer.
     """
     universe = G.full_edge_mask()
     arcs = [None] * G.n
-    pairs_by_source = [source_pairs(G, v, k, arcs) for v in range(G.n)]
-    sources = [_greedy_source(pairs) for pairs in pairs_by_source]
+    weak = weak_masks(G, k)
+    pairs_by_source: list = [None] * G.n
+    sources: list = [None] * G.n
     kept: dict[int, int] = {}  # v -> gained
     version = [0] * G.n
-    heap = [(-_greedy_bound(forced, choice, 0), v, 0)
-            for v, (forced, choice) in enumerate(sources)]
+    heap = [(-m.bit_count(), v, 0) for v, m in enumerate(weak)]
     heapify(heap)
     chosen = []
     assigned = []
     cover = 0
     while cover != universe:
-        _, v, ver = heappop(heap)
+        neg_key, v, ver = heappop(heap)
         if ver != version[v]:
             continue
         if v not in kept:
+            if sources[v] is None:
+                bound = (weak[v] & ~cover).bit_count()
+                if bound == -neg_key:
+                    pairs_by_source[v] = source_pairs(G, v, k, arcs)
+                    sources[v] = _greedy_source(pairs_by_source[v])
+            if sources[v] is not None:
+                bound = _greedy_bound(*sources[v], cover)
+            if bound < -neg_key:
+                heappush(heap, (-bound, v, ver))
+                continue
             kept[v] = gained = _greedy_gain(*sources[v], cover)
             heappush(heap, (-gained.bit_count(), v, ver))
             continue

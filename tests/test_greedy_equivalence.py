@@ -13,7 +13,9 @@ The scoring tests check what the heap orders vertices by: the gain read
 from a source's choice pairs alone is exactly the gain of the walk over
 every pair, and the upper bound is never below it, never rises as the
 cover grows, and is never above the bound over every pair at distance
-d >= 2.
+d >= 2; the weak-mask count a vertex enters the heap with is never below
+the gain and never rises either. The work ceilings count the sources
+whose geodesics strong greedy enumerates and the gains it scores.
 
 The weak greedy ``_greedy_cover`` is lazy; it must pick what
 ``greedy_cover_scan``, a scan of every mask each round, picks.
@@ -30,6 +32,7 @@ from pathcover import (
     solve_greedy,
     verify_strong_witness,
 )
+from pathcover import solve
 from pathcover.cover import source_pairs, weak_masks
 from pathcover.solve import (
     _greedy_bound,
@@ -124,8 +127,36 @@ def test_greedy_strong_matches_reference_on_random_graphs():
         rng = random.Random(seed)
         G = random_connected_graph(rng, max_n=rng.randint(4, 24),
                                    edge_prob=rng.choice((0.15, 0.3, 0.5)))
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4, G.n):
             _assert_matches_reference(G, k)
+
+
+@pytest.mark.parametrize("name, params, most_pairs, picks", [
+    ("sierpinski", (5,), 90, 90),
+    ("crown", (20,), 40, 17),
+], ids=["sierpinski(5)", "crown(20)"])
+def test_greedy_strong_work_ceilings(monkeypatch, name, params, most_pairs,
+                                     picks):
+    """Strong greedy enumerates a source's geodesics only once its
+    weak-mask count reaches the top of the heap, and scores a gain only
+    once its refreshed bound does: at k = 2, ``sierpinski(5)`` runs
+    ``source_pairs`` for 90 of its 243 sources, and both graphs score one
+    gain per pick (``crown(20)`` 17, against 223 when every popped bound
+    was scored). Exact counts, checked as ceilings."""
+    calls = {"source_pairs": 0, "_greedy_gain": 0}
+
+    def counted(fn):
+        def call(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return call
+
+    for fn in (solve.source_pairs, solve._greedy_gain):
+        monkeypatch.setattr(solve, fn.__name__, counted(fn))
+    result = solve_greedy(family(name, *params), 2, "strong")
+    assert calls["source_pairs"] <= most_pairs, calls
+    assert calls["_greedy_gain"] <= picks, calls
+    assert result.stats.nodes == picks
 
 
 def test_greedy_gain_can_rise_as_the_cover_grows():
@@ -169,7 +200,9 @@ def test_greedy_bound_holds_and_never_rises():
     """Covers grow from random vertices' random paths; at every step the
     bound of each unchosen vertex is at least its exact gain outside the
     cover, at most its bound at the step before, and at most the bound
-    over every pair at distance d >= 2."""
+    over every pair at distance d >= 2. The vertex's weak-mask count
+    outside the cover, the key it enters the heap with, is likewise at
+    least its exact gain and never rises."""
     checked = 0
     for seed in range(60):
         rng = random.Random(seed)
@@ -178,9 +211,11 @@ def test_greedy_bound_holds_and_never_rises():
         k = 1 + seed % 4
         pairs_by_source = [source_pairs(G, v, k) for v in range(G.n)]
         sources = [_greedy_source(pairs) for pairs in pairs_by_source]
+        weak = weak_masks(G, k)
         chosen = set()
         cover = 0
         last = [None] * G.n
+        last_weak = [None] * G.n
         for v in rng.sample(range(G.n), G.n):
             for w in range(G.n):
                 if w in chosen:
@@ -194,6 +229,11 @@ def test_greedy_bound_holds_and_never_rises():
                 if last[w] is not None:
                     assert bound <= last[w], (seed, w)
                 last[w] = bound
+                weak_bound = (weak[w] & ~cover).bit_count()
+                assert weak_bound >= gained.bit_count(), (seed, w)
+                if last_weak[w] is not None:
+                    assert weak_bound <= last_weak[w], (seed, w)
+                last_weak[w] = weak_bound
                 checked += 1
             chosen.add(v)
             for _, _, masks in pairs_by_source[v]:
