@@ -441,13 +441,10 @@ def _greedy_weak(G: Graph, k: int) -> tuple[list[int], None]:
     return _greedy_cover(weak_masks(G, k), G.full_edge_mask()), None
 
 
-def _greedy_source(
-    pairs: tuple[tuple, ...]
-) -> tuple[int, list[tuple[int, tuple[int, ...], int, int]]]:
-    """What strong greedy derives from one source's pairs, once per solve:
+def _greedy_source(pairs: tuple[tuple, ...]) -> tuple[int, list]:
+    """What ``_greedy_bound`` reads from one source's pairs, once per solve:
     F, the union of the masks of its one-path pairs, and per choice pair
-    (a pair with more than one geodesic), in target order, the union of
-    the one-path masks before it, its masks, U_p, the union of those, and
+    (a pair with more than one geodesic) U_p, the union of its masks, and
     d, the number of edges of each of its paths."""
     forced = 0
     choice = []
@@ -455,8 +452,7 @@ def _greedy_source(
         if len(masks) == 1:
             forced |= masks[0]
         else:
-            choice.append((forced, masks, reduce(or_, masks),
-                           masks[0].bit_count()))
+            choice.append((reduce(or_, masks), masks[0].bit_count()))
     return forced, choice
 
 
@@ -493,23 +489,12 @@ def _greedy_pair_gain(
     return taken & ~cover, picks
 
 
-def _greedy_gain(forced: int, choice: list, cover: int) -> int:
-    """The edges ``_greedy_pair_gain`` gains outside ``cover``, read from
-    ``_greedy_source``'s F and choice pairs (see ``_greedy_strong``)."""
-    taken = cover
-    for pre, masks, union, d in choice:
-        free = union & ~(taken | pre)
-        if free:
-            taken |= masks[_best_path(masks, free, d)]
-    return (taken | forced) & ~cover
-
-
 def _greedy_bound(forced: int, choice: list, cover: int) -> int:
     """ub(v, cover): an upper bound on v's greedy gain outside ``cover``,
     from ``_greedy_source``'s F and choice pairs (see ``_greedy_strong``)."""
     off = ~(cover | forced)
     return (forced & ~cover).bit_count() + sum(
-        min(d - 1, (union & off).bit_count()) for _, _, union, d in choice)
+        min(d - 1, (union & off).bit_count()) for union, d in choice)
 
 
 def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
@@ -526,38 +511,31 @@ def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
     entry needs no flag to say which it is. The bound is v's weak-mask
     count until v's pairs are built, and ub(v, cover) after.
 
-    - Choice pairs. In ``_greedy_pair_gain`` a one-path pair either takes
-      its only path, or that path already lies in the edges taken: either
-      way the edges taken after it are those before it plus its path. So
-      when a choice pair is reached, the edges taken are ``cover``, the
-      union P of the one-path masks before it and the paths the choice
-      pairs before it took, and the path it takes, if any, depends on
-      these alone. The edges gained in all are F, the union of every
-      one-path mask, plus the paths the choice pairs took, outside
-      ``cover``. ``_greedy_gain`` walks only the choice pairs, each with
-      its P, so it scores exactly ``_greedy_pair_gain``'s gain; a source
-      with no choice pair gains F outside ``cover``. The walk that also
-      gives the picks for the witness runs only for the vertex picked, and
-      by the next point it gains what the vertex's kept gain says.
-    - Kept gains. A vertex keeps ``gained``, the edges outside ``cover``
-      that ``_greedy_gain`` gives it, until a pick covers one of those
-      edges. Until then ``gained`` stays outside ``cover``, so picking the
-      vertex covers exactly ``gained``. And the kept result is what a fresh
-      walk would give, since ``_greedy_pair_gain`` reads ``cover`` only
-      through the edges taken so far. Take the pairs in order, with those
-      edges as before plus the newly covered ones: the path a pair took
-      adds only edges of ``gained``, which the new ones miss, so it keeps
-      its gain, and every other path's gain can only fall; so the pair
-      takes the same first path of largest gain, or none when all were 0.
-    - The bound. ub(v, cover) is the number of edges of F outside
-      ``cover`` plus, over v's choice pairs, the sum of min(d - 1, number
-      of edges of U_p - F outside ``cover``), where U_p is the union of the
-      pair's paths, each of d >= 2 edges (``_greedy_bound``). The gain is
-      F outside ``cover`` plus, per choice pair that takes a path, that
-      path's edges outside ``cover`` and F. A path from v starts with an
-      edge at v, the path of a one-path pair at distance 1, so in F; its
-      other d - 1 edges lie in U_p. So ub is at least the gain, and it only
-      falls as ``cover`` grows: a bound pushed in an earlier round holds.
+    - Kept gains. A vertex keeps ``(gained, picks)``, the edges outside
+      ``cover`` that ``_greedy_pair_gain`` gives it and the paths that gain
+      them, until a pick covers one of those edges. Until then ``gained``
+      stays outside ``cover``, so picking the vertex covers exactly
+      ``gained``. And the kept result is what a fresh walk would give,
+      since ``_greedy_pair_gain`` reads ``cover`` only through the edges
+      taken so far. Take the pairs in order, with those edges as before
+      plus the newly covered ones: the path a pair took adds only edges of
+      ``gained``, which the new ones miss, so it keeps its gain, and every
+      other path's gain can only fall; so the pair takes the same first
+      path of largest gain, or none when all were 0. So a pick that misses
+      ``gained`` leaves the walk's picks unchanged too, and the vertex
+      picked takes its witness paths from ``picks`` with no second walk.
+    - The bound. ub(v, cover) is the number of edges of F, the union of
+      the masks of v's one-path pairs, outside ``cover`` plus, over v's
+      choice pairs (those with more than one path), the sum of min(d - 1,
+      number of edges of U_p - F outside ``cover``), where U_p is the union
+      of the pair's paths, each of d >= 2 edges (``_greedy_bound``). A
+      one-path pair either takes its only path or finds it in the edges
+      taken already, so the gain is F outside ``cover`` plus, per choice
+      pair that takes a path, that path's edges outside ``cover`` and F. A
+      path from v starts with an edge at v, the path of a one-path pair at
+      distance 1, so in F; its other d - 1 edges lie in U_p. So ub is at
+      least the gain, and it only falls as ``cover`` grows: a bound pushed
+      in an earlier round holds.
     - The weak-mask bound. Every entry starts from the number of edges of
       v's weak mask (``weak_masks``) outside ``cover``, read from the balls
       with no geodesic walk. Every path a pair of v takes is a geodesic from
@@ -572,10 +550,10 @@ def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
       cover), when that is lower: a bound only falls as ``cover`` grows, so
       the fresh one still holds, and it goes back in the heap. Only when it
       equals the popped key, so no other key is higher, does v go on: to
-      build its pairs, or, once built, to be scored by ``_greedy_gain``.
-      When v's pairs are just built, ub(v, cover) is compared with the
-      popped key in the same way; ub may exceed the weak-mask count, and v
-      is then scored at once.
+      build its pairs, or, once built, to be scored by
+      ``_greedy_pair_gain``. When v's pairs are just built, ub(v, cover) is
+      compared with the popped key in the same way; ub may exceed the
+      weak-mask count, and v is then scored at once.
     - The heap tie-break. Every unchosen vertex has exactly one current
       entry, and its key is at least the vertex's gain. So when the top
       entry is a kept gain, no vertex gains more and no lower vertex gains
@@ -598,7 +576,7 @@ def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
     weak = weak_masks(G, k)
     pairs_by_source: list = [None] * G.n
     sources: list = [None] * G.n
-    kept: dict[int, int] = {}  # v -> gained
+    kept: dict[int, tuple[int, list]] = {}  # v -> (gained, picks)
     version = [0] * G.n
     heap = [(-m.bit_count(), v, 0) for v, m in enumerate(weak)]
     heapify(heap)
@@ -620,16 +598,15 @@ def _greedy_strong(G: Graph, k: int) -> tuple[list[int], StrongWitness]:
             if bound < -neg_key:
                 heappush(heap, (-bound, v, ver))
                 continue
-            kept[v] = gained = _greedy_gain(*sources[v], cover)
-            heappush(heap, (-gained.bit_count(), v, ver))
+            kept[v] = _greedy_pair_gain(pairs_by_source[v], cover)
+            heappush(heap, (-kept[v][0].bit_count(), v, ver))
             continue
-        del kept[v]
+        gained, picks = kept.pop(v)
         version[v] += 1
-        gained, picks = _greedy_pair_gain(pairs_by_source[v], cover)
         chosen.append(v)
         cover |= gained
         assigned.extend(picks)
-        for w in [w for w, other in kept.items() if other & gained]:
+        for w in [w for w, (other, _) in kept.items() if other & gained]:
             del kept[w]
             version[w] += 1
             heappush(heap, (-_greedy_bound(*sources[w], cover), w,

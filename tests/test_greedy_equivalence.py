@@ -9,13 +9,15 @@ from ``enumerate_geodesics``, not from the solver's rebuild of a mask.
 ``tests/data/greedy_sets.json`` reaches only 20 vertices and pins no
 witness, so the benchmark's topologies are checked here too.
 
-The scoring tests check what the heap orders vertices by: the gain read
-from a source's choice pairs alone is exactly the gain of the walk over
-every pair, and the upper bound is never below it, never rises as the
-cover grows, and is never above the bound over every pair at distance
-d >= 2; the weak-mask count a vertex enters the heap with is never below
-the gain and never rises either. The work ceilings count the sources
-whose geodesics strong greedy enumerates and the gains it scores.
+The scoring tests check what the heap orders vertices by and what a
+pick reads: the upper bound is never below the walk's gain, never rises
+as the cover grows, and is never above the bound over every pair at
+distance d >= 2; the weak-mask count a vertex enters the heap with is
+never below the gain and never rises either; and a walk's gain and
+picks stay the same when the cover grows by edges outside that gain, so
+a vertex picked reads its witness paths from its kept walk. The work
+ceilings count the sources whose geodesics strong greedy enumerates, the
+pair walks it runs and the path scans those make.
 
 The weak greedy ``_greedy_cover`` is lazy; it must pick what
 ``greedy_cover_scan``, a scan of every mask each round, picks.
@@ -37,7 +39,6 @@ from pathcover.cover import source_pairs, weak_masks
 from pathcover.solve import (
     _greedy_bound,
     _greedy_cover,
-    _greedy_gain,
     _greedy_pair_gain,
     _greedy_source,
 )
@@ -131,19 +132,22 @@ def test_greedy_strong_matches_reference_on_random_graphs():
             _assert_matches_reference(G, k)
 
 
-@pytest.mark.parametrize("name, params, most_pairs, picks", [
-    ("sierpinski", (5,), 90, 90),
-    ("crown", (20,), 40, 17),
-], ids=["sierpinski(5)", "crown(20)"])
+@pytest.mark.parametrize("name, params, most_pairs, picks, most_scans", [
+    ("sierpinski", (5,), 90, 90, None),
+    ("crown", (20,), 40, 17, 342),
+    ("hypercube", (6,), 64, 15, None),
+], ids=["sierpinski(5)", "crown(20)", "hypercube(6)"])
 def test_greedy_strong_work_ceilings(monkeypatch, name, params, most_pairs,
-                                     picks):
+                                     picks, most_scans):
     """Strong greedy enumerates a source's geodesics only once its
-    weak-mask count reaches the top of the heap, and scores a gain only
-    once its refreshed bound does: at k = 2, ``sierpinski(5)`` runs
-    ``source_pairs`` for 90 of its 243 sources, and both graphs score one
-    gain per pick (``crown(20)`` 17, against 223 when every popped bound
-    was scored). Exact counts, checked as ceilings."""
-    calls = {"source_pairs": 0, "_greedy_gain": 0}
+    weak-mask count reaches the top of the heap, and walks a source's
+    pairs only once its refreshed bound does; a pick reads the walk it
+    kept. At k = 2, ``sierpinski(5)`` runs ``source_pairs`` for 90 of its
+    243 sources, and each graph makes one ``_greedy_pair_gain`` walk per
+    pick. ``crown(20)``'s walks make 342 ``_best_path`` scans; a second
+    scan of the choice pairs per scoring makes 568. Exact counts, checked
+    as ceilings."""
+    calls = {"source_pairs": 0, "_greedy_pair_gain": 0, "_best_path": 0}
 
     def counted(fn):
         def call(*args):
@@ -151,11 +155,14 @@ def test_greedy_strong_work_ceilings(monkeypatch, name, params, most_pairs,
             return fn(*args)
         return call
 
-    for fn in (solve.source_pairs, solve._greedy_gain):
+    for fn in (solve.source_pairs, solve._greedy_pair_gain,
+               solve._best_path):
         monkeypatch.setattr(solve, fn.__name__, counted(fn))
     result = solve_greedy(family(name, *params), 2, "strong")
     assert calls["source_pairs"] <= most_pairs, calls
-    assert calls["_greedy_gain"] <= picks, calls
+    assert calls["_greedy_pair_gain"] <= picks, calls
+    if most_scans is not None:
+        assert calls["_best_path"] <= most_scans, calls
     assert result.stats.nodes == picks
 
 
@@ -164,18 +171,14 @@ def test_greedy_gain_can_rise_as_the_cover_grows():
     Edges 0..3 as bits; the first pair has paths {0, 1} and {2, 3}, the
     second one path {0, 1}. With nothing covered the first pair takes
     {0, 1} and the second adds nothing: gain 2. Once edge 0 is covered the
-    first pair takes {2, 3} and the second adds edge 1: gain 3. The
-    choice-pair scoring reads the same gains."""
+    first pair takes {2, 3} and the second adds edge 1: gain 3."""
     pairs = ((0, 1, (0b0011, 0b1100)),
              (0, 4, (0b0011,)))
-    forced, choice = _greedy_source(pairs)
     gained, picks = _greedy_pair_gain(pairs, 0)
     assert (gained, picks) == (0b0011, [(0, 1, 0b0011)])
-    assert _greedy_gain(forced, choice, 0) == 0b0011
     gained, picks = _greedy_pair_gain(pairs, 0b0001)
     assert gained == 0b1110
     assert picks == [(0, 1, 0b1100), (0, 4, 0b0011)]
-    assert _greedy_gain(forced, choice, 0b0001) == 0b1110
 
 
 def _all_pairs_bound(pairs, cover):
@@ -243,11 +246,12 @@ def test_greedy_bound_holds_and_never_rises():
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
-def test_greedy_choice_pair_scoring_equals_the_full_walk(k):
-    """On random covers, each a random subset of the edges, the gain read
-    from a source's one-path union and choice pairs is exactly the gain of
-    the walk over every pair, on random graphs and on graphs where most
-    pairs have a choice of paths."""
+def test_greedy_kept_picks_hold_while_the_cover_misses_the_gain(k):
+    """On random covers, each a random subset of the edges, a source's
+    walk gives the same gain and the same picks after the cover grows by
+    random edges outside that gain: the fact that lets a pick read its
+    witness paths from the walk that scored it. Random graphs, and graphs
+    where most pairs have a choice of paths."""
     graphs = [family("crown", 6), family("hypercube", 4),
               family("complete_bipartite", 3, 4)]
     rng = random.Random(k)
@@ -255,17 +259,18 @@ def test_greedy_choice_pair_scoring_equals_the_full_walk(k):
         graphs.append(random_connected_graph(
             rng, max_n=rng.randint(4, 16),
             edge_prob=rng.choice((0.2, 0.35, 0.5))))
-    choices = 0
+    grown = 0
     for G in graphs:
         for v in range(G.n):
             pairs = source_pairs(G, v, k)
-            forced, choice = _greedy_source(pairs)
-            choices += len(choice)
             for _ in range(5):
                 cover = rng.getrandbits(G.m) & rng.getrandbits(G.m)
-                assert _greedy_gain(forced, choice, cover) == \
-                    _greedy_pair_gain(pairs, cover)[0], (G, v, cover)
-    assert (choices > 100) == (k > 1)  # at k = 1 every pair is one edge
+                gained, picks = _greedy_pair_gain(pairs, cover)
+                new = rng.getrandbits(G.m) & ~gained & ~cover
+                grown += new != 0
+                assert _greedy_pair_gain(pairs, cover | new) == \
+                    (gained, picks), (G, v, cover, new)
+    assert grown > 1000
 
 
 def _random_masks(rng):
