@@ -393,14 +393,16 @@ def feasible_from_pairs(
 
     Matching leaf: when no gain exceeds 1, ``Matching`` decides, from the
     empty state with cut 0. At k = 2 this always holds: a length-2 path
-    u-x-t starts on an edge of u's forced star.
+    u-x-t starts on an edge of u's forced star. At k >= 3 it holds on a
+    diameter-2 graph, and often at larger diameters too.
 
-    Otherwise (k >= 3, the reduction gadgets) the search backtracks over
-    uncovered edges in ascending canonical index, trying candidate (pair,
-    geodesic-through-edge) assignments in lexicographic order. Failed
-    states are memoized on the (covered-edge mask, assigned-pair mask)
-    pair; the covered mask alone would be an unsound key because a state's
-    remaining freedom depends on which pairs are spent.
+    Otherwise (some path adds two edges, as in the reduction gadgets) the
+    search backtracks over uncovered edges in ascending canonical index,
+    trying candidate (pair, geodesic-through-edge) assignments in
+    lexicographic order. Failed states are memoized on the (covered-edge
+    mask, assigned-pair mask) pair; the covered mask alone would be an
+    unsound key because a state's remaining freedom depends on which pairs
+    are spent.
 
     Capacity bound: every state's mask contains ``base``, so an unassigned
     pair adds at most its gain. A state whose uncovered edges outnumber the
@@ -419,8 +421,10 @@ def feasible_from_pairs(
     gain = [max((m & ~base).bit_count() for m in masks)
             for _, _, masks in choice]
 
-    # every k on a diameter-2 graph: solve_exact(double_fan(15), 3, "strong")
-    # took 0.002 s with this branch and 36 s without it (2-core Xeon VM)
+    # any k and diameter where no choice path adds two edges beyond base (at
+    # k = 3, 4: 1,856 of 4,115 strong solve_exact proofs on 251 graphs of
+    # diameter >= 3, README); solve_exact(double_fan(15), 3, "strong") took
+    # 0.002 s with this branch and 36 s without it (2-core Xeon VM)
     if max(gain, default=0) <= 1:
         matching = Matching(G)
         state = matching.extend((0, {}, 0), base,

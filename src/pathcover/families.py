@@ -120,75 +120,62 @@ def _hypercube(r: int):
 
 # --- butterflies and relatives ---------------------------------------------
 #
-# Butterfly vertices are (word, level) with word a binary string of length r
-# and levels 0..r; (w, i) ~ (w', i+1) iff w = w' or w, w' differ exactly in
-# bit position i (0-indexed). Each level transition i contributes 2^{r-1}
-# "diamonds": 4-cycles on the word pair {w, w ^ (1 << i)} across levels
-# i and i+1.
-
-def _bf_index(r: int, w: int, lvl: int) -> int:
-    return lvl * (1 << r) + w
-
+# Butterfly vertex (w, l), for an r-bit word w and a level l, is numbered
+# l * 2^r + w. Level transition l flips bit b = bits[l]: its 2^(r-1)
+# diamonds are the 4-cycles on the corners (w, l), (w + 2^b, l), (w, l + 1)
+# and (w + 2^b, l + 1), bit b of w clear. The four sides of every diamond
+# are the butterfly's edges; BF, ABF and EBF flip bit l at transition l.
 
 def _bf_labels(r: int, levels: int) -> list[str]:
     return [f"{w:0{r}b}.{lvl}" for lvl in range(levels + 1)
             for w in range(1 << r)]
 
 
-def _butterfly_edges(r: int, bits) -> list[tuple[int, int]]:
-    """Level transition i flips bit ``bits[i]``."""
-    edges = []
-    for lvl, bit in enumerate(bits):
-        for w in range(1 << r):
-            edges.append((_bf_index(r, w, lvl), _bf_index(r, w, lvl + 1)))
-            edges.append((_bf_index(r, w, lvl),
-                          _bf_index(r, w ^ (1 << bit), lvl + 1)))
-    return edges
-
-
-def _butterfly_diamonds(r: int) -> list[tuple[int, int, int]]:
-    """(level transition, word, partner word) with word < partner."""
+def _diamonds(r: int, bits) -> list[tuple[int, int, int, int]]:
+    """The corners of every diamond, as vertex numbers in the order above,
+    transition by transition and then by word."""
     out = []
-    for lvl in range(r):
+    for lvl, b in enumerate(bits):
         for w in range(1 << r):
-            x = w ^ (1 << lvl)
-            if w < x:
-                out.append((lvl, w, x))
+            if not w >> b & 1:
+                low, high = (lvl << r) + w, ((lvl + 1) << r) + w
+                out.append((low, low + (1 << b), high, high + (1 << b)))
     return out
 
 
+def _sides(diamonds) -> list[tuple[int, int]]:
+    """Each diamond's lower corners joined to its upper corners."""
+    return [(u, v) for *low, c, d in diamonds for u in low for v in (c, d)]
+
+
 def _butterfly(r: int):
-    return (r + 1) * (1 << r), _butterfly_edges(r, range(r)), _bf_labels(r, r)
+    return (r + 1) << r, _sides(_diamonds(r, range(r))), _bf_labels(r, r)
 
 
 def _augmented_butterfly(r: int):
-    # one chord per diamond, joining the antipodal pair in the higher level
-    edges = _butterfly_edges(r, range(r))
-    for lvl, w, x in _butterfly_diamonds(r):
-        edges.append((_bf_index(r, w, lvl + 1), _bf_index(r, x, lvl + 1)))
-    return (r + 1) * (1 << r), edges, _bf_labels(r, r)
+    # one chord per diamond, joining its two upper corners
+    diamonds = _diamonds(r, range(r))
+    edges = _sides(diamonds) + [(c, d) for _, _, c, d in diamonds]
+    return (r + 1) << r, edges, _bf_labels(r, r)
 
 
 def _enhanced_butterfly(r: int):
-    # one new center vertex per diamond, joined to all four diamond corners
-    edges = _butterfly_edges(r, range(r))
-    base = (r + 1) * (1 << r)
+    # one centre per diamond, joined to its four corners and labelled
+    # core<w>.<l> after its corner (w, l)
+    diamonds = _diamonds(r, range(r))
+    edges = _sides(diamonds)
     labels = _bf_labels(r, r)
-    for i, (lvl, w, x) in enumerate(_butterfly_diamonds(r)):
-        center = base + i
-        edges += [(center, _bf_index(r, w, lvl)),
-                  (center, _bf_index(r, x, lvl)),
-                  (center, _bf_index(r, w, lvl + 1)),
-                  (center, _bf_index(r, x, lvl + 1))]
-        labels.append(f"core{w:0{r}b}.{lvl}")
-    return base + r * (1 << (r - 1)), edges, labels
+    for corners in diamonds:
+        edges += [(len(labels), v) for v in corners]
+        labels.append(f"core{labels[corners[0]]}")
+    return len(labels), edges, labels
 
 
 def _benes(r: int):
     # two butterflies sharing level r; transitions past level r mirror the
     # bit order so level 2r matches level 0
-    edges = _butterfly_edges(r, [*range(r), *reversed(range(r))])
-    return (2 * r + 1) * (1 << r), edges, _bf_labels(r, 2 * r)
+    diamonds = _diamonds(r, [*range(r), *reversed(range(r))])
+    return (2 * r + 1) << r, _sides(diamonds), _bf_labels(r, 2 * r)
 
 
 # --- silicate ---------------------------------------------------------------

@@ -52,62 +52,37 @@ class ReductionOutput:
 
 
 def reduce_vc(G: Graph, k: int) -> ReductionOutput:
-    """Build the gadget graph for the distance parameter ``k``."""
+    """Build the gadget graph for the distance parameter ``k``.
+
+    Its vertices are numbered: the originals 0..n-1; the path vertices of
+    input edge i at n + 2i and n + 2i + 1; apex b and apex c at n + 2m and
+    n + 2m + 1; then, for side b and then side c, its k - 3 tail vertices
+    (when k >= 4) and its triangle, contact first."""
     _check_k(k, 2)
     if G.m == 0:
         raise ValueError("reduction requires an input graph with edges")
     n, m = G.n, G.m
-    edges: list[tuple[int, int]] = []
-    roles: list[str] = [ROLE_ORIGINAL] * n
-
-    def new_vertex(role: str) -> int:
-        roles.append(role)
-        return len(roles) - 1
-
-    # subdivide every input edge by a path of length 3
-    path_vertices: list[int] = []
-    for u, v in G.edges:
-        p1 = new_vertex(ROLE_PATH)
-        p2 = new_vertex(ROLE_PATH)
-        path_vertices += [p1, p2]
-        edges += [(u, p1), (p1, p2), (p2, v)]
-
-    apex_b = new_vertex(ROLE_APEX_B)  # joined to every original vertex
-    apex_c = new_vertex(ROLE_APEX_C)  # joined to every path vertex
+    apex_b, apex_c = n + 2 * m, n + 2 * m + 1
+    roles = ([ROLE_ORIGINAL] * n + [ROLE_PATH] * (2 * m)
+             + [ROLE_APEX_B, ROLE_APEX_C])
+    # subdivide every input edge by a path of length 3; apex b is joined to
+    # every original vertex, apex c to every path vertex
+    edges = [e for p, (u, v) in zip(range(n, apex_b, 2), G.edges)
+             for e in ((u, p), (p, p + 1), (p + 1, v))]
     edges += [(v, apex_b) for v in range(n)]
-    edges += [(p, apex_c) for p in path_vertices]
-
-    def attach_triangle(apex: int) -> tuple[int, int, int]:
-        """Triangle with a contact vertex reached from ``apex`` by a tail of
-        length k - 3 (direct edge for k <= 3, both apexes for k = 2)."""
-        last = apex
-        if k >= 4:
-            for _ in range(k - 3):
-                t = new_vertex(ROLE_TAIL)
-                edges.append((last, t))
-                last = t
-        contact = new_vertex(ROLE_TRIANGLE)
-        deep1 = new_vertex(ROLE_TRIANGLE)
-        deep2 = new_vertex(ROLE_TRIANGLE)
-        edges.extend([(contact, deep1), (contact, deep2), (deep1, deep2)])
+    edges += [(p, apex_c) for p in range(n, apex_b)]
+    names = {"apex_b": apex_b, "apex_c": apex_c}
+    tail = max(k - 3, 0)
+    for side, apex, other in (("b", apex_b, apex_c), ("c", apex_c, apex_b)):
+        x = len(roles) + tail  # the contact, reached from the apex by the tail
+        roles += [ROLE_TAIL] * tail + [ROLE_TRIANGLE] * 3
+        chain = [apex, *range(x - tail, x + 1)]
+        edges += zip(chain, chain[1:])
         if k == 2:
-            edges.extend([(contact, apex_b), (contact, apex_c)])
-        else:
-            edges.append((last, contact))
-        return contact, deep1, deep2
-
-    xb, b1, b2 = attach_triangle(apex_b)
-    xc, c1, c2 = attach_triangle(apex_c)
-    names = {
-        "apex_b": apex_b,
-        "apex_c": apex_c,
-        "contact_b": xb,
-        "deep_b1": b1,
-        "deep_b2": b2,
-        "contact_c": xc,
-        "deep_c1": c1,
-        "deep_c2": c2,
-    }
+            edges.append((x, other))
+        edges += [(x, x + 1), (x, x + 2), (x + 1, x + 2)]
+        names |= {f"contact_{side}": x, f"deep_{side}1": x + 1,
+                  f"deep_{side}2": x + 2}
     gadget = build_graph(len(roles), edges)
     offset = 4 if k == 2 else 2
     return ReductionOutput(gadget, tuple(roles), offset, k, names)

@@ -24,6 +24,7 @@ from .cover import (
     ball_layers,
     coverer_index,
     source_pairs,
+    split_pairs,
     strong_test,
     weak_cover_set,
     weak_masks,
@@ -446,14 +447,9 @@ def _greedy_source(pairs: tuple[tuple, ...]) -> tuple[int, list]:
     F, the union of the masks of its one-path pairs, and per choice pair
     (a pair with more than one geodesic) U_p, the union of its masks, and
     d, the number of edges of each of its paths."""
-    forced = 0
-    choice = []
-    for _, _, masks in pairs:
-        if len(masks) == 1:
-            forced |= masks[0]
-        else:
-            choice.append((reduce(or_, masks), masks[0].bit_count()))
-    return forced, choice
+    _, forced, choice = split_pairs(pairs)
+    return forced, [(reduce(or_, masks), masks[0].bit_count())
+                    for _, _, masks in choice]
 
 
 def _best_path(masks: tuple[int, ...], free: int, d: int) -> int:

@@ -92,6 +92,61 @@ def test_butterfly_diamond_count(r):
     assert _consecutive_level_squares(r) == r * 2 ** (r - 1)
 
 
+BUTTERFLIES = ("butterfly", "augmented_butterfly", "enhanced_butterfly",
+               "benes")
+
+
+def _flipped_bits(name, r):
+    """The bit transition l flips: l, and for Benes 2r - 1 - l past r."""
+    levels = 2 * r if name == "benes" else r
+    return [lvl if lvl < r else 2 * r - 1 - lvl for lvl in range(levels)]
+
+
+@pytest.mark.parametrize("name", BUTTERFLIES)
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_butterfly_edges_follow_the_definition(name, r):
+    """Vertex (w, l) is l * 2^r + w, labelled by w's r bits and l. Every
+    edge between two levels joins (w, l) to (w, l + 1) or to
+    (w ^ 2^b, l + 1), b the bit transition l flips, and every such pair is
+    an edge. Within a level only the augmented butterfly has edges, its
+    upper chords: one per diamond, joining (w, l + 1) to (w ^ 2^l, l + 1)."""
+    G = family(name, r)
+    size = 1 << r
+    bits = _flipped_bits(name, r)
+    corners = (len(bits) + 1) * size
+    assert G.labels[:corners] == tuple(
+        f"{w:0{r}b}.{lvl}" for lvl in range(len(bits) + 1)
+        for w in range(size))
+    sides = {(lvl * size + w, (lvl + 1) * size + x)
+             for lvl, b in enumerate(bits) for w in range(size)
+             for x in (w, w ^ 1 << b)}
+    chords = {((lvl + 1) * size + w, (lvl + 1) * size + (w ^ 1 << lvl))
+              for lvl in range(r) for w in range(size) if not w >> lvl & 1}
+    between = {(u, v) for u, v in G.edges
+               if v < corners and u // size != v // size}
+    within = {(u, v) for u, v in G.edges
+              if v < corners and u // size == v // size}
+    assert between == sides
+    assert within == (chords if name == "augmented_butterfly" else set())
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_enhanced_butterfly_centres_join_their_diamonds(r):
+    """The centres follow the butterfly's vertices, one per diamond in
+    order of transition l and then word w (bit l of w clear), labelled
+    core<w>.<l>; each is joined to exactly its diamond's four corners."""
+    G = family("enhanced_butterfly", r)
+    size = 1 << r
+    diamonds = [(lvl, w) for lvl in range(r) for w in range(size)
+                if not w >> lvl & 1]
+    assert G.n == (r + 1) * size + len(diamonds)
+    for centre, (lvl, w) in enumerate(diamonds, start=(r + 1) * size):
+        assert G.labels[centre] == f"core{w:0{r}b}.{lvl}"
+        assert set(G.adj[centre]) == {
+            level * size + x for level in (lvl, lvl + 1)
+            for x in (w, w ^ 1 << lvl)}
+
+
 def test_generation_is_deterministic():
     for name, plist in SWEEP.items():
         spec = FamilySpec(name, plist[-1])

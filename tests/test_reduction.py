@@ -17,6 +17,8 @@ from pathcover.reduction import (
     ROLE_APEX_C,
     ROLE_ORIGINAL,
     ROLE_PATH,
+    ROLE_TAIL,
+    ROLE_TRIANGLE,
     forward_witness_set,
 )
 from conftest import family
@@ -102,6 +104,53 @@ def test_roles_partition():
     assert counts[ROLE_APEX_B] == counts[ROLE_APEX_C] == 1
     assert counts["triangle"] == 6
     assert counts["tail"] == 2  # k - 3 per side
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_INPUTS))
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_gadget_numbering_and_neighbourhoods(name, k):
+    """The path vertices of input edge i are n + 2i and n + 2i + 1, the
+    apexes n + 2m and n + 2m + 1, and every later vertex lies on side b
+    and then side c: its tail, contact and deep vertices in that order.
+    Apex b is joined to the originals, apex c to the path vertices. At
+    k = 2 each contact is joined to both apexes; at k >= 3 a chain runs
+    from its apex through k - 3 tail vertices to it. Each triangle is its
+    contact and two deep vertices, joined to nothing else."""
+    G = SMALL_INPUTS[name]
+    red = reduce_vc(G, k)
+    adj = [set(neigh) for neigh in red.gadget.adj]
+    names = red.names
+    n, m = G.n, G.m
+    apexes = {names["apex_b"], names["apex_c"]}
+    contacts = {names["contact_b"], names["contact_c"]}
+    assert (names["apex_b"], names["apex_c"]) == (n + 2 * m, n + 2 * m + 1)
+    for i, (u, v) in enumerate(G.edges):
+        p = n + 2 * i
+        assert red.roles[p] == red.roles[p + 1] == ROLE_PATH
+        assert adj[p] == {u, p + 1, names["apex_c"]}
+        assert adj[p + 1] == {p, v, names["apex_c"]}
+    later = []
+    for side, reach in (("b", set(range(n))), ("c", set(range(n, n + 2 * m)))):
+        apex, x = names[f"apex_{side}"], names[f"contact_{side}"]
+        deep = {names[f"deep_{side}1"], names[f"deep_{side}2"]}
+        if k == 2:
+            chain = [apex, x]
+            assert adj[apex] == reach | contacts
+            assert adj[x] == apexes | deep
+        else:
+            (first,) = adj[apex] - reach
+            chain = [apex, first]
+            for _ in range(k - 3):
+                (step,) = adj[chain[-1]] - {chain[-2]}
+                chain.append(step)
+            assert chain[-1] == x
+            assert adj[x] == {chain[-2]} | deep
+        assert [red.roles[t] for t in chain[1:-1]] == [ROLE_TAIL] * (k - 3)
+        for d in deep:
+            assert adj[d] == {x} | deep - {d}
+            assert red.roles[d] == red.roles[x] == ROLE_TRIANGLE
+        later += chain[1:] + [names[f"deep_{side}1"], names[f"deep_{side}2"]]
+    assert later == list(range(n + 2 * m + 2, red.gadget.n))
 
 
 def test_reduce_rejects_bad_inputs():

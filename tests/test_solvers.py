@@ -857,13 +857,20 @@ def test_diameter_two_proofs_never_backtrack(monkeypatch):
     """On a diameter-2 graph every geodesic has length at most 2, so at
     k >= 3 no path adds two edges beyond its source's star and every proof
     is a matching: ``feasible_from_pairs`` keeps its gain <= 1 branch for
-    this, and the search never backtracks."""
+    this, and the search never backtracks. The branch is read from the
+    pairs, not the diameter: ``double_fan(15)`` with a pendant vertex 17 on
+    vertex 2 has diameter 3, and its proofs at k = 3 are matchings too
+    (through the backtracking search they take tens of seconds)."""
     def no_backtrack(*args):
         raise AssertionError("backtracked")
 
     monkeypatch.setattr(cover, "_backtrack", no_backtrack)
-    result = solve_exact(family("double_fan", 15), 3, "strong")
-    assert (result.optimum, result.set) == (4, (2, 6, 10, 14))
+    fan = family("double_fan", 15)
+    pendant = build_graph(18, [*fan.edges, (2, 17)])
+    assert diameter(pendant) == 3
+    for G in (fan, pendant):
+        result = solve_exact(G, 3, "strong")
+        assert (result.optimum, result.set) == (4, (2, 6, 10, 14))
 
 
 def _registry_graphs(max_n):

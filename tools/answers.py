@@ -40,7 +40,10 @@ apply). The battery:
   greedy-scale topology at k = 1, 2, 3, a digest of every source's
   ``source_pairs`` (its targets and the masks in order, read as plain
   ints), so that the geodesic choice sets every strong solver reads are
-  compared too.
+  compared too; and, per ``reduce_vc(G, k)`` at k = 2, 3, 4, 5 for the six
+  reduction inputs of the benchmark's greedy-scale workload and every
+  exact_sets graph with an edge, a digest of the gadget's
+  ``format_edgelist``, its roles, its names and its offset.
 
     python tools/answers.py                # the answers of src/
     python tools/answers.py --src DIR      # the answers of DIR/pathcover
@@ -96,6 +99,15 @@ GREEDY_TOPOLOGIES = (
     ("generalized_petersen", (50, 7)),
     ("crown", (20,)),
 )
+REDUCTION_INPUTS = (
+    ("path", (4,)),
+    ("cycle", (5,)),
+    ("complete_bipartite", (2, 3)),
+    ("wheel", (4,)),
+    ("generalized_petersen", (5, 2)),
+    ("hypercube", (3,)),
+)
+REDUCTION_KS = (2, 3, 4, 5)
 DEEP_TOPOLOGIES = (
     ("sierpinski", (6,)),
     ("sierpinski", (7,)),
@@ -118,6 +130,12 @@ def _graph_digest(pc, G) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _gadget_digest(pc, red) -> str:
+    text = (pc.format_edgelist(red.gadget) + repr(red.roles)
+            + repr(sorted(red.names.items())) + repr(red.offset))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _pairs_digest(pc, G, k: int) -> str:
     """A digest of ``source_pairs(G, u, k)`` for every source u, each pair
     unpacked into ints and a tuple of masks, whatever type holds it."""
@@ -132,8 +150,10 @@ def _catalogue(pc) -> list[str]:
     with their claimed values; one per generated graph, its digest: every
     family instance with at most ``CATALOGUE_GRAPH_N`` vertices (each
     family takes one parameter or two), then the greedy-scale and the deep
-    topologies; and one per exact_sets graph and greedy-scale topology and
-    k in ``KS``, its ``_pairs_digest``. Each value sits in the set field."""
+    topologies; one per exact_sets graph and greedy-scale topology and k
+    in ``KS``, its ``_pairs_digest``; and one per reduction input (each
+    exact_sets graph with an edge included) and k in ``REDUCTION_KS``, its
+    gadget's ``_gadget_digest``. Each value sits in the set field."""
     lines = []
     for record in pc.claims_registry():
         listed = [(params, record.value(params))
@@ -158,16 +178,24 @@ def _catalogue(pc) -> list[str]:
         G = pc.generate(pc.FamilySpec(family, params))
         lines.append(f"catalogue {family}{params} graph\t-\t"
                      f"{_graph_digest(pc, G)}\t-\t-")
-    graphs = [(f"exact_sets {inst['name']}",
-               pc.build_graph(inst["n"], [tuple(e) for e in inst["edges"]]))
-              for inst in json.loads(EXACT_SETS.read_text())["instances"]]
-    graphs += [(f"topology {family}{params}",
-                pc.generate(pc.FamilySpec(family, params)))
-               for family, params in GREEDY_TOPOLOGIES]
-    for name, G in graphs:
+    exact_sets = [(f"exact_sets {inst['name']}",
+                   pc.build_graph(inst["n"],
+                                  [tuple(e) for e in inst["edges"]]))
+                  for inst in json.loads(EXACT_SETS.read_text())["instances"]]
+    topologies = [(f"topology {family}{params}",
+                   pc.generate(pc.FamilySpec(family, params)))
+                  for family, params in GREEDY_TOPOLOGIES]
+    for name, G in exact_sets + topologies:
         for k in KS:
             lines.append(f"catalogue {name} k={k} pairs\t-\t"
                          f"{_pairs_digest(pc, G, k)}\t-\t-")
+    inputs = [(f"reduction {family}{params}",
+               pc.generate(pc.FamilySpec(family, params)))
+              for family, params in REDUCTION_INPUTS]
+    for name, G in inputs + [(name, G) for name, G in exact_sets if G.m]:
+        for k in REDUCTION_KS:
+            lines.append(f"catalogue {name} k={k} gadget\t-\t"
+                         f"{_gadget_digest(pc, pc.reduce_vc(G, k))}\t-\t-")
     return lines
 
 
