@@ -18,9 +18,8 @@ rebuilt as vertex sequences (``mask_path``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import accumulate, islice
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .graph import (
@@ -65,15 +64,18 @@ def ball_layers(G: Graph) -> Iterator[list[int]]:
     """The radius-r balls of G as vertex bitmasks, for r = 0, 1, ..., up to
     the last radius at which a ball grows; beyond it every ball stays as
     it is. All balls grow at once: the radius-(r + 1) ball of v is the
-    union of the radius-r balls of v and its neighbours. On a connected
+    union of the radius-r balls of v and its neighbours, gathered in one
+    pass over the edges, each end taking the other's ball. On a connected
     graph the last radius is the diameter, the first at which every ball
     is full, so no step is taken to see that they stopped."""
     full = (1 << G.n) - 1
     layer = [1 << v for v in range(G.n)]
     yield layer
     while not all(map(full.__eq__, layer)):
-        grown = [reduce(or_, map(layer.__getitem__, a), b)
-                 for b, a in zip(layer, G.adj)]
+        grown = layer.copy()
+        for x, y in G.edges:
+            grown[x] |= layer[y]
+            grown[y] |= layer[x]
         if grown == layer:  # G is disconnected
             return
         layer = grown

@@ -104,8 +104,7 @@ def vertex_cover_exact(G: Graph) -> tuple[int, tuple[int, ...]]:
         raise SizeLimitError(
             f"n={G.n} exceeds the {WEAK_VERTEX_LIMIT}-vertex limit")
     # a source's k = 1 weak coverage is its own edges
-    chosen, _ = _least_cover(G, weak_masks(G, 1), coverer_index(G, 1),
-                             G.full_edge_mask())
+    chosen, _ = _least_cover(G, weak_masks(G, 1), coverer_index(G, 1))
     return len(chosen), chosen
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from functools import reduce
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -24,7 +24,6 @@ from .cover import (
     ball_layers,
     coverer_index,
     source_pairs,
-    split_pairs,
     strong_test,
     weak_cover_set,
     weak_masks,
@@ -283,21 +282,50 @@ def _min_cover(
     return found
 
 
+def _essential(index: Sequence[int]) -> int:
+    """The bitmask of the essential elements of a coverer ``index``: of
+    each group of equal entries the first element, when its entry holds
+    no other entry. Equal entries are grouped in a dict first, and each
+    distinct entry is compared only with the kept entries of fewer bits,
+    as no entry holds another of as many. That suffices: an entry holding
+    a dropped one holds what that one holds, and so a kept one."""
+    first: dict[int, int] = {}
+    for e, c in enumerate(index):
+        first.setdefault(c, e)
+    kept: list[int] = []
+    for _, group in groupby(sorted(first, key=int.bit_count), int.bit_count):
+        # c is kept when every kept entry has a bit outside it
+        kept += [c for c in group if all(map((~c).__and__, kept))]
+    return sum(1 << first[c] for c in kept)
+
+
 def _least_cover(
     G: Graph,
     masks: Sequence[int],
     index: Sequence[int],
-    universe: int,
     test: _MatchingTest | _PairTest | None = None,
     nodes: list[int] | None = None,
 ) -> tuple[tuple[int, ...], object]:
     """The lexicographically least vertex set of least size whose masks
-    cover ``universe`` and that ``test`` (see ``cover.strong_test``) keeps,
-    and its proof: its state, ``()`` without a test. ``index`` is the
-    coverer index of ``masks`` (see ``_min_cover``), which the optimum and
-    every check share. Sizes ascend from the optimum of ``_min_cover`` or
+    cover every element of ``index`` and that ``test`` (see
+    ``cover.strong_test``) keeps, and its proof: its state, ``()`` without
+    a test. ``index`` is the coverer index of ``masks`` (see
+    ``_min_cover``); every entry is nonzero. The optimum and every check
+    share it. Sizes ascend from the optimum of ``_min_cover`` or
     ``test.start``, the higher; each size walks its sets in lexicographic
     order.
+
+    Essential elements: the optimum and every check cover only the
+    ``_essential`` elements, those whose entry holds no other entry, one
+    per group of equal entries (row dominance in set covering; Beasley,
+    1987). A vertex set covers every element exactly when it meets every
+    entry, and it meets an entry holding another whenever it meets that
+    one. Holding is a partial order, so every entry holds a least one,
+    which is essential, or equal to an essential one. So a set meets every
+    entry exactly when it meets the essential ones: the checks give the
+    same answers, and the walk accepts the same sets. Only the covers the
+    checks return, which serve as witnesses below, and their node counts
+    change.
 
     Twin prefixes: u < v are twins when N(u) - {v} == N(v) - {u}, which
     covers true and false twins, and swapping them is an automorphism of G.
@@ -328,6 +356,7 @@ def _least_cover(
     sets are walked and kept.
     """
     n = len(masks)
+    universe = _essential(index)
     # bit of the nearest lower twin u < v, else 0; twins have equal open
     # (u, v apart) or closed (u, v adjacent) neighbourhoods
     last_open: dict[int, int] = {}
@@ -427,8 +456,7 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     nodes = [0]
     index = coverer_index(G, k)
     test = strong_test(G, k) if variant == STRONG else None
-    chosen, proof = _least_cover(G, weak_masks(G, k), index,
-                                 G.full_edge_mask(), test, nodes)
+    chosen, proof = _least_cover(G, weak_masks(G, k), index, test, nodes)
     witness = test.witness(chosen, proof) if test else None
     return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
                        SolveStats(nodes[0], time.perf_counter() - start))
@@ -447,9 +475,13 @@ def _greedy_source(pairs: tuple[tuple, ...]) -> tuple[int, list]:
     F, the union of the masks of its one-path pairs, and per choice pair
     (a pair with more than one geodesic) U_p, the union of its masks, and
     d, the number of edges of each of its paths."""
-    _, forced, choice = split_pairs(pairs)
-    return forced, [(reduce(or_, masks), masks[0].bit_count())
-                    for _, _, masks in choice]
+    forced, choice = 0, []
+    for _, _, masks in pairs:
+        if len(masks) == 1:
+            forced |= masks[0]
+        else:
+            choice.append((reduce(or_, masks), masks[0].bit_count()))
+    return forced, choice
 
 
 def _best_path(masks: tuple[int, ...], free: int, d: int) -> int:

@@ -30,6 +30,7 @@ from pathcover import (
     weak_cover_set,
 )
 from pathcover.cover import (
+    ball_layers,
     coverer_index,
     feasible_from_pairs,
     mask_path,
@@ -37,7 +38,7 @@ from pathcover.cover import (
     source_pairs,
     weak_masks,
 )
-from pathcover.solve import _oracle_strong_feasible
+from pathcover.solve import _essential, _oracle_strong_feasible
 from conftest import family, family_graphs, random_connected_graph
 
 
@@ -588,6 +589,70 @@ def test_coverer_index_is_weak_cover_set_transposed(k):
             sum(1 << u for u, m in enumerate(masks) if m >> e & 1)
             for e in range(G.m)], name
         assert weak_masks(G, kk) == masks, name
+
+
+@pytest.mark.parametrize("G", [
+    family("generalized_petersen", 7, 2),
+    # components of diameters 4, 1 and 0: the balls of the path grow last
+    build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)]),
+    build_graph(1, []),
+    build_graph(4, []),
+], ids=["GP(7,2)", "disconnected", "one-vertex", "edgeless"])
+def test_ball_layers_are_the_bfs_balls(G):
+    """Radius by radius, ``ball_layers`` yields every vertex's ball as its
+    BFS distances give it, and stops at the last radius at which a ball
+    grows: the largest eccentricity within a component, the diameter of a
+    connected graph, and 0 without edges."""
+    dist = [bfs_distances(G, v) for v in range(G.n)]
+    layers = list(ball_layers(G))
+    assert len(layers) == 1 + max(max(d.values()) for d in dist)
+    for r, layer in enumerate(layers):
+        assert layer == [sum(1 << x for x, dx in d.items() if dx <= r)
+                         for d in dist], r
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, "n"])
+def test_essential_edges_decide_weak_cover(k):
+    """``solve._essential`` keeps, of each group of equal ``coverer_index``
+    entries, the first edge, when its entry holds no other entry; every
+    dropped edge's entry holds a kept one. So a vertex set meets every
+    entry exactly when it meets the kept ones, checked on random sets and
+    on the complement of each entry. At k = 1 an entry is an edge's two
+    ends, which holds no other, so none is dropped."""
+    rng = random.Random(k)
+    answers = set()
+    for name, G in _index_graphs():
+        index = coverer_index(G, G.n if k == "n" else k)
+        essential = _essential(index)
+        kept = [c for e, c in enumerate(index) if essential >> e & 1]
+        for e, c in enumerate(index):
+            if essential >> e & 1:
+                assert index.index(c) == e, (name, e)
+                assert all(d == c or c & d != d for d in index), (name, e)
+            else:
+                assert any(c & d == d for d in kept), (name, e)
+        if k == 1:
+            assert essential == G.full_edge_mask(), name
+        full = (1 << G.n) - 1
+        sets = [full & ~c for c in index] + [
+            sum(1 << v for v in range(G.n) if rng.random() < density)
+            for density in (0.3, 0.6, 0.9)]
+        for S in sets:
+            meets = all(c & S for c in index)
+            assert meets == all(c & S for c in kept), (name, S)
+            answers.add(meets)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("name, params, k, kept", [
+    # every vertex covers every edge: one entry, all vertices, for all 35
+    ("complete_bipartite", (5, 7), 2, 1),
+    # 30 distinct entries, none inside another
+    ("crown", (6,), 2, 30),
+])
+def test_essential_edge_counts(name, params, k, kept):
+    G = family(name, *params)
+    assert _essential(coverer_index(G, k)).bit_count() == kept
 
 
 def _random_subsets(seed):

@@ -428,6 +428,16 @@ def _index(masks, universe):
             for e in range(universe.bit_length())]
 
 
+def _on_universe(masks, universe):
+    """``masks`` cut down to ``universe``, its elements numbered from 0 in
+    ascending order, and their coverer index, as ``_least_cover`` takes
+    them: it covers every element of its index."""
+    elements = [e for e in range(universe.bit_length()) if universe >> e & 1]
+    masks = [sum(1 << j for j, e in enumerate(elements) if m >> e & 1)
+             for m in masks]
+    return masks, _index(masks, (1 << len(elements)) - 1)
+
+
 def _random_set_systems(count):
     for seed in range(count):
         rng = random.Random(seed)
@@ -543,8 +553,8 @@ def test_least_cover_matches_brute_force():
                         for combo in combinations(range(n), size)
                         if reduce(or_, map(masks.__getitem__, combo), 0)
                         & universe == universe)
-        chosen, proof = _least_cover(family("path", n), masks,
-                                     _index(masks, universe), universe)
+        chosen, proof = _least_cover(family("path", n),
+                                     *_on_universe(masks, universe))
         assert (chosen, proof) == (expected, ()), seed
 
 
@@ -574,8 +584,7 @@ def test_least_cover_on_twin_graphs_matches_brute_force(k):
                         for combo in combinations(range(G.n), size)
                         if reduce(or_, map(masks.__getitem__, combo), 0)
                         == universe)
-        assert _least_cover(G, masks, index, universe) == (expected, ()), \
-            name
+        assert _least_cover(G, masks, index) == (expected, ()), name
 
 
 class _RefuseFirst:
@@ -611,8 +620,8 @@ def test_least_cover_returns_what_the_test_kept():
     for seed, masks, universe in _set_systems_with_twins(100):
         n = len(masks)
         if not universe:
-            got = _least_cover(family("path", n), masks,
-                               _index(masks, universe), universe,
+            got = _least_cover(family("path", n),
+                               *_on_universe(masks, universe),
                                _RefuseFirst(0, start=0))
             assert got == ((), ()), seed
         covering = [combo for size in range(1, n + 1)
@@ -623,8 +632,8 @@ def test_least_cover_returns_what_the_test_kept():
             if j >= len(covering):
                 continue
             test = _RefuseFirst(j)
-            got = _least_cover(family("path", n), masks,
-                               _index(masks, universe), universe, test)
+            got = _least_cover(family("path", n),
+                               *_on_universe(masks, universe), test)
             assert got == (covering[j], ("proof", covering[j])), (seed, j)
             assert test.seen == covering[:j + 1], (seed, j)
 
@@ -684,7 +693,7 @@ def test_least_cover_hands_the_test_only_finishable_prefixes(k):
         masks, index = weak_masks(G, k), coverer_index(G, k)
         universe = G.full_edge_mask()
         test = _EvenDegreeSum(G)
-        chosen, _ = _least_cover(G, masks, index, universe, test)
+        chosen, _ = _least_cover(G, masks, index, test)
         for prefix, left in test.handed:
             cov = reduce(or_, map(masks.__getitem__, prefix))
             after = range(prefix[-1] + 1, G.n)
@@ -712,11 +721,13 @@ def _dense_graph(seed, n=40, m=78):
 
 
 @pytest.mark.parametrize("G,k,optimum,ceiling", [
-    # 1,054 nodes with the disjoint-elements bound, 6,984 without it and
-    # 3,868 before the coverer index
-    (family("sierpinski", 3), 2, 9, 1_500),
-    # 1,404 nodes with the bound, 12,334 without it and 154,648 before the
+    # 163 nodes with the essential edges and 1,047 without them; before
+    # them, 6,984 without the disjoint-elements bound and 3,868 before the
     # coverer index
+    (family("sierpinski", 3), 2, 9, 400),
+    # 1,331 nodes with the bound, with or without the essential edges (at
+    # k = 1 none is dropped); 12,334 without the bound and 154,648 before
+    # the coverer index
     (_dense_graph(3), 1, 23, 2_500),
 ], ids=["sierpinski(3)", "dense40"])
 def test_weak_search_node_ceilings(G, k, optimum, ceiling):
