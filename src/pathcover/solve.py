@@ -65,14 +65,14 @@ class SolveStats:
     ``_min_cover`` calls it makes (the optimum it starts from and the test
     of each added vertex); for greedy, the vertices picked; for the oracle,
     the subsets tried. A ``_min_cover`` call adds no node when its root
-    checks answer it: an empty remainder, the top-t bound, the union, the
-    greedy cover or the disjoint-elements bound at the root. A
+    checks answer it: an empty remainder, a cap of 1, the top-t bound, the
+    union, the greedy cover or the disjoint-elements bound at the root. A
     search node is counted when entered, before its own disjoint-elements
     cut, and a test stops at its first cover under the cap. A vertex that
     the witness shortcut takes is tested by no call, so it adds only its
-    own subset-search node. For strong, a
-    vertex whose set the strong test refuses is not entered, at every k
-    and at full sets too, and sizes below its ``start`` are not walked.
+    own subset-search node. For strong, a vertex whose set the strong test
+    refuses is not entered, at every k and at full sets too, and sizes
+    below its ``start`` are not walked.
     """
 
     nodes: int
@@ -142,13 +142,16 @@ def _greedy_cover(masks: Sequence[int], universe: int,
     return chosen
 
 
-def _branch_coverers(sets: Iterable[int], left: int) -> int | None:
+def _branch_coverers(sets: Iterable[int],
+                     left: int) -> tuple[int, int] | None:
     """The fewest coverers of an element, from ``sets``, the live coverer
-    bitmasks of the elements a node leaves; or None when more than
-    ``left`` elements, gathered fewest coverers first, have pairwise
-    disjoint coverers, so no cover within ``left`` more picks exists
-    there. An element with no live coverer needs no test of its own: it
-    comes first and gives 0, no options, so the node fails."""
+    bitmasks of the elements a node leaves, and the masks a cover within
+    ``left`` more picks may take: the union of the gathered coverers when
+    exactly ``left`` elements are gathered, else -1, every mask. None when
+    more than ``left`` elements, gathered fewest coverers first, have
+    pairwise disjoint coverers, so no cover within ``left`` more picks
+    exists there. An element with no live coverer needs no test of its
+    own: it comes first and gives 0, no options, so the node fails."""
     order = sorted(sets, key=int.bit_count)
     used = count = 0
     for c in order:
@@ -157,7 +160,7 @@ def _branch_coverers(sets: Iterable[int], left: int) -> int | None:
             count += 1
             if count > left:
                 return None
-    return order[0]
+    return order[0], used if count == left else -1
 
 
 def _min_cover(
@@ -186,8 +189,8 @@ def _min_cover(
       known, and t picks cover at most the sum of their gains, so when
       the t largest gains sum to less than the elements left no smaller
       cover exists. It runs against ``cap``, and, without one, against the
-      greedy size, which it proves least when it cuts. At ``cap`` 1 it
-      cuts at once, as 0 gains sum to 0.
+      greedy size, which it proves least when it cuts. At ``cap`` 1 the
+      call answers before any gain is counted: 0 picks cover nothing.
     - Greedy early return: under ``cap``, a greedy cover smaller than
       ``cap`` already answers the question, so no search is made, and the
       greedy stops after ``cap`` - 1 picks: a longer greedy cover answers
@@ -205,10 +208,18 @@ def _min_cover(
       root is checked before any mask is dropped; without ``cap`` a cut
       there proves the greedy cover least. At k = 1, with edges as
       elements, this is the matching bound of vertex cover.
+    - Tight packing: when exactly as many elements are gathered as picks
+      are left, a cover within those picks takes one coverer of each, as
+      no mask holds two, and so takes nothing else. So the node and its
+      subtree take only the union of the gathered coverers, and the root
+      keeps only it live (reduced-cost fixing with the packing as the LP
+      dual; Nemhauser and Wolsey, 1988).
     - Dominated masks: a cover that takes a mask lying, on what ``pre``
       leaves, inside another stays a cover, of no greater size, with the
       larger mask instead. So ``live`` starts with only the masks inside
-      no other kept one, of equal masks one.
+      no other kept one, of equal masks one. The filter skips the masks
+      the root's tight packing dropped: a mask holding a live mask covers
+      the gathered element that one covers, so it is live itself.
     - First leaf under ``cap``: the search bound starts at ``cap``, so any
       leaf it reaches is a cover smaller than ``cap`` and ends the call.
     - Sibling exclusion: once option i of the branching element is
@@ -220,11 +231,13 @@ def _min_cover(
     rem0 = universe & ~pre
     if rem0 == 0:
         return ()
+    if cap == 1:
+        return None
     mk = [masks[i] & rem0 for i in allowed]
     gains = sorted(map(int.bit_count, mk), reverse=True)
     need = rem0.bit_count()
-    # at cap 1 this answers before any union or greedy cover; claims-sweep:
-    # 9% fewer requests/s without it and its use below (2-core Xeon)
+    # weak-exact: 7% fewer requests/s without this cut, claims-sweep 3%
+    # (2-core Xeon)
     if cap is not None and sum(gains[:cap - 1]) < need:
         return None
     if reduce(or_, mk, 0) != rem0:
@@ -238,13 +251,19 @@ def _min_cover(
     best = cap if found is None else len(found)
     live = sum(map((1).__lshift__, allowed))
     sets = {index[e] & live for e in _bits(rem0)}
-    # weak-exact: p50 7% higher without this root check (2-core Xeon)
-    if _branch_coverers(sets, best - 1) is None:
+    # weak-exact: 12% fewer requests/s and p50 15% higher without this
+    # root check and its restriction (2-core Xeon)
+    root = _branch_coverers(sets, best - 1)
+    if root is None:
         return found
+    live &= root[1]
     kept: list[int] = []
-    # weak-exact: 22% fewer requests/s without this filter (2-core Xeon);
+    # weak-exact: 3% fewer requests/s and p90 14% higher without this
+    # filter (2-core Xeon);
     # a mask comes after every larger one: its integer is smaller
     for m, i in sorted(zip(mk, allowed), reverse=True):
+        if not live >> i & 1:
+            continue
         if m in map(m.__and__, kept):  # m lies inside a kept mask
             live &= ~(1 << i)
         else:
@@ -261,10 +280,10 @@ def _min_cover(
         if not rem:
             best, found = depth, tuple(sorted(path))
             return cap is not None
-        options = _branch_coverers(sets, best - 1 - depth)
-        if options is None:
+        branch = _branch_coverers(sets, best - 1 - depth)
+        if branch is None:
             return False
-        keep = -1  # every mask but the options already searched
+        options, keep = branch  # keep loses each option once searched
         for i in sorted(_bits(options),
                         key=lambda i: (masks[i] & rem).bit_count(),
                         reverse=True):

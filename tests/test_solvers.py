@@ -36,7 +36,7 @@ from pathcover.cover import (
     strong_test,
     weak_masks,
 )
-from pathcover.solve import _least_cover, _min_cover
+from pathcover.solve import _branch_coverers, _least_cover, _min_cover
 from conftest import family, random_connected_graph
 
 
@@ -522,6 +522,37 @@ def test_min_cover_two_options_of_one_element(masks):
                       least, cap, masks, allowed, universe, 0)
 
 
+def test_branch_coverers_packing():
+    """``_branch_coverers`` gathers 0b00011 and 0b01100, which share no
+    coverer, and not 0b10110, which meets both. Two picks left: the
+    packing is tight, so a cover takes only their coverers, mask 4 never.
+    Three left: slack, every mask. One left: overflow. Over random
+    coverer sets, a tight union holds every hitting set within the picks
+    left, and None means there is none."""
+    sets = [0b10110, 0b01100, 0b00011]
+    assert _branch_coverers(sets, 2) == (0b01100, 0b01111)
+    assert _branch_coverers(sets, 3) == (0b01100, -1)
+    assert _branch_coverers(sets, 1) is None
+    for seed in range(300):
+        rng = random.Random(seed)
+        width = rng.randint(1, 7)
+        sets = {rng.getrandbits(width) | 1 << rng.randrange(width)
+                for _ in range(rng.randint(1, 6))}
+        left = rng.randint(1, 4)
+        hitting = [sum(1 << i for i in combo)
+                   for size in range(left + 1)
+                   for combo in combinations(range(width), size)
+                   if all(any(c >> i & 1 for i in combo) for c in sets)]
+        got = _branch_coverers(sets, left)
+        if got is None:
+            assert not hitting, seed
+        else:
+            options, union = got
+            assert options in sets
+            assert options.bit_count() == min(map(int.bit_count, sets))
+            assert all(h & union == h for h in hitting), seed
+
+
 def test_min_cover_shared_index_matches_brute_force():
     """Calls sharing one coverer index, as ``_least_cover`` makes them:
     suffixes of the masks, the union of earlier masks as ``pre``, and
@@ -721,15 +752,17 @@ def _dense_graph(seed, n=40, m=78):
 
 
 @pytest.mark.parametrize("G,k,optimum,ceiling", [
-    # 163 nodes with the essential edges and 1,047 without them; before
-    # them, 6,984 without the disjoint-elements bound and 3,868 before the
-    # coverer index
-    (family("sierpinski", 3), 2, 9, 400),
-    # 1,331 nodes with the bound, with or without the essential edges (at
-    # k = 1 none is dropped); 12,334 without the bound and 154,648 before
-    # the coverer index
-    (_dense_graph(3), 1, 23, 2_500),
-], ids=["sierpinski(3)", "dense40"])
+    # 73 nodes with the tight packing and 163 without it; before it, 1,047
+    # without the essential edges, 6,984 without the disjoint-elements
+    # bound and 3,868 before the coverer index
+    (family("sierpinski", 3), 2, 9, 100),
+    # 506 nodes with the tight packing and 1,331 without it, with or
+    # without the essential edges (at k = 1 none is dropped); before it,
+    # 12,334 without the bound and 154,648 before the coverer index
+    (_dense_graph(3), 1, 23, 700),
+    # 995 nodes with the tight packing and 2,236 without it
+    (family("generalized_petersen", 20, 3), 2, 8, 1_300),
+], ids=["sierpinski(3)", "dense40", "gp(20,3)"])
 def test_weak_search_node_ceilings(G, k, optimum, ceiling):
     """The weak search's node count stays under a ceiling with margin, so a
     change that loses a pruning rule fails instead of only slowing down."""

@@ -23,6 +23,8 @@ apply). The battery:
   is larger. A ``strong_feasible`` row's optimum field holds the verdict
   of ``verify_strong_witness`` on its witness, "-" when it is None, so a
   moved witness is shown to be valid;
+- weak ``solve_exact`` at k = 2 on the five topologies of the
+  benchmark's weak-exact workload;
 - strong ``solve_greedy`` on the ten topologies of the benchmark's
   greedy-scale workload at k = 2, 3, 4, greedy rows only; at k = 4 the
   greedy's pair bound and its weak-mask bound differ more than at 2 or 3;
@@ -98,6 +100,13 @@ GREEDY_TOPOLOGIES = (
     ("enhanced_butterfly", (4,)),
     ("generalized_petersen", (50, 7)),
     ("crown", (20,)),
+)
+WEAK_TOPOLOGIES = (
+    ("sierpinski", (3,)),
+    ("augmented_butterfly", (3,)),
+    ("generalized_petersen", (20, 3)),
+    ("hypercube", (5,)),
+    ("butterfly", (3,)),
 )
 REDUCTION_INPUTS = (
     ("path", (4,)),
@@ -296,6 +305,9 @@ def snapshot() -> list[str]:
         G = _sparse_graph(pc, seed)
         for k in SPARSE_KS:
             exact(f"sparse{seed}", G, k, ("weak",))
+    for family, params in WEAK_TOPOLOGIES:
+        G = pc.generate(pc.FamilySpec(family, params))
+        exact(f"topology {family}{params}", G, 2, ("weak",))
     for family, params in GREEDY_TOPOLOGIES:
         G = pc.generate(pc.FamilySpec(family, params))
         for k in (2, 3, 4):
