@@ -18,7 +18,6 @@ rebuilt as vertex sequences (``mask_path``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -415,7 +414,7 @@ def feasible_from_pairs(
 
     Both ways the witness is deterministic, and covers the full edge mask.
 
-    ``pairs`` are a weak cover's, as ``strong_feasible`` and ``_least_cover``
+    ``pairs`` are a weak cover's, as ``strong_feasible`` and ``StrongTest``
     hand no other. Pairs that cover less still give None: the matching leaf
     leaves a deficiency, the backtracking search an edge with no candidate.
     """
@@ -483,90 +482,91 @@ def _backtrack(
     return picks
 
 
-class _MatchingTest:
-    """The strong cover test at k = 2: bounds, leaf test and witness.
+class StrongTest:
+    """The strong cover test of ``solve_exact`` at distance k, grown one
+    source at a time, ascending: bounds, leaf test and witness.
 
     A source v's forced mask, the union of its one-path pairs in
-    ``source_pairs(G, v, 2)``, holds its star, so each path v-x-t of a
-    choice pair adds one tip beyond it, x-t, and one ``Matching`` grown by
-    the added sources keeps the deficiency of the prefix P. v alone covers
-    at most cap(v) = deg(v) + |N_2(v)| edges, its forced ones and one per
-    choice pair, and adding w lowers the deficiency by at most cap(w), as
-    a choice for P + {w} splits into choices for P and for w.
+    ``source_pairs(G, v, k)``, holds its star; one ``Matching`` grown by
+    the added sources, tips read beyond each source's forced mask, keeps
+    the deficiency of the prefix P. A choice pair's gain g is the most
+    edges one of its paths has outside that mask: 1 <= g <= d - 1 at
+    distance d, as its paths start on the star and end at a vertex with
+    two geodesics, which no one-path pair's path meets. excess(v) sums
+    g - 1 over v's choice pairs at distance 3 or more.
+
+    P covers at most |base| + nu + excess(P) edges, base its forced union
+    and nu its maximum matching: the edges a choice adds beyond base split
+    among its pairs, each part at most g edges, and one edge per nonempty
+    part is a matching. v alone covers at most cap(v) = |S_1(v)| + the sum
+    of (d - 1) |S_d(v)| over 2 <= d <= k, S_d(v) its sphere at distance d;
+    by parts, max(t - 1, 1) |B_t(v)| - 1 - the sum of |B_d(v)| over
+    2 <= d < t, t <= k the last radius at which a ball grows. Adding w
+    covers at most cap(w) more edges, as a choice for P + {w} splits into
+    choices for P and for w.
 
     - Counting start: a set smaller than ``start`` = ceil(m / max cap)
-      leaves a deficiency, so it is no strong cover.
-    - Deficiency prune: ``extend`` cuts P + {v} when its deficiency exceeds
-      ``left`` times ``maxcap[v + 1]``, the largest cap from v + 1 on (0
-      past the last vertex). Only sets holding no strong cover are cut.
-    - Leaf test: at ``left`` = 0 the cut is 0, so a full set is kept
-      exactly when it is a strong cover; its state gives the ``witness``.
+      leaves an edge uncovered, so it is no strong cover.
+    - Deficiency prune: ``extend`` cuts P + {v} when its deficiency
+      exceeds its excess plus ``left`` times ``maxcap[v + 1]``, the
+      largest cap from v + 1 on (0 past the last vertex). Only sets
+      holding no strong cover are cut.
+    - Leaf test: at ``left`` 0 with excess 0 the cut is 0, so a full set
+      is kept exactly when it is a strong cover, and its matching gives
+      the ``witness``; with a positive excess ``feasible_from_pairs`` on
+      its pairs, built anew, decides, and its witness is the state.
 
-    ``maxcap[s]`` is the largest cap(v) over v >= s, with cap(v) =
-    |B_2(v)| - 1 read from the radius-2 balls.
+    A state is (matching state or witness, excess, vertices added);
+    ``root`` is the empty set's.
     """
 
-    def __init__(self, G: Graph):
-        self.G = G
+    def __init__(self, G: Graph, k: int):
+        self.G, self.k = G, k
         self.matching = Matching(G)
         self.arcs = [None] * G.n
-        self.sources: dict[int, tuple[int, list[int], list]] = {}
-        self.root: tuple[int, dict[int, int], int] = (0, {}, 0)
-        *_, radius2 = islice(ball_layers(G), 3)
-        caps = [ball.bit_count() - 1 for ball in radius2]
+        self.sources: dict[int, tuple[int, list[int], list, int]] = {}
+        self.root = (0, {}, 0), 0, ()
+        *inner, outer = islice(ball_layers(G), k + 1)
+        weight = max(len(inner) - 1, 1)
+        caps = [weight * ball.bit_count() - 1 for ball in outer]
+        for layer in inner[2:]:
+            caps = [cap - ball.bit_count() for cap, ball in zip(caps, layer)]
         self.maxcap = list(accumulate(reversed(caps), max, initial=0))[::-1]
         self.start = -(-G.m // self.maxcap[0]) if G.m else 0
 
-    def _source(self, v: int) -> tuple[int, list[int], list]:
-        """v's forced mask, choice pair ids and one-path pairs' picks."""
+    def _source(self, v: int) -> tuple[int, list[int], list, int]:
+        """v's forced mask, choice pair ids, one-path picks and excess."""
         if v not in self.sources:
             ones, forced, choice = split_pairs(
-                source_pairs(self.G, v, 2, self.arcs))
-            self.sources[v] = forced, self.matching.add(choice, forced), ones
+                source_pairs(self.G, v, self.k, self.arcs))
+            excess = sum(max((m & ~forced).bit_count() for m in masks) - 1
+                         for _, _, masks in choice if masks[0].bit_count() > 2)
+            self.sources[v] = (forced, self.matching.add(choice, forced),
+                               ones, excess)
         return self.sources[v]
 
-    def extend(self, state: tuple[int, dict[int, int], int], v: int,
-               left: int):
+    def extend(self, state, v: int, left: int):
         """The state of the prefix extended by v, or None when it is cut."""
-        forced, ids, _ = self._source(v)
-        return self.matching.extend(state, forced, ids,
-                                    left * self.maxcap[v + 1])
+        forced, ids, _, own = self._source(v)
+        matched, excess, chosen = state
+        excess += own
+        chosen += (v,)
+        matched = self.matching.extend(matched, forced, ids,
+                                       left * self.maxcap[v + 1] + excess)
+        if matched is not None and not left and excess:
+            matched = feasible_from_pairs(self.G, tuple(
+                p for u in chosen
+                for p in source_pairs(self.G, u, self.k, self.arcs)))
+        return None if matched is None else (matched, excess, chosen)
 
     def witness(self, chosen: Sequence[int], state) -> StrongWitness:
-        """The one-path pairs' picks of ``chosen``, then ``state``'s."""
+        """The witness ``feasible_from_pairs`` gave, else the one-path
+        pairs' picks of ``chosen``, then the matching's."""
+        matched = state[0]
+        if isinstance(matched, StrongWitness):
+            return matched
         return self.matching.witness(
-            [pick for v in chosen for pick in self.sources[v][2]], state)
-
-
-class _PairTest:
-    """The strong cover test at k != 2: the state is the sources added, at
-    ``left`` 0 ``feasible_from_pairs``' witness for their pairs (cached)."""
-
-    def __init__(self, G: Graph, k: int):
-        self.G, self.start, self.root = G, min(G.m, 1), ()
-        arcs = [None] * G.n
-        self.pairs = cache(lambda u: source_pairs(G, u, k, arcs))
-
-    def extend(self, state: tuple[int, ...], v: int, left: int):
-        chosen = (*state, v)
-        if left:
-            return chosen
-        return feasible_from_pairs(
-            self.G, tuple(p for u in chosen for p in self.pairs(u)))
-
-    def witness(self, chosen: Sequence[int], state) -> StrongWitness:
-        # the root: G is edgeless
-        return state or StrongWitness.of(self.G, ())
-
-
-def strong_test(G: Graph, k: int) -> _MatchingTest | _PairTest:
-    """The strong cover test of ``solve_exact``, grown one source at a
-    time, ascending. Sets below ``start`` are no strong covers; ``root`` is
-    the empty set's state; ``extend(state, v, left)`` adds v, or is None
-    when no strong cover holds the set and ``left`` more vertices above v,
-    so a state it returns at ``left`` 0 is a strong cover, which
-    ``witness(chosen, state)`` witnesses."""
-    return _MatchingTest(G) if k == 2 else _PairTest(G, k)
+            [pick for v in chosen for pick in self.sources[v][2]], matched)
 
 
 def strong_feasible(

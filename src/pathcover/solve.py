@@ -17,14 +17,13 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .cover import (
+    StrongTest,
     StrongWitness,
     _bits,
-    _MatchingTest,
-    _PairTest,
     ball_layers,
     coverer_index,
     source_pairs,
-    strong_test,
+    split_pairs,
     weak_cover_set,
     weak_masks,
 )
@@ -322,12 +321,12 @@ def _least_cover(
     G: Graph,
     masks: Sequence[int],
     index: Sequence[int],
-    test: _MatchingTest | _PairTest | None = None,
+    test: StrongTest | None = None,
     nodes: list[int] | None = None,
 ) -> tuple[tuple[int, ...], object]:
     """The lexicographically least vertex set of least size whose masks
     cover every element of ``index`` and that ``test`` (see
-    ``cover.strong_test``) keeps, and its proof: its state, ``()`` without
+    ``cover.StrongTest``) keeps, and its proof: its state, ``()`` without
     a test. ``index`` is the coverer index of ``masks`` (see
     ``_min_cover``); every entry is nonzero. The optimum and every check
     share it. Sizes ascend from the optimum of ``_min_cover`` or
@@ -458,11 +457,11 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     """Provably optimal cover of the requested variant: ``_least_cover``
     over the per-vertex weak coverage masks, so the lexicographically least
     optimum: weak the first covering set, strong the first one
-    ``cover.strong_test`` keeps, witnessed from the test's state.
+    ``cover.StrongTest`` keeps, witnessed from the test's state.
 
     Strong sizes ascend from the weak optimum: a strong cover is a weak
     cover, so no smaller size can succeed, or from the test's ``start``
-    when it is higher (at k = 2, a counting start). The other lower bounds
+    when it is higher, a counting start. The other lower bounds
     of ``compute_bounds`` never start higher: a weak cover reaches an edge
     at every vertex within distance k, so it dominates at distance k; an
     edge joining two simplicial vertices of one clique lies only on
@@ -474,7 +473,7 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     start = time.perf_counter()
     nodes = [0]
     index = coverer_index(G, k)
-    test = strong_test(G, k) if variant == STRONG else None
+    test = StrongTest(G, k) if variant == STRONG else None
     chosen, proof = _least_cover(G, weak_masks(G, k), index, test, nodes)
     witness = test.witness(chosen, proof) if test else None
     return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
@@ -494,13 +493,9 @@ def _greedy_source(pairs: tuple[tuple, ...]) -> tuple[int, list]:
     F, the union of the masks of its one-path pairs, and per choice pair
     (a pair with more than one geodesic) U_p, the union of its masks, and
     d, the number of edges of each of its paths."""
-    forced, choice = 0, []
-    for _, _, masks in pairs:
-        if len(masks) == 1:
-            forced |= masks[0]
-        else:
-            choice.append((reduce(or_, masks), masks[0].bit_count()))
-    return forced, choice
+    _, forced, choice = split_pairs(pairs)
+    return forced, [(reduce(or_, masks), masks[0].bit_count())
+                    for _, _, masks in choice]
 
 
 def _best_path(masks: tuple[int, ...], free: int, d: int) -> int:

@@ -2,7 +2,7 @@ import random
 import re
 import time
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from operator import or_
 
@@ -12,6 +12,7 @@ from pathcover import (
     SizeLimitError,
     StrongWitness,
     VertexRangeError,
+    bfs_distances,
     build_graph,
     claims_registry,
     compute_bounds,
@@ -29,11 +30,11 @@ from pathcover import (
 )
 from pathcover import cover
 from pathcover.cover import (
+    StrongTest,
     coverer_index,
     feasible_from_pairs,
     path_edge_mask,
     source_pairs,
-    strong_test,
     weak_masks,
 )
 from pathcover.solve import _branch_coverers, _least_cover, _min_cover
@@ -782,90 +783,114 @@ def _max_strong_coverage(pairs):
 
 
 def test_deficiency_is_edges_the_best_choice_leaves():
-    """The deficiency the ``Matching`` of the k = 2 strong test keeps
-    along a search path, driven without a cut, the edges neither its
-    forced paths nor its matching cover, is m minus the most edges any
-    choice of ``source_pairs`` paths covers, after each vertex added in any
-    order; the witness read from the state covers exactly those edges with
-    one of its pairs' paths per pair; alone, a vertex leaves m - cap(v),
-    and ``maxcap`` and ``start`` are read from those caps."""
+    """The deficiency the ``Matching`` of the strong test keeps along a
+    search path, driven without a cut, the edges neither its forced paths
+    nor its matching cover, less the prefix's summed excess, is at most m
+    minus the most edges any choice of ``source_pairs`` paths covers,
+    after each vertex added in any order, and equal to it when the excess
+    is 0, as it always is at k = 2. The witness read from the state takes
+    one of its pairs' paths per pair and covers the m - deficiency edges
+    of the forced paths and the matching, and only those when the excess
+    is 0. A vertex alone covers at most cap(v) edges, exactly that many at
+    k = 2, and ``maxcap`` and ``start`` are read from the caps. At k = 2
+    and 3; only at 3 does some prefix have a positive excess."""
     def deficiency(state):
         base, _, held = state
         return (G.full_edge_mask() & ~(base | held)).bit_count()
 
     def grow(state, v):
-        forced, ids, _ = bound._source(v)
-        return bound.matching.extend(state, forced, ids, G.m)
+        forced, ids, *_ = test._source(v)
+        return test.matching.extend(state, forced, ids, G.m)
 
-    for seed in range(300):
+    excess_seen = set()
+    for seed, k in product(range(300), (2, 3)):
         rng = random.Random(seed)
         G = random_connected_graph(rng, max_n=8)
-        bound = strong_test(G, 2)
+        test = StrongTest(G, k)
         order = rng.sample(range(G.n), G.n)
-        state = bound.root
+        state, excess = test.root[0], 0
         for i, v in enumerate(order):
             state = grow(state, v)
-            pairs = [p for u in order[:i + 1] for p in source_pairs(G, u, 2)]
-            assert deficiency(state) == G.m - _max_strong_coverage(pairs), \
-                (seed, order[:i + 1])
+            excess += test._source(v)[3]
+            if excess:
+                excess_seen.add(k)
+            pairs = [p for u in order[:i + 1] for p in source_pairs(G, u, k)]
+            best = G.m - _max_strong_coverage(pairs)
+            assert deficiency(state) - excess <= best, (seed, k, order[:i + 1])
+            if not excess:
+                assert deficiency(state) == best, (seed, k, order[:i + 1])
             paths = {(u, t): enumerate_geodesics(G, u, t)
                      for u, t, _ in pairs}
-            witness = bound.witness(order[:i + 1], state)
+            witness = test.witness(order[:i + 1], (state, excess, ()))
             union = 0
             for pair, path in witness.assignments:
-                assert path in paths.pop(pair), (seed, pair)
+                assert path in paths.pop(pair), (seed, k, pair)
                 union |= path_edge_mask(G, path)
             assert union == witness.covered
-            assert union.bit_count() == G.m - deficiency(state), seed
-        caps = [G.m - deficiency(grow(bound.root, v)) for v in range(G.n)]
-        assert bound.maxcap == [max(caps[s:], default=0)
-                                for s in range(G.n + 1)], seed
-        assert bound.start == min(t for t in range(G.n + 1)
-                                  if t * max(caps) >= G.m), seed
+            covered = G.m - deficiency(state)
+            assert covered <= union.bit_count() <= G.m - best, (seed, k)
+            if not excess:
+                assert union.bit_count() == covered, (seed, k)
+        caps = [sum(max(d - 1, 1) for d in bfs_distances(G, v, k).values()
+                    if d) for v in range(G.n)]
+        for v in range(G.n):
+            own = _max_strong_coverage(source_pairs(G, v, k))
+            assert caps[v] == own if k == 2 else caps[v] >= own, (seed, k, v)
+        assert test.maxcap == [max(caps[s:], default=0)
+                               for s in range(G.n + 1)], (seed, k)
+        assert test.start == min(t for t in range(G.n + 1)
+                                 if t * max(caps) >= G.m), (seed, k)
+    assert excess_seen == {3}
 
 
-def test_one_matcher_decides_k2_both_ways():
-    """At k = 2 ``feasible_from_pairs``, one matching over all pairs with
-    tips beyond the global base, and the search's per-source growth,
-    sources added in ascending order with the cut of the vertices left,
-    agree on every set, and both witnesses verify."""
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_one_matcher_decides_both_ways(k):
+    """``feasible_from_pairs``, one search over all pairs with tips beyond
+    the global base, and the strong test's per-source growth, sources
+    added in ascending order with the cut of the vertices left, agree on
+    every set, and both witnesses verify."""
     for seed in range(200):
         rng = random.Random(seed)
         G = random_connected_graph(rng, max_n=10)
-        bound = strong_test(G, 2)
+        test = StrongTest(G, k)
         for _ in range(5):
             S = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
             single = feasible_from_pairs(
-                G, tuple(p for v in S for p in source_pairs(G, v, 2)))
-            state = bound.root
+                G, tuple(p for v in S for p in source_pairs(G, v, k)))
+            state = test.root
             for i, v in enumerate(S):
-                state = bound.extend(state, v, len(S) - 1 - i)
+                state = test.extend(state, v, len(S) - 1 - i)
                 if state is None:
                     break
             assert (single is None) == (state is None), (seed, S)
             if state is not None:
-                assert verify_strong_witness(G, S, 2, single), (seed, S)
-                assert verify_strong_witness(G, S, 2,
-                                             bound.witness(S, state)), \
+                assert verify_strong_witness(G, S, k, single), (seed, S)
+                assert verify_strong_witness(G, S, k,
+                                             test.witness(S, state)), \
                     (seed, S)
 
 
-@pytest.mark.parametrize("G,optimum,ceiling", [
+@pytest.mark.parametrize("G,k,optimum,ceiling", [
     # 101 nodes; 4,943 without the deficiency cut, 6,293 without it and the
     # counting start
-    (family("crown", 10), 6, 1_000),
+    (family("crown", 10), 2, 6, 1_000),
     # 5,543 nodes; 26,348 without the cut, 35,456 without both
-    (family("crown", 11), 7, 12_000),
+    (family("crown", 11), 2, 7, 12_000),
     # 11 nodes; 17 without the cut, 98 without both
-    (family("hypercube", 4), 4, 40),
+    (family("hypercube", 4), 2, 4, 40),
     # 58 nodes; 86 without the cut, 89 without both
-    (family("benes", 2), 4, 75),
-], ids=["crown(10)", "crown(11)", "hypercube(4)", "benes(2)"])
-def test_strong_k2_search_node_ceilings(G, optimum, ceiling):
-    """The k = 2 strong search's node count stays under a ceiling, so a
-    change that loses the deficiency cut fails instead of only slowing
-    down."""
-    result = solve_exact(G, 2, "strong")
+    (family("benes", 2), 2, 4, 75),
+    # 13 nodes; 150 with a start of 1, no cut and a full search per set
+    (family("crown", 8), 3, 4, 40),
+    # 29 nodes; 994 the same way
+    (family("crown", 9), 3, 5, 100),
+], ids=["crown(10)", "crown(11)", "hypercube(4)", "benes(2)", "crown(8)-k3",
+        "crown(9)-k3"])
+def test_strong_search_node_ceilings(G, k, optimum, ceiling):
+    """The strong search's node count stays under a ceiling, so a change
+    that loses the deficiency cut or the counting start fails instead of
+    only slowing down."""
+    result = solve_exact(G, k, "strong")
     assert result.optimum == optimum
     assert result.stats.nodes <= ceiling, result.stats.nodes
 
@@ -928,13 +953,12 @@ def _registry_graphs(max_n):
 
 def test_strong_feasible_gives_the_solver_witness():
     """``strong_feasible`` proves a set by ``feasible_from_pairs`` over its
-    pairs, as ``solve_exact``'s strong test does at k = 1, 3, so there
-    ``strong_feasible`` on a strong optimum returns the solver's witness. At
-    k = 2 the solver proves the set by the matching it grew source by
-    source, so the witnesses may differ: ``strong_feasible`` accepts the
-    set, both witnesses verify, and it returns ``feasible_from_pairs`` on
-    the set's pairs. Over the registry instances to 12 vertices and seeded
-    random graphs."""
+    pairs. ``solve_exact`` proves it by the matching it grew source by
+    source wherever the set's excess is 0, and by ``feasible_from_pairs``
+    otherwise, so the witnesses may differ. At every k, ``strong_feasible``
+    accepts the solver's set, both witnesses verify, and it returns
+    ``feasible_from_pairs`` on the set's pairs. Over the registry
+    instances to 12 vertices and seeded random graphs."""
     rng = random.Random(3)
     graphs = _registry_graphs(12) + [
         (f"random{i}", random_connected_graph(rng, max_n=12))
@@ -943,12 +967,10 @@ def test_strong_feasible_gives_the_solver_witness():
         for k in (1, 2, 3):
             result = solve_exact(G, k, "strong")
             witness = strong_feasible(G, result.set, k)
-            if k != 2:
-                assert witness == result.witness, (name, k)
-                continue
-            assert witness is not None, name
-            assert verify_strong_witness(G, result.set, k, witness), name
+            assert witness is not None, (name, k)
+            assert verify_strong_witness(G, result.set, k, witness), (name, k)
             assert verify_strong_witness(G, result.set, k,
-                                         result.witness), name
+                                         result.witness), (name, k)
             assert witness == feasible_from_pairs(G, tuple(
-                p for u in result.set for p in source_pairs(G, u, k))), name
+                p for u in result.set for p in source_pairs(G, u, k))), \
+                (name, k)
