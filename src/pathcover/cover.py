@@ -511,21 +511,22 @@ class StrongTest:
       exceeds its excess plus ``left`` times ``maxcap[v + 1]``, the
       largest cap from v + 1 on (0 past the last vertex). Only sets
       holding no strong cover are cut.
-    - Leaf test: at ``left`` 0 with excess 0 the cut is 0, so a full set
-      is kept exactly when it is a strong cover, and its matching gives
-      the ``witness``; with a positive excess ``feasible_from_pairs`` on
-      its pairs, built anew, decides, and its witness is the state.
+    - Leaf test: at ``left`` 0 ``extend`` returns the full set's witness,
+      or None. Where the forced paths and the matching cover every edge,
+      as always at excess 0 (cut 0), the matching gives it; otherwise
+      ``feasible_from_pairs`` on the pairs ``_source`` kept decides.
 
-    A state is (matching state or witness, excess, vertices added);
-    ``root`` is the empty set's.
+    A prefix's state is (matching state, excess, vertices added); ``root``
+    is the empty set's, or on an edgeless graph, where the empty set is
+    accepted with no ``extend``, its witness.
     """
 
     def __init__(self, G: Graph, k: int):
         self.G, self.k = G, k
         self.matching = Matching(G)
         self.arcs = [None] * G.n
-        self.sources: dict[int, tuple[int, list[int], list, int]] = {}
-        self.root = (0, {}, 0), 0, ()
+        self.sources: dict[int, tuple[int, list[int], list, int, tuple]] = {}
+        self.root = ((0, {}, 0), 0, ()) if G.m else StrongWitness((), 0)
         *inner, outer = islice(ball_layers(G), k + 1)
         weight = max(len(inner) - 1, 1)
         caps = [weight * ball.bit_count() - 1 for ball in outer]
@@ -534,39 +535,36 @@ class StrongTest:
         self.maxcap = list(accumulate(reversed(caps), max, initial=0))[::-1]
         self.start = -(-G.m // self.maxcap[0]) if G.m else 0
 
-    def _source(self, v: int) -> tuple[int, list[int], list, int]:
-        """v's forced mask, choice pair ids, one-path picks and excess."""
+    def _source(self, v: int) -> tuple[int, list[int], list, int, tuple]:
+        """v's forced mask, choice pair ids, one-path picks, excess, pairs."""
         if v not in self.sources:
-            ones, forced, choice = split_pairs(
-                source_pairs(self.G, v, self.k, self.arcs))
+            pairs = source_pairs(self.G, v, self.k, self.arcs)
+            ones, forced, choice = split_pairs(pairs)
             excess = sum(max((m & ~forced).bit_count() for m in masks) - 1
                          for _, _, masks in choice if masks[0].bit_count() > 2)
             self.sources[v] = (forced, self.matching.add(choice, forced),
-                               ones, excess)
+                               ones, excess, pairs)
         return self.sources[v]
 
     def extend(self, state, v: int, left: int):
-        """The state of the prefix extended by v, or None when it is cut."""
-        forced, ids, _, own = self._source(v)
+        """The state of the prefix extended by v, or None when it is cut; at
+        ``left`` 0 the full set's witness, or None."""
+        forced, ids, _, own, _ = self._source(v)
         matched, excess, chosen = state
         excess += own
         chosen += (v,)
         matched = self.matching.extend(matched, forced, ids,
                                        left * self.maxcap[v + 1] + excess)
-        if matched is not None and not left and excess:
-            matched = feasible_from_pairs(self.G, tuple(
-                p for u in chosen
-                for p in source_pairs(self.G, u, self.k, self.arcs)))
-        return None if matched is None else (matched, excess, chosen)
-
-    def witness(self, chosen: Sequence[int], state) -> StrongWitness:
-        """The witness ``feasible_from_pairs`` gave, else the one-path
-        pairs' picks of ``chosen``, then the matching's."""
-        matched = state[0]
-        if isinstance(matched, StrongWitness):
-            return matched
-        return self.matching.witness(
-            [pick for v in chosen for pick in self.sources[v][2]], matched)
+        if matched is None:
+            return None
+        if left:
+            return matched, excess, chosen
+        sources = [self.sources[u] for u in chosen]
+        if matched[0] | matched[2] == self.matching.full:
+            return self.matching.witness(
+                [pick for source in sources for pick in source[2]], matched)
+        return feasible_from_pairs(
+            self.G, tuple(p for source in sources for p in source[4]))
 
 
 def strong_feasible(

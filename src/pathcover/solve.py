@@ -326,12 +326,12 @@ def _least_cover(
 ) -> tuple[tuple[int, ...], object]:
     """The lexicographically least vertex set of least size whose masks
     cover every element of ``index`` and that ``test`` (see
-    ``cover.StrongTest``) keeps, and its proof: its state, ``()`` without
-    a test. ``index`` is the coverer index of ``masks`` (see
-    ``_min_cover``); every entry is nonzero. The optimum and every check
-    share it. Sizes ascend from the optimum of ``_min_cover`` or
-    ``test.start``, the higher; each size walks its sets in lexicographic
-    order.
+    ``cover.StrongTest``) keeps, and its proof: the last ``test.extend``,
+    else ``test.root``, ``()`` without a test. ``index`` is the coverer
+    index of ``masks`` (see ``_min_cover``); every entry is nonzero. The
+    optimum and every check share it. Sizes ascend from the optimum of
+    ``_min_cover`` or ``test.start``, the higher; each size walks its sets
+    in lexicographic order.
 
     Essential elements: the optimum and every check cover only the
     ``_essential`` elements, those whose entry holds no other entry, one
@@ -457,7 +457,7 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     """Provably optimal cover of the requested variant: ``_least_cover``
     over the per-vertex weak coverage masks, so the lexicographically least
     optimum: weak the first covering set, strong the first one
-    ``cover.StrongTest`` keeps, witnessed from the test's state.
+    ``cover.StrongTest`` keeps, witnessed by the test's proof of it.
 
     Strong sizes ascend from the weak optimum: a strong cover is a weak
     cover, so no smaller size can succeed, or from the test's ``start``
@@ -475,8 +475,8 @@ def solve_exact(G: Graph, k: int, variant: str) -> SolveResult:
     index = coverer_index(G, k)
     test = StrongTest(G, k) if variant == STRONG else None
     chosen, proof = _least_cover(G, weak_masks(G, k), index, test, nodes)
-    witness = test.witness(chosen, proof) if test else None
-    return SolveResult(variant, k, len(chosen), chosen, witness, "exact",
+    return SolveResult(variant, k, len(chosen), chosen,
+                       proof if test else None, "exact",
                        SolveStats(nodes[0], time.perf_counter() - start))
 
 

@@ -41,6 +41,28 @@ def test_compare_fails_a_moved_optimum_or_set():
     assert compare(ROWS, ["g k=2 weak\t3\t[0, 3]\t7\t-", ROWS[1]], "REV") == 1
 
 
+def test_compare_fails_a_refuted_witness_on_either_side(capsys):
+    """A witness whose verdict is False, after a strong row's digest or in
+    a ``strong_feasible`` row's optimum field, fails the comparison on
+    either side, even when both sides agree; a weak cover verdict of False
+    is an answer, not a witness, and passes."""
+    compare = _answers().compare
+    verified = ["g k=2 strong\t3\t[0, 1, 3]\t12\tabc True",
+                "g k=2 feasible-greedy\tTrue\t[0, 1, 3]\t-\tdef",
+                "g k=2 verify-weak-greedy-less\tFalse\t[0]\t-\t-"]
+    assert compare(verified, verified, "REV") == 0
+    for i, refuted in ((0, "g k=2 strong\t3\t[0, 1, 3]\t12\tabc False"),
+                       (1, "g k=2 feasible-greedy\tFalse\t[0, 1, 3]\t-\tdef")):
+        moved = verified[:i] + [refuted] + verified[i + 1:]
+        name = refuted.split("\t")[0]
+        assert compare(verified, moved, "REV") == 1
+        assert f"witness refuted in the tree: {name}" in \
+            capsys.readouterr().out
+        assert compare(moved, verified, "REV") == 1
+        assert f"witness refuted in REV: {name}" in capsys.readouterr().out
+        assert compare(moved, moved, "REV") == 1
+
+
 def test_pairs_digest_reads_pairs_whatever_type_holds_them(monkeypatch):
     """The ``pairs`` catalogue rows compare pair content and order across
     trees, so a named-tuple pair and a plain triple digest alike, and

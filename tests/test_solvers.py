@@ -348,17 +348,21 @@ def test_unknown_variant_refused(solve):
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("solve", [solve_exact, solve_greedy, naive_oracle])
 def test_edgeless_strong_has_empty_witness(solve, n):
-    result = solve(build_graph(n, []), 2, "strong")
+    G = build_graph(n, [])
+    result = solve(G, 2, "strong")
     assert result.set == ()
     assert result.witness == StrongWitness((), 0)
+    assert verify_strong_witness(G, result.set, 2, result.witness)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_edgeless_strong_exact_has_empty_witness_at_other_k(k):
-    # away from k = 2 the empty set's proof is the strong test's root
+    # no extend proves the empty set: its witness is the strong test's root
     for n in (0, 1):
-        result = solve_exact(build_graph(n, []), k, "strong")
+        G = build_graph(n, [])
+        result = solve_exact(G, k, "strong")
         assert (result.set, result.witness) == ((), StrongWitness((), 0))
+        assert verify_strong_witness(G, result.set, k, result.witness)
 
 
 def test_monotonicity_chain(rng):
@@ -788,12 +792,13 @@ def test_deficiency_is_edges_the_best_choice_leaves():
     nor its matching cover, less the prefix's summed excess, is at most m
     minus the most edges any choice of ``source_pairs`` paths covers,
     after each vertex added in any order, and equal to it when the excess
-    is 0, as it always is at k = 2. The witness read from the state takes
-    one of its pairs' paths per pair and covers the m - deficiency edges
-    of the forced paths and the matching, and only those when the excess
-    is 0. A vertex alone covers at most cap(v) edges, exactly that many at
-    k = 2, and ``maxcap`` and ``start`` are read from the caps. At k = 2
-    and 3; only at 3 does some prefix have a positive excess."""
+    is 0, as it always is at k = 2. The witness the matching gives, with
+    the prefix's one-path picks, takes one of its pairs' paths per pair
+    and covers the m - deficiency edges of the forced paths and the
+    matching, and only those when the excess is 0. A vertex alone covers
+    at most cap(v) edges, exactly that many at k = 2, and ``maxcap`` and
+    ``start`` are read from the caps. At k = 2 and 3; only at 3 does some
+    prefix have a positive excess."""
     def deficiency(state):
         base, _, held = state
         return (G.full_edge_mask() & ~(base | held)).bit_count()
@@ -821,7 +826,9 @@ def test_deficiency_is_edges_the_best_choice_leaves():
                 assert deficiency(state) == best, (seed, k, order[:i + 1])
             paths = {(u, t): enumerate_geodesics(G, u, t)
                      for u, t, _ in pairs}
-            witness = test.witness(order[:i + 1], (state, excess, ()))
+            witness = test.matching.witness(
+                [pick for u in order[:i + 1] for pick in test._source(u)[2]],
+                state)
             union = 0
             for pair, path in witness.assignments:
                 assert path in paths.pop(pair), (seed, k, pair)
@@ -848,7 +855,8 @@ def test_one_matcher_decides_both_ways(k):
     """``feasible_from_pairs``, one search over all pairs with tips beyond
     the global base, and the strong test's per-source growth, sources
     added in ascending order with the cut of the vertices left, agree on
-    every set, and both witnesses verify."""
+    every set, and both witnesses verify: the test's is what its last
+    ``extend`` returns."""
     for seed in range(200):
         rng = random.Random(seed)
         G = random_connected_graph(rng, max_n=10)
@@ -857,17 +865,15 @@ def test_one_matcher_decides_both_ways(k):
             S = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
             single = feasible_from_pairs(
                 G, tuple(p for v in S for p in source_pairs(G, v, k)))
-            state = test.root
+            proof = test.root
             for i, v in enumerate(S):
-                state = test.extend(state, v, len(S) - 1 - i)
-                if state is None:
+                proof = test.extend(proof, v, len(S) - 1 - i)
+                if proof is None:
                     break
-            assert (single is None) == (state is None), (seed, S)
-            if state is not None:
+            assert (single is None) == (proof is None), (seed, S)
+            if proof is not None:
                 assert verify_strong_witness(G, S, k, single), (seed, S)
-                assert verify_strong_witness(G, S, k,
-                                             test.witness(S, state)), \
-                    (seed, S)
+                assert verify_strong_witness(G, S, k, proof), (seed, S)
 
 
 @pytest.mark.parametrize("G,k,optimum,ceiling", [
@@ -895,30 +901,42 @@ def test_strong_search_node_ceilings(G, k, optimum, ceiling):
     assert result.stats.nodes <= ceiling, result.stats.nodes
 
 
-def test_strong_k2_search_proves_its_own_leaf(monkeypatch):
-    """At k = 2 the strong search's matching is its only proof: no
-    ``feasible_from_pairs`` call, at most one ``source_pairs`` call per
-    vertex, and the witness read from the matching verifies."""
+@pytest.mark.parametrize("k", [2, 3])
+def test_strong_search_proves_its_own_leaf(monkeypatch, k):
+    """The strong search builds each source's pairs at most once per
+    solve, its leaf reusing them, and its witness verifies. At k = 2 its
+    matching is its only proof: no ``feasible_from_pairs`` call. At k = 3
+    a full set the matching covers is proved by it too, though its excess
+    is positive: ``crown(4)`` and ``butterfly(2)`` make no call."""
     proofs, built = [], []
     real_source_pairs = cover.source_pairs
+    real_feasible = cover.feasible_from_pairs
 
     def counted_source_pairs(G, u, k, *arcs):
         built.append(u)
         return real_source_pairs(G, u, k, *arcs)
 
-    monkeypatch.setattr(cover, "feasible_from_pairs",
-                        lambda *args: proofs.append(args))
+    def counted_feasible(G, pairs):
+        proofs.append(pairs)
+        return real_feasible(G, pairs)
+
+    monkeypatch.setattr(cover, "feasible_from_pairs", counted_feasible)
     monkeypatch.setattr(cover, "source_pairs", counted_source_pairs)
     rng = random.Random(2)
-    graphs = [family("crown", 6), family("double_fan", 10),
-              family("complete_bipartite", 3, 3), family("cycle", 10)]
-    graphs += [random_connected_graph(rng, max_n=12) for _ in range(200)]
-    for G in graphs:
+    named = [family("crown", 6), family("double_fan", 10),
+             family("complete_bipartite", 3, 3), family("cycle", 10)]
+    if k == 3:
+        named = [family("crown", 4), family("butterfly", 2)]
+    graphs = [(G, True) for G in named] + [
+        (random_connected_graph(rng, max_n=12), k == 2) for _ in range(200)]
+    for G, unproved in graphs:
+        proofs.clear()
         built.clear()
-        result = solve_exact(G, 2, "strong")
-        assert proofs == []
-        assert len(built) == len(set(built))
-        assert verify_strong_witness(G, result.set, 2, result.witness), \
+        result = solve_exact(G, k, "strong")
+        if unproved:
+            assert proofs == [], result.set
+        assert len(built) == len(set(built)), built
+        assert verify_strong_witness(G, result.set, k, result.witness), \
             result.set
 
 
@@ -954,11 +972,12 @@ def _registry_graphs(max_n):
 def test_strong_feasible_gives_the_solver_witness():
     """``strong_feasible`` proves a set by ``feasible_from_pairs`` over its
     pairs. ``solve_exact`` proves it by the matching it grew source by
-    source wherever the set's excess is 0, and by ``feasible_from_pairs``
-    otherwise, so the witnesses may differ. At every k, ``strong_feasible``
-    accepts the solver's set, both witnesses verify, and it returns
-    ``feasible_from_pairs`` on the set's pairs. Over the registry
-    instances to 12 vertices and seeded random graphs."""
+    source wherever that matching covers every edge, and by
+    ``feasible_from_pairs`` otherwise, so the witnesses may differ. At
+    every k, ``strong_feasible`` accepts the solver's set, both witnesses
+    verify, and it returns ``feasible_from_pairs`` on the set's pairs.
+    Over the registry instances to 12 vertices and seeded random
+    graphs."""
     rng = random.Random(3)
     graphs = _registry_graphs(12) + [
         (f"random{i}", random_connected_graph(rng, max_n=12))

@@ -2,7 +2,9 @@
 
 One tab-separated line per result: an id, the optimum, the set,
 ``stats.nodes`` and a digest of the witness ("-" where a field does not
-apply). The battery:
+apply). On strong ``solve_exact``, ``naive_oracle`` and ``solve_greedy``
+rows the digest is followed by the verdict of ``verify_strong_witness``
+on the witness, so a moved witness is shown to be valid. The battery:
 
 - every claims-registry instance with at most 16 vertices, weak and strong
   ``solve_exact`` at the registry's k;
@@ -57,8 +59,11 @@ and witness differences grouped by row kind and k, then every differing
 value and every row present on one side only, and exits 1 when any
 optimum or set differs, a catalogue row's value (kept in its set field)
 and a weak or strong verdict included, or when a row is present on one
-side only: those move only by a stated change. The script writes nothing
-in the repository.
+side only: those move only by a stated change. It also exits 1 when a
+row on either side holds a witness that ``verify_strong_witness``
+refuses, a verdict of False after the digest or in a ``strong_feasible``
+row's optimum field, and lists those rows. The script writes nothing in
+the repository.
 """
 
 from __future__ import annotations
@@ -239,23 +244,26 @@ def snapshot() -> list[str]:
 
     lines = []
 
-    def row(name, r, kind):
+    def row(name, G, r, kind):
+        """r's fields; a witness's digest is followed by its verdict."""
+        witness = "-"
+        if r.witness is not None:
+            ok = pc.verify_strong_witness(G, r.set, r.k, r.witness)
+            witness = f"{_digest(r.witness)} {ok}"
         lines.append(f"{name} k={r.k} {kind}\t{r.optimum}\t{list(r.set)}\t"
-                     f"{r.stats.nodes}\t"
-                     f"{'-' if r.witness is None else _digest(r.witness)}")
+                     f"{r.stats.nodes}\t{witness}")
 
     def exact(name, G, k, variants=("weak", "strong")):
         results = []
         for variant in variants:
             r = pc.solve_exact(G, k, variant)
-            row(name, r, variant)
+            row(name, G, r, variant)
             results.append(r)
         return results
 
     def greedy(name, G, k):
         r = pc.solve_greedy(G, k, "strong")
-        lines.append(f"{name} k={k} greedy\t{r.optimum}\t{list(r.set)}\t"
-                     f"{r.stats.nodes}\t{_digest(r.witness)}")
+        row(name, G, r, "greedy")
         return r.set
 
     def feasible(name, G, k, kind, chosen):
@@ -293,7 +301,7 @@ def snapshot() -> list[str]:
             weak, strong = exact(name, G, k)
             if name.startswith("exact_sets") and G.n <= ORACLE_MAX_N:
                 for variant in ("weak", "strong"):
-                    row(name, pc.naive_oracle(G, k, variant),
+                    row(name, G, pc.naive_oracle(G, k, variant),
                         f"oracle-{variant}")
             chosen = greedy(name, G, k)
             feasible(name, G, k, "feasible-greedy", chosen)
@@ -341,11 +349,22 @@ def _kind(name: str) -> str:
     return f"{kind} {k}"
 
 
+def _refuted(rows: dict[str, dict[str, str]]) -> list[str]:
+    """The rows whose witness ``verify_strong_witness`` refuses: a verdict
+    of False after the digest, or in a ``strong_feasible`` row's optimum
+    field."""
+    return [name for name, v in rows.items()
+            if v.get("witness", "").endswith(" False")
+            or (_kind(name).startswith("feasible")
+                and v["optimum"] == "False")]
+
+
 def compare(old: list[str], new: list[str], rev: str) -> int:
     """Per field, the results whose value differs from REV's; the node and
-    witness differences per row kind and k; then every differing value and
-    every row on one side only. 1 when an optimum or a set differs or a
-    row is on one side only, else 0."""
+    witness differences per row kind and k; then every differing value,
+    every row on one side only and every refuted witness. 1 when an
+    optimum or a set differs, a row is on one side only or a witness on
+    either side is refuted, else 0."""
     before, after = _parse(old), _parse(new)
     common = [name for name in after if name in before]
     only_old = [name for name in before if name not in after]
@@ -380,8 +399,12 @@ def compare(old: list[str], new: list[str], rev: str) -> int:
     for side, names in ((rev, only_old), ("the tree", only_new)):
         for n in names:
             print(f"  only in {side}: {n}")
+    refuted = {rev: _refuted(before), "the tree": _refuted(after)}
+    for side, names in refuted.items():
+        for n in names:
+            print(f"  witness refuted in {side}: {n}")
     return int(bool(changed["optimum"] or changed["set"] or only_old
-                    or only_new))
+                    or only_new or any(refuted.values())))
 
 
 def main(argv: list[str] | None = None) -> int:
