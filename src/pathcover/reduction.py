@@ -33,6 +33,12 @@ ROLE_TAIL = "tail"
 
 # largest gadget check_reduction also solves exactly (under the strong limit)
 _EXACT_VERTEX_LIMIT = 17
+# Largest gadget reduce_vc builds. Its tails grow with k without bound, so
+# a large k alone could exhaust memory: k = 10**5 on K_2 builds 200,006
+# vertices in 0.9 s and 119 MB. At this limit a build takes about 0.03 s
+# and 4 MB, and it is 40 times the largest graph the benchmark solves (243
+# vertices).
+GADGET_VERTEX_LIMIT = 10_000
 
 
 def gadget_size_formulas(n: int, m: int, k: int) -> tuple[int, int]:
@@ -57,11 +63,17 @@ def reduce_vc(G: Graph, k: int) -> ReductionOutput:
     Its vertices are numbered: the originals 0..n-1; the path vertices of
     input edge i at n + 2i and n + 2i + 1; apex b and apex c at n + 2m and
     n + 2m + 1; then, for side b and then side c, its k - 3 tail vertices
-    (when k >= 4) and its triangle, contact first."""
+    (when k >= 4) and its triangle, contact first. A gadget of more than
+    ``GADGET_VERTEX_LIMIT`` vertices raises ``SizeLimitError`` before any
+    vertex is built."""
     _check_k(k, 2)
     if G.m == 0:
         raise ValueError("reduction requires an input graph with edges")
     n, m = G.n, G.m
+    size = gadget_size_formulas(n, m, k)[0]
+    if size > GADGET_VERTEX_LIMIT:
+        raise SizeLimitError(f"the k={k} gadget has {size} vertices, over "
+                             f"the {GADGET_VERTEX_LIMIT}-vertex limit")
     apex_b, apex_c = n + 2 * m, n + 2 * m + 1
     roles = ([ROLE_ORIGINAL] * n + [ROLE_PATH] * (2 * m)
              + [ROLE_APEX_B, ROLE_APEX_C])

@@ -65,7 +65,8 @@ class SolveStats:
     of each added vertex); for greedy, the vertices picked; for the oracle,
     the subsets tried. A ``_min_cover`` call adds no node when its root
     checks answer it: an empty remainder, a cap of 1, the top-t bound, the
-    union, the greedy cover or the disjoint-elements bound at the root. A
+    union, the disjoint-elements bound of the closed root packing (which
+    refutes a capped call before its greedy runs) or the greedy cover. A
     search node is counted when entered, before its own disjoint-elements
     cut, and a test stops at its first cover under the cap. A vertex that
     the witness shortcut takes is tested by no call, so it adds only its
@@ -150,16 +151,31 @@ def _branch_coverers(sets: Iterable[int],
     more than ``left`` elements, gathered fewest coverers first, have
     pairwise disjoint coverers, so no cover within ``left`` more picks
     exists there. An element with no live coverer needs no test of its
-    own: it comes first and gives 0, no options, so the node fails."""
+    own: it comes first and gives 0, no options, so the node fails.
+
+    Fixpoint: a tight pass restricts every element's coverers to its union
+    and packs again, until a pass changes nothing or is slack; the union
+    and the options are those of the last tight pass, the options as
+    restricted to it. A cover within ``left`` picks takes one coverer of
+    each gathered element, as no mask holds two, and so nothing else: the
+    restricted elements have exactly the covers within ``left`` picks
+    that the elements had, and the argument applies to them again. So an
+    overflow at any pass means no cover, and every cover lies in the
+    union returned."""
     order = sorted(sets, key=int.bit_count)
-    used = count = 0
-    for c in order:
-        if not c & used:
-            used |= c
-            count += 1
-            if count > left:
-                return None
-    return order[0], used if count == left else -1
+    union = -1
+    while True:
+        used = count = 0
+        for c in order:
+            if not c & used:
+                used |= c
+                count += 1
+                if count > left:
+                    return None
+        if count < left or used == union:
+            return order[0], union
+        union = used
+        order = sorted({c & used for c in order}, key=int.bit_count)
 
 
 def _min_cover(
@@ -190,10 +206,13 @@ def _min_cover(
       cover exists. It runs against ``cap``, and, without one, against the
       greedy size, which it proves least when it cuts. At ``cap`` 1 the
       call answers before any gain is counted: 0 picks cover nothing.
-    - Greedy early return: under ``cap``, a greedy cover smaller than
-      ``cap`` already answers the question, so no search is made, and the
-      greedy stops after ``cap`` - 1 picks: a longer greedy cover answers
-      nothing.
+    - Greedy early return: under ``cap``, once the root's top-t, union
+      and disjoint-elements checks fail to refute, a greedy cover smaller
+      than ``cap`` already answers the question, so no search is made, and
+      the greedy stops after ``cap`` - 1 picks: a longer greedy cover
+      answers nothing. Most capped calls refute, and the bounds refute
+      for less than the greedy costs. Without ``cap`` the greedy runs
+      first, as its size is the bound the search must beat.
     - Coverer index: which masks hold an element depends neither on
       ``pre``, nor on ``allowed``, nor on the picks, so one index serves
       every call and node, read through ``live``. A pick covers exactly
@@ -212,13 +231,17 @@ def _min_cover(
       no mask holds two, and so takes nothing else. So the node and its
       subtree take only the union of the gathered coverers, and the root
       keeps only it live (reduced-cost fixing with the packing as the LP
-      dual; Nemhauser and Wolsey, 1988).
+      dual; Nemhauser and Wolsey, 1988). The packing is closed to a
+      fixpoint on the elements cut to that union, which have the same
+      covers within the picks left (``_branch_coverers``), as set-cover
+      reductions are repeated until nothing changes (Beasley, 1987).
     - Dominated masks: a cover that takes a mask lying, on what ``pre``
       leaves, inside another stays a cover, of no greater size, with the
       larger mask instead. So ``live`` starts with only the masks inside
       no other kept one, of equal masks one. The filter skips the masks
       the root's tight packing dropped: a mask holding a live mask covers
-      the gathered element that one covers, so it is live itself.
+      the gathered elements that one covers at every pass, so it lies in
+      every pass's union and is live itself.
     - First leaf under ``cap``: the search bound starts at ``cap``, so any
       leaf it reaches is a cover smaller than ``cap`` and ends the call.
     - Sibling exclusion: once option i of the branching element is
@@ -235,30 +258,28 @@ def _min_cover(
     mk = [masks[i] & rem0 for i in allowed]
     gains = sorted(map(int.bit_count, mk), reverse=True)
     need = rem0.bit_count()
-    # weak-exact: 7% fewer requests/s without this cut, claims-sweep 3%
-    # (2-core Xeon)
     if cap is not None and sum(gains[:cap - 1]) < need:
         return None
     if reduce(or_, mk, 0) != rem0:
         return None
-    picks = _greedy_cover(mk, rem0, None if cap is None else cap - 1)
-    found = None if picks is None else tuple(sorted(allowed[i]
-                                                    for i in picks))
-    if found is not None and (cap is not None
-                              or sum(gains[:len(found) - 1]) < need):
-        return found
-    best = cap if found is None else len(found)
+    found = None
+    if cap is None:
+        picks = _greedy_cover(mk, rem0)
+        found = tuple(sorted(map(allowed.__getitem__, picks)))
+        if sum(gains[:len(found) - 1]) < need:
+            return found
+    best = len(found) if cap is None else cap
     live = sum(map((1).__lshift__, allowed))
     sets = {index[e] & live for e in _bits(rem0)}
-    # weak-exact: 12% fewer requests/s and p50 15% higher without this
-    # root check and its restriction (2-core Xeon)
     root = _branch_coverers(sets, best - 1)
     if root is None:
         return found
+    if cap is not None:
+        picks = _greedy_cover(mk, rem0, cap - 1)
+        if picks is not None:
+            return tuple(sorted(map(allowed.__getitem__, picks)))
     live &= root[1]
     kept: list[int] = []
-    # weak-exact: 3% fewer requests/s and p90 14% higher without this
-    # filter (2-core Xeon);
     # a mask comes after every larger one: its integer is smaller
     for m, i in sorted(zip(mk, allowed), reverse=True):
         if not live >> i & 1:

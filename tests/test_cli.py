@@ -236,6 +236,17 @@ def test_reduce_check_skips_the_optimum_of_a_large_gadget(tmp_path, capsys):
     assert "exact optimum: skipped (gadget above exact check limit)" in out
 
 
+def test_reduce_exits_2_over_the_gadget_limit(tmp_path, capsys):
+    graph_file = tmp_path / "p2.edges"
+    gadget_file = tmp_path / "gadget.edges"
+    main(["gen", "--family", "path", "--params", "2",
+          "--out", str(graph_file)])
+    assert main(["reduce", "--in", str(graph_file), "--k", "100000000",
+                 "--out", str(gadget_file)]) == 2
+    assert "10000-vertex limit" in capsys.readouterr().err
+    assert not gadget_file.exists()
+
+
 def test_exit_code_size_limit(tmp_path, capsys):
     graph_file = tmp_path / "p41.edges"
     main(["gen", "--family", "path", "--params", "41",

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pathcover import (
+    SizeLimitError,
     bfs_distances,
     build_graph,
     check_reduction,
@@ -12,7 +13,9 @@ from pathcover import (
     strong_feasible,
     vertex_cover_exact,
 )
+from pathcover import reduction
 from pathcover.reduction import (
+    GADGET_VERTEX_LIMIT,
     ROLE_APEX_B,
     ROLE_APEX_C,
     ROLE_ORIGINAL,
@@ -44,6 +47,23 @@ def test_pinned_gadget_vertex_counts():
     assert reduce_vc(family("path", 2), 2).gadget.n == 12
     assert reduce_vc(family("path", 2), 3).gadget.n == 12
     assert reduce_vc(family("cycle", 3), 2).gadget.n == 17
+
+
+def test_reduce_vc_refuses_a_gadget_over_the_limit(monkeypatch):
+    """The K_2 gadget has 2k + 6 vertices at k >= 3: at k = 4,997 it has
+    exactly ``GADGET_VERTEX_LIMIT`` and is built; one more k and a huge
+    one raise ``SizeLimitError`` before any graph is built."""
+    K2 = family("path", 2)
+    assert GADGET_VERTEX_LIMIT == 10_000
+    assert reduce_vc(K2, 4_997).gadget.n == GADGET_VERTEX_LIMIT
+
+    def no_build(*args):
+        raise AssertionError("a gadget over the limit was built")
+
+    monkeypatch.setattr(reduction, "build_graph", no_build)
+    for k in (4_998, 10**8):
+        with pytest.raises(SizeLimitError, match="10000-vertex limit"):
+            reduce_vc(K2, k)
 
 
 def _random_simple_graph(rng):

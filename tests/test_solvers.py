@@ -28,7 +28,7 @@ from pathcover import (
     verify_weak_cover,
     vertex_cover_exact,
 )
-from pathcover import cover
+from pathcover import cover, solve
 from pathcover.cover import (
     StrongTest,
     coverer_index,
@@ -530,14 +530,26 @@ def test_min_cover_two_options_of_one_element(masks):
 def test_branch_coverers_packing():
     """``_branch_coverers`` gathers 0b00011 and 0b01100, which share no
     coverer, and not 0b10110, which meets both. Two picks left: the
-    packing is tight, so a cover takes only their coverers, mask 4 never.
-    Three left: slack, every mask. One left: overflow. Over random
-    coverer sets, a tight union holds every hitting set within the picks
-    left, and None means there is none."""
+    packing is tight, so a cover takes only their coverers, mask 4 never;
+    restricted to them, the third element is 0b00110, and a second pass
+    gathers the same union, a fixpoint. Three left: slack, every mask.
+    One left: overflow.
+
+    The closure repacks what a tight pass leaves: 0b011 and 0b101 with
+    one pick left gather 0b011, then 0b001, which nothing shrinks further;
+    one pass would stop at 0b011. Add 0b110, and the second pass
+    overflows, as no single mask meets all three.
+
+    Over random coverer sets, None means no hitting set within the picks
+    left, and otherwise the union holds every such hitting set; the
+    options are an element's coverers as cut to the union, have the
+    fewest bits of those, and meet every hitting set."""
     sets = [0b10110, 0b01100, 0b00011]
-    assert _branch_coverers(sets, 2) == (0b01100, 0b01111)
+    assert _branch_coverers(sets, 2) == (0b00011, 0b01111)
     assert _branch_coverers(sets, 3) == (0b01100, -1)
     assert _branch_coverers(sets, 1) is None
+    assert _branch_coverers([0b011, 0b101], 1) == (0b001, 0b001)
+    assert _branch_coverers([0b011, 0b101, 0b110], 1) is None
     for seed in range(300):
         rng = random.Random(seed)
         width = rng.randint(1, 7)
@@ -553,9 +565,45 @@ def test_branch_coverers_packing():
             assert not hitting, seed
         else:
             options, union = got
-            assert options in sets
-            assert options.bit_count() == min(map(int.bit_count, sets))
+            cut = {c & union for c in sets}
+            assert options in cut, seed
+            assert options.bit_count() == min(map(int.bit_count, cut)), seed
             assert all(h & union == h for h in hitting), seed
+            assert all(h & options for h in hitting), seed
+
+
+def test_capped_cover_refutes_before_its_greedy(monkeypatch):
+    """Under a cap, ``_min_cover`` tries the greedy only once the root's
+    bounds fail to refute. Masks 0b0110, 0b0101 and 0b0011 are a triangle
+    on elements 0 to 2, and 0b1000 alone covers element 3: the two largest
+    gains reach the four elements, and one packing pass gathers element 3
+    and one triangle element, but the closed packing gathers three, so a
+    cap of 3 is refuted with no greedy call and no node. At a cap of 4 no
+    bound refutes, and the greedy answers before any node. Masks 0b001111,
+    0b010101 and 0b101010 fool the greedy, which takes the first and then
+    needs two more, so under a cap of 3 it fails before the search finds
+    the other two."""
+    greedy_at = []  # the node count at each greedy call
+    nodes = [0]
+    real_greedy = solve._greedy_cover
+
+    def counted_greedy(*args):
+        greedy_at.append(nodes[0])
+        return real_greedy(*args)
+
+    monkeypatch.setattr(solve, "_greedy_cover", counted_greedy)
+    triangle = [0b0110, 0b0101, 0b0011, 0b1000]
+    index = _index(triangle, 0b1111)
+    assert _min_cover(triangle, index, range(4), 0b1111, cap=3,
+                      nodes=nodes) is None
+    assert (greedy_at, nodes) == ([], [0])
+    assert _min_cover(triangle, index, range(4), 0b1111, cap=4,
+                      nodes=nodes) == (0, 1, 3)
+    assert (greedy_at, nodes) == ([0], [0])
+    fooled = [0b001111, 0b010101, 0b101010]
+    assert _min_cover(fooled, _index(fooled, 0b111111), range(3), 0b111111,
+                      cap=3, nodes=nodes) == (1, 2)
+    assert greedy_at == [0, 0] and nodes[0] > 0
 
 
 def test_min_cover_shared_index_matches_brute_force():
@@ -757,16 +805,19 @@ def _dense_graph(seed, n=40, m=78):
 
 
 @pytest.mark.parametrize("G,k,optimum,ceiling", [
-    # 73 nodes with the tight packing and 163 without it; before it, 1,047
-    # without the essential edges, 6,984 without the disjoint-elements
-    # bound and 3,868 before the coverer index
-    (family("sierpinski", 3), 2, 9, 100),
-    # 506 nodes with the tight packing and 1,331 without it, with or
-    # without the essential edges (at k = 1 none is dropped); before it,
-    # 12,334 without the bound and 154,648 before the coverer index
+    # 50 nodes with the tight packing closed to a fixpoint, 73 with one
+    # pass and 163 without it; before it, 1,047 without the essential
+    # edges, 6,984 without the disjoint-elements bound and 3,868 before the
+    # coverer index
+    (family("sierpinski", 3), 2, 9, 60),
+    # 350 nodes with the closed packing, 506 with one pass and 1,331
+    # without it, with or without the essential edges (at k = 1 none is
+    # dropped); before it, 12,334 without the bound and 154,648 before the
+    # coverer index
     (_dense_graph(3), 1, 23, 700),
-    # 995 nodes with the tight packing and 2,236 without it
-    (family("generalized_petersen", 20, 3), 2, 8, 1_300),
+    # 395 nodes with the closed packing, 995 with one pass and 2,236
+    # without it
+    (family("generalized_petersen", 20, 3), 2, 8, 600),
 ], ids=["sierpinski(3)", "dense40", "gp(20,3)"])
 def test_weak_search_node_ceilings(G, k, optimum, ceiling):
     """The weak search's node count stays under a ceiling with margin, so a
